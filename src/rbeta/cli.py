@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
     try:
         config = SuiteConfig(suite=args.suite, seed=args.seed,
                              draws_per_identity=args.draws,
-                             output_path=args.out, format=args.format)
+                             format=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,6 @@ class Tolerance:
         if self.abs == 0 and self.rel == 0:
             raise ValueError("at least one of abs, rel must be positive")
 
-    def met_by(self, abs_gap: float, scale: float) -> bool:
-        return abs_gap <= self.abs or (scale > 0 and abs_gap <= self.rel * scale)
-
 
 DEFAULT_TOL = Tolerance(abs=1e-12, rel=1e-10)
 
@@ -56,13 +53,6 @@ class VerificationRecord:
             abs_gap = rel_gap = math.inf
         passed = abs_gap <= tol.abs or rel_gap <= tol.rel
         return cls(identity_id, inputs, lhs, rhs, abs_gap, rel_gap, tol, passed, runtime_ms)
-
-
-def require_finite(z: complex, what: str = "value") -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ArithmeticError(f"non-finite {what}: {z!r}")
-    return z
 
 
 _COMPLEX_RE = re.compile(

@@ -30,7 +30,7 @@ from .bilateral import (BilateralSeriesSpec, eval_H,
 from .core import Tolerance, DEFAULT_TOL, VerificationRecord
 from .errors import ConstraintViolation, MarginViolation
 from .gammafns import _lanczos_log, gamma, recip_gamma
-from .quadrature import gauss_panels, tanh_sinh
+from .quadrature import QuadratureResult, gauss_panels, tanh_sinh
 
 __all__ = [
     "IntegrandSpec", "QuadratureResult", "weight_gm", "integrate",
@@ -99,14 +99,6 @@ class IntegrandSpec:
 
     def weight_terms(self) -> Tuple[WeightTerm, ...]:
         return self.weight if self.weight else ((1.0 + 0j, 0.0),)
-
-
-@dataclass
-class QuadratureResult:
-    value: complex
-    est_error: float
-    panels: int
-    truncation_X: float
 
 
 def _require_margin(spec: IntegrandSpec) -> None:
@@ -511,27 +503,17 @@ def integrand_spec_for(kind: BetaKind, params: Dict[str, complex]) -> IntegrandS
     if kind is BetaKind.M4_PLAIN:
         cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
         return IntegrandSpec(cs, cs, 0.0)
-    if kind is BetaKind.M4_VWP:
+    if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
         a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"]]
+        n = 3 if kind is BetaKind.M4_VWP else 4
+        bs = [p[f"b{j}"] for j in range(1, n + 1)]
         return IntegrandSpec([0.5 * a - 1] + [a + bj for bj in bs],
                              [-0.5 * a - 1] + bs, 0.0,
                              weight_cos(1.0, math.pi) + weight_cos(1.0, 3 * math.pi))
-    if kind is BetaKind.M4_VWP_SHIFTED:
+    if kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M5_VWP_SHIFTED):
         a = p["a"]
-        cs = [p["c1"], p["c2"], p["c3"]]
-        return IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
-                             weight_cos(cmath.cos(0.5 * math.pi * a), math.pi)
-                             + weight_cos(cmath.cos(1.5 * math.pi * a), 3 * math.pi))
-    if kind is BetaKind.M5_VWP:
-        a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"], p["b4"]]
-        return IntegrandSpec([0.5 * a - 1] + [a + bj for bj in bs],
-                             [-0.5 * a - 1] + bs, 0.0,
-                             weight_cos(1.0, math.pi) + weight_cos(1.0, 3 * math.pi))
-    if kind is BetaKind.M5_VWP_SHIFTED:
-        a = p["a"]
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
+        n = 3 if kind is BetaKind.M4_VWP_SHIFTED else 4
+        cs = [p[f"c{j}"] for j in range(1, n + 1)]
         return IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
                              weight_cos(cmath.cos(0.5 * math.pi * a), math.pi)
                              + weight_cos(cmath.cos(1.5 * math.pi * a), 3 * math.pi))

@@ -22,7 +22,7 @@ from .core import Tolerance, DEFAULT_TOL, VerificationRecord
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation)
 from .gammafns import gamma
-from .quadrature import gauss_panels, gauss_panels_graded
+from .quadrature import QuadratureResult, gauss_panels, gauss_panels_graded
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, qpoch_inf,
                       qpoch_inf_multi, q_gamma)
 
@@ -99,14 +99,6 @@ class QIntegrandSpec:
         return pw / pa * math.exp(ti), pb / pw * math.exp(-ti)
 
 
-@dataclass
-class QQuadResult:
-    value: complex
-    est_error: float
-    panels: int
-    truncation_X: float
-
-
 def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
                           tol_abs: float, x0: float = 4.0) -> float:
     """Smallest X >= x0 with boundary magnitude * geometric tail below tol.
@@ -135,7 +127,7 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
 def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
                  rho_right: float, rho_left: float,
                  tol: Tolerance = DEFAULT_TOL,
-                 freq_hint: float = 0.0) -> QQuadResult:
+                 freq_hint: float = 0.0) -> QuadratureResult:
     """Gauss-panel integral of exp(log_f(x) - i t x) over the line, truncated
     where the geometric envelopes fall below tolerance."""
     tol_abs = max(tol.abs, 1e-15)
@@ -154,11 +146,12 @@ def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
     width = min(0.5, math.pi / (2.0 * omega))
     value, err, n = gauss_panels(f, -Xl, Xr, width)
     # truncation was driven to tol_abs on each side
-    return QQuadResult(value, err + 2.0 * tol_abs + 1e-16 * abs(value), n,
-                       max(Xr, Xl))
+    return QuadratureResult(value, err + 2.0 * tol_abs + 1e-16 * abs(value), n,
+                            max(Xr, Xl))
 
 
-def q_integrate(spec: QIntegrandSpec, tol: Tolerance = DEFAULT_TOL) -> QQuadResult:
+def q_integrate(spec: QIntegrandSpec,
+                tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
     """Integral of the m-factor q-integrand times exp(-i x t); t may be
     complex inside the analyticity strip."""
     spec.check_annulus()
@@ -274,7 +267,16 @@ class QBetaKind(enum.Enum):
     I_C0 = "I_c0"
     I_3PSI6 = "I_3psi6"
     I_2PSI6 = "I_2psi6"
-    LIMIT_CONSTANT = "LimitConstant"
+
+
+# the product-pair parameters y of each kind, in params order
+_QBETA_YS = {
+    QBetaKind.I_FULL: "abcd",
+    QBetaKind.I_D0: "abc",
+    QBetaKind.I_C0: "ab",
+    QBetaKind.I_3PSI6: "a",
+    QBetaKind.I_2PSI6: "",
+}
 
 
 def _qbeta_log_f(alpha: complex, ys: Sequence[complex], q: complex):
@@ -305,6 +307,24 @@ def _qbeta_prefactor(alpha: complex, q: complex) -> complex:
             / (complex(q) ** 0.125 * cmath.sqrt(u)))
 
 
+def _qbeta_product(kind: QBetaKind, alpha: complex, yv: Sequence[complex],
+                   q: float) -> complex:
+    """The printed product form of a q-beta integral."""
+    pref = _qbeta_prefactor(alpha, q)
+    if kind is QBetaKind.I_FULL:
+        a, b, c, d = yv
+        return pref * qpoch_inf_multi(
+            [-q * a * b, -q * a * c, -q * a * d, -q * b * c, -q * b * d,
+             -q * c * d], q) / qpoch_inf(q * a * b * c * d, q)
+    if kind is QBetaKind.I_D0:
+        a, b, c = yv
+        return pref * qpoch_inf_multi([-q * a * b, -q * a * c, -q * b * c], q)
+    if kind is QBetaKind.I_C0:
+        a, b = yv
+        return pref * qpoch_inf(-q * a * b, q)
+    return pref
+
+
 def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex,
                    tol: Tolerance) -> complex:
     """Very-well-poised bilateral basic series representation shared by the
@@ -330,29 +350,13 @@ def qbeta_family(kind: QBetaKind, params: Dict[str, complex], q: float,
                  ) -> VerificationRecord:
     """Quadrature of a q-beta integral against its printed product form.
 
-    LimitConstant instead compares the q->1 prefactor at the given q with its
-    limit value -i e^(2 i pi alpha) / (2 pi); its rel_gap is the raw gap
-    (2 alpha^2 - alpha + 1/2) log(1/q) + O(log(1/q)^2) described in
-    `limit_constant`, not an error of either side.
+    The q -> 1 behaviour of the prefactor is checked separately, against the
+    exact finite-q form stated in `limit_constant`.
     """
     kind = QBetaKind(kind)
     p = {k: complex(v) for k, v in params.items()}
-    if kind is QBetaKind.LIMIT_CONSTANT:
-        alpha = p["alpha"]
-        lhs = limit_constant(q, alpha)
-        rhs = limit_constant_target(alpha)
-        return VerificationRecord.compare(
-            "qbeta-limit-constant", {"alpha": alpha, "q": q}, lhs, rhs, tol)
-
     alpha = p["alpha"]
-    ys = {
-        QBetaKind.I_FULL: ["a", "b", "c", "d"],
-        QBetaKind.I_D0: ["a", "b", "c"],
-        QBetaKind.I_C0: ["a", "b"],
-        QBetaKind.I_3PSI6: ["a"],
-        QBetaKind.I_2PSI6: [],
-    }[kind]
-    yv = [p[name] for name in ys]
+    yv = [p[name] for name in _QBETA_YS[kind]]
     prod_y = 1.0 + 0j
     for y in yv:
         prod_y *= y
@@ -372,25 +376,10 @@ def qbeta_family(kind: QBetaKind, params: Dict[str, complex], q: float,
     res = q_quadrature(log_f, 0.0, rr, rl, tol,
                        freq_hint=abs(cmath.log(alpha).imag) * 4.0
                        + sum(abs(cmath.log(complex(y)).imag) for y in yv))
-    lhs = res.value
-
-    pref = _qbeta_prefactor(alpha, q)
-    if kind is QBetaKind.I_FULL:
-        a, b, c, d = yv
-        rhs = pref * qpoch_inf_multi(
-            [-q * a * b, -q * a * c, -q * a * d, -q * b * c, -q * b * d,
-             -q * c * d], q) / qpoch_inf(q * a * b * c * d, q)
-    elif kind is QBetaKind.I_D0:
-        a, b, c = yv
-        rhs = pref * qpoch_inf_multi([-q * a * b, -q * a * c, -q * b * c], q)
-    elif kind is QBetaKind.I_C0:
-        a, b = yv
-        rhs = pref * qpoch_inf(-q * a * b, q)
-    else:
-        rhs = pref
+    rhs = _qbeta_product(kind, alpha, yv, q)
     return VerificationRecord.compare(
         f"qbeta-{kind.value}", {**{k: v for k, v in params.items()}, "q": q},
-        lhs, rhs, tol)
+        res.value, rhs, tol)
 
 
 def qbeta_psi_consistency(kind: QBetaKind, params: Dict[str, complex], q: float,
@@ -401,26 +390,8 @@ def qbeta_psi_consistency(kind: QBetaKind, params: Dict[str, complex], q: float,
     kind = QBetaKind(kind)
     p = {k: complex(v) for k, v in params.items()}
     alpha = p["alpha"]
-    ys = {QBetaKind.I_FULL: ["a", "b", "c", "d"],
-          QBetaKind.I_D0: ["a", "b", "c"],
-          QBetaKind.I_C0: ["a", "b"],
-          QBetaKind.I_3PSI6: ["a"],
-          QBetaKind.I_2PSI6: []}[kind]
-    yv = [p[name] for name in ys]
-    pref = _qbeta_prefactor(alpha, q)
-    if kind is QBetaKind.I_FULL:
-        a, b, c, d = yv
-        lhs = pref * qpoch_inf_multi(
-            [-q * a * b, -q * a * c, -q * a * d, -q * b * c, -q * b * d,
-             -q * c * d], q) / qpoch_inf(q * a * b * c * d, q)
-    elif kind is QBetaKind.I_D0:
-        a, b, c = yv
-        lhs = pref * qpoch_inf_multi([-q * a * b, -q * a * c, -q * b * c], q)
-    elif kind is QBetaKind.I_C0:
-        a, b = yv
-        lhs = pref * qpoch_inf(-q * a * b, q)
-    else:
-        lhs = pref
+    yv = [p[name] for name in _QBETA_YS[kind]]
+    lhs = _qbeta_product(kind, alpha, yv, q)
     rhs = _qbeta_psi_rep(alpha, yv, q, DEFAULT_TOL)
     return VerificationRecord.compare(
         f"qbeta-{kind.value}-psi-representation",
@@ -456,27 +427,17 @@ def limit_constant_target(alpha: complex) -> complex:
     return -1j * cmath.exp(2j * math.pi * complex(alpha)) / (2.0 * math.pi)
 
 
-def qbeta_gamma_form_rhs(params: Dict[str, complex], q: float) -> complex:
-    """q-gamma-function form of the three-parameter integral's right side:
-    limit_constant(q, alpha) / prod Gamma_q of the pair sums."""
-    p = {k: complex(v) for k, v in params.items()}
-    a, b, c = p["a"], p["b"], p["c"]
-    den = (q_gamma(a + b + 1.0, q) * q_gamma(a + c + 1.0, q)
-           * q_gamma(b + c + 1.0, q))
-    return limit_constant(q, p["alpha"]) / den
-
-
 def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex], q: float,
                      tol: Tolerance = Tolerance(rel=1e-6, abs=1e-12)
                      ) -> VerificationRecord:
     """Quadrature of the q-gamma rewritten integrand against its q-gamma
     right side (the exponent-parameter form of the q-beta integrals)."""
     kind = QBetaKind(kind)
+    if kind not in (QBetaKind.I_FULL, QBetaKind.I_D0):
+        raise ValueError(f"no q-gamma form for {kind.value}")
     p = {k: complex(v) for k, v in params.items()}
     alpha = p["alpha"]
-    names = {QBetaKind.I_FULL: ["a", "b", "c", "d"],
-             QBetaKind.I_D0: ["a", "b", "c"]}[kind]
-    ys = [p[n] for n in names]
+    ys = [p[n] for n in _QBETA_YS[kind]]
     lq = math.log(q)
     lqq = log_qpoch_inf(q, q)
     s_y = sum(ys)

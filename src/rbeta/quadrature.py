@@ -6,15 +6,28 @@ integrands.  All integrand callables are vectorized (ndarray -> ndarray).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_panels", "gauss_panels_graded", "tanh_sinh"]
+__all__ = ["QuadratureResult", "gauss_panels", "gauss_panels_graded",
+           "tanh_sinh"]
 
 _X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
+
+
+@dataclass
+class QuadratureResult:
+    """An integral over the line: value, error estimate, Gauss panels used
+    and the truncation abscissa."""
+
+    value: complex
+    est_error: float
+    panels: int
+    truncation_X: float
 
 
 def gauss_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

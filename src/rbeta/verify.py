@@ -1,5 +1,9 @@
 """Named verification suites: deterministic random draws over every identity
 in the library, emitted as structured records for the CLI reporter.
+
+Each identity is one `Identity` entry of the ordered table `IDENTITIES`;
+adding an identity means adding an entry.  `run_suite` is the one place that
+seeds the draws, times them and turns their results into records.
 """
 
 from __future__ import annotations
@@ -13,14 +17,14 @@ import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__ as _tool_version
 from .core import Tolerance, VerificationRecord
-from .errors import RBetaError
 from .gammafns import dilog, gamma, recip_gamma, pochhammer, gaussian_q_integral
 from .bilateral import (BilateralSeriesSpec, HKind, closed_form_H, eval_H,
                         series_spec_for, symmetry_transform)
@@ -37,68 +41,41 @@ from .integrals import (BetaKind, IntegrandSpec, beta_integral_closed,
 from .qintegrals import (QBetaKind, QIntegrandSpec, abel_poisson_psi,
                          abel_psi_target, h44_integral_value, h_of_q,
                          h_of_q_target, limit_constant, limit_constant_target,
-                         q_fourier_closed, q_integrate, qbeta_family,
-                         qbeta_gamma_form, qbeta_psi_consistency)
-
-SUITE_NAMES = ("classical-core", "classical-beta", "q-core", "q-beta", "limits")
+                         q_fourier_closed, q_integrate, q_quadrature,
+                         qbeta_family, qbeta_gamma_form, qbeta_psi_consistency)
 
 # default per-suite relative tolerances; oscillation and product truncation
 # compound for the higher-order and q cases
 TOL_CLASSICAL = Tolerance(rel=1e-8, abs=1e-12)
 TOL_HIGH_ORDER = Tolerance(rel=1e-6, abs=1e-12)
 TOL_Q = Tolerance(rel=1e-6, abs=1e-12)
-TOL_LIMIT = Tolerance(rel=5e-3, abs=1e-6)
 
 
-@dataclass
-class SuiteConfig:
+@dataclass(frozen=True)
+class Identity:
+    """One identity of a suite.
+
+    ``check(rng, tol, draw)`` draws the inputs from ``rng`` and evaluates
+    both routes, returning ``(inputs, lhs, rhs)``; library checks that build
+    their own record return it instead.  ``draw`` is the draw index.
+    ``tag`` seeds the draws and defaults to ``id``.  Checks reach library
+    functions through this module's globals at call time, so tracing and
+    probing code can rebind them.
+    """
+
+    id: str
     suite: str
-    seed: int = 0
-    draws_per_identity: int = 2
-    tol_overrides: Dict[str, Tolerance] = field(default_factory=dict)
-    output_path: Optional[str] = None
-    format: str = "json"
+    tol: Tolerance
+    check: Callable[..., object]
+    tag: str = ""
 
     def __post_init__(self):
-        if self.suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {self.suite!r}; "
-                             f"known: {', '.join(SUITE_NAMES)}")
-        if self.draws_per_identity < 1:
-            raise ValueError("draws_per_identity must be >= 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
+        if not self.tag:
+            object.__setattr__(self, "tag", self.id)
 
 
-@dataclass
-class SuiteReport:
-    records: List[VerificationRecord]
-    total: int
-    passed: int
-    failed: int
-    max_rel_gap: float
-    tool_version: str
-    config: SuiteConfig
-
-    @classmethod
-    def build(cls, records: Sequence[VerificationRecord],
-              config: SuiteConfig) -> "SuiteReport":
-        failed = sum(1 for r in records if not r.passed)
-        max_rel = max((r.rel_gap for r in records), default=0.0)
-        return cls(list(records), len(records), len(records) - failed, failed,
-                   max_rel, _tool_version, config)
-
-
-def _rng_for(seed: int, identity_id: str, draw: int) -> np.random.Generator:
-    tag = zlib.crc32(identity_id.encode("utf-8"))
-    return np.random.default_rng([seed, tag, draw])
-
-
-def _pair_vs(identity_id: str, inputs: Dict, lhs: complex, rhs: complex,
-             tol: Tolerance) -> VerificationRecord:
-    return VerificationRecord.compare(identity_id, inputs, lhs, rhs, tol)
-
-
-Job = Tuple[str, Callable[[], VerificationRecord]]
+def _rng_for(seed: int, tag: str, draw: int) -> np.random.Generator:
+    return np.random.default_rng([seed, zlib.crc32(tag.encode("utf-8")), draw])
 
 
 # -- draw helpers ---------------------------------------------------------------
@@ -114,171 +91,77 @@ def _safe_q(rng) -> float:
 
 # -- suite: classical-core -------------------------------------------------------
 
-def _jobs_classical_core(cfg: SuiteConfig) -> List[Job]:
-    jobs: List[Job] = []
-    n = cfg.draws_per_identity
+def _cauchy_cosine(rng, tol, *_):
+    g = _udraw(rng, -0.4, 2.0)
+    d = complex(_udraw(rng, -1.0, 1.0), _udraw(rng, -0.4, 0.4))
+    return cauchy_integral_check(g, d, tol)
 
-    def tol(iid, default):
-        return cfg.tol_overrides.get(iid, default)
 
-    for i in range(n):
-        def cauchy(i=i):
-            rng = _rng_for(cfg.seed, "cauchy-cosine-integral", i)
-            g = _udraw(rng, -0.4, 2.0)
-            d = complex(_udraw(rng, -1.0, 1.0), _udraw(rng, -0.4, 0.4))
-            rec = cauchy_integral_check(g, d, tol("cauchy-cosine-integral",
-                                                  Tolerance(rel=1e-9, abs=1e-12)))
-            return rec
-        jobs.append(("cauchy-cosine-integral", cauchy))
+def _fourier_single_factor(rng, *_):
+    a = _udraw(rng, 0.1, 1.2)
+    b = _udraw(rng, 0.1, 1.2)
+    t = _udraw(rng, -0.9 * math.pi, 0.9 * math.pi)
+    got = integrate(IntegrandSpec([a], [b], t)).value
+    return {"a": a, "b": b, "t": t}, got, fourier_single_factor(a, b, t)
 
-        def fourier1(i=i):
-            rng = _rng_for(cfg.seed, "fourier-single-factor", i)
-            a = _udraw(rng, 0.1, 1.2)
-            b = _udraw(rng, 0.1, 1.2)
-            t = _udraw(rng, -0.9 * math.pi, 0.9 * math.pi)
-            got = integrate(IntegrandSpec([a], [b], t)).value
-            want = fourier_single_factor(a, b, t)
-            return _pair_vs("fourier-single-factor", {"a": a, "b": b, "t": t},
-                            got, want, tol("fourier-single-factor", TOL_CLASSICAL))
-        jobs.append(("fourier-single-factor", fourier1))
 
-        def grid_sum(i=i):
-            rng = _rng_for(cfg.seed, "riemann-grid-sum", i)
-            m = int(rng.integers(1, 4))
-            a = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
-            b = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
-            t = _udraw(rng, -0.8, 0.8) * m * math.pi
-            p = m + int(rng.integers(0, 2))
-            spec = IntegrandSpec(a, b, t)
-            lhs = integrate(spec).value
-            rhs = poisson_sum_rhs(spec, p)
-            return _pair_vs("riemann-grid-sum",
-                            {"a": a, "b": b, "t": t, "p": p}, lhs, rhs,
-                            tol("riemann-grid-sum", TOL_CLASSICAL))
-        jobs.append(("riemann-grid-sum", grid_sum))
+def _riemann_grid_sum(rng, *_):
+    m = int(rng.integers(1, 4))
+    a = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
+    b = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
+    t = _udraw(rng, -0.8, 0.8) * m * math.pi
+    p = m + int(rng.integers(0, 2))
+    spec = IntegrandSpec(a, b, t)
+    lhs = integrate(spec).value
+    return {"a": a, "b": b, "t": t, "p": p}, lhs, poisson_sum_rhs(spec, p)
 
-        def grid_p_invariance(i=i):
-            rng = _rng_for(cfg.seed, "grid-sum-p-invariance", i)
-            m = int(rng.integers(1, 3))
-            a = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
-            b = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
-            t = _udraw(rng, -0.7, 0.7) * m * math.pi
-            spec = IntegrandSpec(a, b, t)
-            lhs = poisson_sum_rhs(spec, m)
-            rhs = poisson_sum_rhs(spec, m + 2)
-            return _pair_vs("grid-sum-p-invariance",
-                            {"a": a, "b": b, "t": t}, lhs, rhs,
-                            tol("grid-sum-p-invariance", TOL_CLASSICAL))
-        jobs.append(("grid-sum-p-invariance", grid_p_invariance))
 
-        def support(i=i):
-            rng = _rng_for(cfg.seed, "compact-support", i)
-            m = int(rng.integers(1, 4))
-            a = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
-            b = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
-            t = m * math.pi + _udraw(rng, 0.2, 2.0)
-            got = integrate(IntegrandSpec(a, b, t)).value
-            return _pair_vs("compact-support", {"a": a, "b": b, "t": t},
-                            got, 0j, tol("compact-support", Tolerance(abs=1e-8)))
-        jobs.append(("compact-support", support))
+def _grid_sum_p_invariance(rng, *_):
+    m = int(rng.integers(1, 3))
+    a = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
+    b = [_udraw(rng, 0.15, 0.9) for _ in range(m)]
+    t = _udraw(rng, -0.7, 0.7) * m * math.pi
+    spec = IntegrandSpec(a, b, t)
+    lhs = poisson_sum_rhs(spec, m)
+    return {"a": a, "b": b, "t": t}, lhs, poisson_sum_rhs(spec, m + 2)
 
-        def repr_h(i=i):
-            rng = _rng_for(cfg.seed, "integral-series-representation", i)
-            m = int(rng.integers(1, 4))
-            a = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
-            b = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
-            t = _udraw(rng, -0.9 * math.pi, 0.9 * math.pi)
-            return integral_repr_H(a, b, t,
-                                   tol=tol("integral-series-representation",
-                                           TOL_CLASSICAL))
-        jobs.append(("integral-series-representation", repr_h))
 
-        def sum_1h1(i=i):
-            rng = _rng_for(cfg.seed, "sum-1h1-exp", i)
-            a = _udraw(rng, -0.8, 0.4)
-            b = a + _udraw(rng, 1.5, 3.0)
-            t = _udraw(rng, -0.85 * math.pi, 0.85 * math.pi)
-            params = {"a": a, "b": b, "t": t}
-            lhs = eval_H(series_spec_for(HKind.ONE_H1_MINUS_EXP, params)).value
-            rhs = closed_form_H(HKind.ONE_H1_MINUS_EXP, params)
-            return _pair_vs("sum-1h1-exp", params, lhs, rhs,
-                            tol("sum-1h1-exp", TOL_CLASSICAL))
-        jobs.append(("sum-1h1-exp", sum_1h1))
+def _compact_support(rng, *_):
+    m = int(rng.integers(1, 4))
+    a = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
+    b = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
+    t = m * math.pi + _udraw(rng, 0.2, 2.0)
+    return {"a": a, "b": b, "t": t}, integrate(IntegrandSpec(a, b, t)).value, 0j
 
-        def sum_1h1_plus(i=i):
-            rng = _rng_for(cfg.seed, "sum-1h1-exp-plus", i)
-            a = _udraw(rng, -0.8, 0.4)
-            b = a + _udraw(rng, 1.5, 3.0)
-            t = _udraw(rng, 0.2 * math.pi, 1.8 * math.pi)
-            params = {"a": a, "b": b, "t": t}
-            lhs = eval_H(series_spec_for(HKind.ONE_H1_PLUS_EXP, params)).value
-            rhs = closed_form_H(HKind.ONE_H1_PLUS_EXP, params)
-            return _pair_vs("sum-1h1-exp-plus", params, lhs, rhs,
-                            tol("sum-1h1-exp-plus", TOL_CLASSICAL))
-        jobs.append(("sum-1h1-exp-plus", sum_1h1_plus))
 
-        def sum_1h1_unit(i=i):
-            rng = _rng_for(cfg.seed, "sum-1h1-unit", i)
-            a = _udraw(rng, -0.8, 0.3)
-            b = a + _udraw(rng, 1.6, 3.0)
-            lhs = eval_H(series_spec_for(HKind.ONE_H1_PLUS1, {"a": a, "b": b})).value
-            return _pair_vs("sum-1h1-unit", {"a": a, "b": b}, lhs, 0j,
-                            tol("sum-1h1-unit", Tolerance(abs=1e-9)))
-        jobs.append(("sum-1h1-unit", sum_1h1_unit))
+def _integral_series_representation(rng, tol, *_):
+    m = int(rng.integers(1, 4))
+    a = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
+    b = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
+    t = _udraw(rng, -0.9 * math.pi, 0.9 * math.pi)
+    return integral_repr_H(a, b, t, tol=tol)
 
-        for iid, kind in (("sum-2h2-gauss", HKind.GAUSS_2H2),
-                          ("sum-3h3-well-poised", HKind.WELL_POISED_3H3),
-                          ("sum-4h4-very-well-poised", HKind.VWP_4H4_MINUS1),
-                          ("sum-5h5-very-well-poised", HKind.VWP_5H5)):
-            def sum_kind(i=i, iid=iid, kind=kind):
-                rng = _rng_for(cfg.seed, iid, i)
-                params = _draw_summable(rng, kind)
-                lhs = eval_H(series_spec_for(kind, params)).value
-                rhs = closed_form_H(kind, params)
-                return _pair_vs(iid, params, lhs, rhs, tol(iid, TOL_CLASSICAL))
-            jobs.append((iid, sum_kind))
 
-        def symmetry(i=i):
-            rng = _rng_for(cfg.seed, "symmetry-transform", i)
-            c = [_udraw(rng, 0.05, 0.4) for _ in range(2)]
-            d = [x + _udraw(rng, 1.3, 2.0) for x in c]
-            spec = BilateralSeriesSpec(c, d, cmath.exp(1j * _udraw(rng, 0.3, 6.0)))
-            v1 = eval_H(spec)
-            v2 = eval_H(symmetry_transform(spec))
-            return _pair_vs("symmetry-transform",
-                            {"c": c, "d": d, "z": spec.z}, v1.value, v2.value,
-                            tol("symmetry-transform", TOL_CLASSICAL))
-        jobs.append(("symmetry-transform", symmetry))
+def _sum_1h1_exp(kind: HKind, t_lo: float, t_hi: float, rng, *_):
+    a = _udraw(rng, -0.8, 0.4)
+    b = a + _udraw(rng, 1.5, 3.0)
+    t = _udraw(rng, t_lo, t_hi)
+    params = {"a": a, "b": b, "t": t}
+    lhs = eval_H(series_spec_for(kind, params)).value
+    return params, lhs, closed_form_H(kind, params)
 
-        def reflection(i=i):
-            rng = _rng_for(cfg.seed, "gamma-reflection", i)
-            z = complex(_udraw(rng, -20, 20), _udraw(rng, -20, 20))
-            lhs = recip_gamma(z) * recip_gamma(1.0 - z)
-            rhs = cmath.sin(math.pi * z) / math.pi
-            return _pair_vs("gamma-reflection", {"z": z}, lhs, rhs,
-                            tol("gamma-reflection", Tolerance(rel=1e-12, abs=1e-300)))
-        jobs.append(("gamma-reflection", reflection))
 
-        def dilog_pair(i=i):
-            rng = _rng_for(cfg.seed, "dilog-pair-identity", i)
-            t = _udraw(rng, -math.pi, math.pi)
-            lhs = dilog(-cmath.exp(-1j * t)) + dilog(-cmath.exp(1j * t))
-            rhs = t * t / 2.0 - math.pi ** 2 / 6.0
-            return _pair_vs("dilog-pair-identity", {"t": t}, lhs, rhs,
-                            tol("dilog-pair-identity", Tolerance(abs=1e-11)))
-        jobs.append(("dilog-pair-identity", dilog_pair))
+def _sum_1h1_unit(rng, *_):
+    a = _udraw(rng, -0.8, 0.3)
+    b = a + _udraw(rng, 1.6, 3.0)
+    lhs = eval_H(series_spec_for(HKind.ONE_H1_PLUS1, {"a": a, "b": b})).value
+    return {"a": a, "b": b}, lhs, 0j
 
-        def duplication(i=i):
-            rng = _rng_for(cfg.seed, "gamma-duplication-instance", i)
-            y = complex(_udraw(rng, -4, 4), _udraw(rng, -4, 4))
-            lhs = 4.0 * cmath.cos(math.pi * y) * recip_gamma(y) * recip_gamma(-y)
-            rhs = recip_gamma(2 * y) * recip_gamma(-2 * y)
-            return _pair_vs("gamma-duplication-instance", {"y": y}, lhs, rhs,
-                            tol("gamma-duplication-instance",
-                                Tolerance(rel=1e-11, abs=1e-13)))
-        jobs.append(("gamma-duplication-instance", duplication))
 
-    return jobs
+def _summation_theorem(kind: HKind, rng, *_):
+    params = _draw_summable(rng, kind)
+    lhs = eval_H(series_spec_for(kind, params)).value
+    return params, lhs, closed_form_H(kind, params)
 
 
 def _draw_summable(rng, kind: HKind) -> Dict[str, float]:
@@ -292,17 +175,12 @@ def _draw_summable(rng, kind: HKind) -> Dict[str, float]:
             d = _udraw(rng, 0.7, 1.9)
             if (c + d - a - b - 1).real >= 0.5:
                 return {"a": a, "b": b, "c": c, "d": d}
-    if kind is HKind.WELL_POISED_3H3:
+    if kind in (HKind.WELL_POISED_3H3, HKind.VWP_4H4_MINUS1):
+        margin = 0.5 if kind is HKind.WELL_POISED_3H3 else 1.5
         while True:
             a = _udraw(rng, 0.1, 0.8)
             b, c, d = (_udraw(rng, -0.6, 0.2) for _ in range(3))
-            if (1 + 1.5 * a - b - c - d) >= 0.5 and abs(a - round(a)) > 0.05:
-                return {"a": a, "b": b, "c": c, "d": d}
-    if kind is HKind.VWP_4H4_MINUS1:
-        while True:
-            a = _udraw(rng, 0.1, 0.8)
-            b, c, d = (_udraw(rng, -0.6, 0.2) for _ in range(3))
-            if (1 + 1.5 * a - b - c - d) >= 1.5 and abs(a - round(a)) > 0.05:
+            if (1 + 1.5 * a - b - c - d) >= margin and abs(a - round(a)) > 0.05:
                 return {"a": a, "b": b, "c": c, "d": d}
     if kind is HKind.VWP_5H5:
         while True:
@@ -311,6 +189,33 @@ def _draw_summable(rng, kind: HKind) -> Dict[str, float]:
             if (1 + 2 * a - b - c - d - e) >= 0.5 and abs(a - round(a)) > 0.05:
                 return {"a": a, "b": b, "c": c, "d": d, "e": e}
     raise ValueError(kind)
+
+
+def _symmetry_transform(rng, *_):
+    c = [_udraw(rng, 0.05, 0.4) for _ in range(2)]
+    d = [x + _udraw(rng, 1.3, 2.0) for x in c]
+    spec = BilateralSeriesSpec(c, d, cmath.exp(1j * _udraw(rng, 0.3, 6.0)))
+    v1 = eval_H(spec)
+    v2 = eval_H(symmetry_transform(spec))
+    return {"c": c, "d": d, "z": spec.z}, v1.value, v2.value
+
+
+def _gamma_reflection(rng, *_):
+    z = complex(_udraw(rng, -20, 20), _udraw(rng, -20, 20))
+    lhs = recip_gamma(z) * recip_gamma(1.0 - z)
+    return {"z": z}, lhs, cmath.sin(math.pi * z) / math.pi
+
+
+def _dilog_pair(rng, *_):
+    t = _udraw(rng, -math.pi, math.pi)
+    lhs = dilog(-cmath.exp(-1j * t)) + dilog(-cmath.exp(1j * t))
+    return {"t": t}, lhs, t * t / 2.0 - math.pi ** 2 / 6.0
+
+
+def _gamma_duplication(rng, *_):
+    y = complex(_udraw(rng, -4, 4), _udraw(rng, -4, 4))
+    lhs = 4.0 * cmath.cos(math.pi * y) * recip_gamma(y) * recip_gamma(-y)
+    return {"y": y}, lhs, recip_gamma(2 * y) * recip_gamma(-2 * y)
 
 
 # -- suite: classical-beta -------------------------------------------------------
@@ -355,73 +260,35 @@ def draw_beta_params(rng, kind: BetaKind) -> Dict[str, float]:
     return _BETA_DRAWERS[kind](rng)
 
 
-def beta_record(kind: BetaKind, params: Dict[str, float],
-                tol: Tolerance) -> VerificationRecord:
+def _beta_integral(kind: BetaKind, rng, *_):
+    params = draw_beta_params(rng, kind)
     lhs = integrate(integrand_spec_for(kind, params)).value
-    rhs = beta_integral_closed(kind, params)
-    return _pair_vs(f"beta-{kind.value}", params, lhs, rhs, tol)
+    return params, lhs, beta_integral_closed(kind, params)
 
 
-def _jobs_classical_beta(cfg: SuiteConfig) -> List[Job]:
-    jobs: List[Job] = []
-    n = cfg.draws_per_identity
+def _grid_sum_alternating(rng, *_):
+    params = draw_beta_params(rng, BetaKind.M6_RIEMANN)
+    s = poisson_terms(integrand_spec_for(BetaKind.M6_RIEMANN, params), 6)
+    return params, 2 * s[0] + 4 * s[2], 2 * s[3] + 4 * s[1]
 
-    def tol(iid, default):
-        return cfg.tol_overrides.get(iid, default)
 
-    for i in range(n):
-        for kind in BetaKind:
-            iid = f"beta-{kind.value}"
-            deftol = TOL_HIGH_ORDER if kind in (
-                BetaKind.M5_VWP, BetaKind.M5_VWP_SHIFTED, BetaKind.M5_VWP_THIRD,
-                BetaKind.M6_RIEMANN) else Tolerance(rel=1e-7, abs=1e-12)
+def _degenerate_series_reduction(rng, *_):
+    params = {f"a{j}": _udraw(rng, 0.0, 0.6) for j in range(1, 5)}
+    spec6, spec5 = m6_reduced_5h5(params)
+    v6 = eval_H(spec6).value
+    return params, v6, eval_H(spec5).value
 
-            def run(i=i, iid=iid, kind=kind, deftol=deftol):
-                rng = _rng_for(cfg.seed, iid, i)
-                params = draw_beta_params(rng, kind)
-                return beta_record(kind, params, tol(iid, deftol))
-            jobs.append((iid, run))
 
-        def m6_identity(i=i):
-            rng = _rng_for(cfg.seed, "grid-sum-alternating-identity", i)
-            params = draw_beta_params(rng, BetaKind.M6_RIEMANN)
-            s = poisson_terms(integrand_spec_for(BetaKind.M6_RIEMANN, params), 6)
-            return _pair_vs("grid-sum-alternating-identity", params,
-                            2 * s[0] + 4 * s[2], 2 * s[3] + 4 * s[1],
-                            tol("grid-sum-alternating-identity", TOL_HIGH_ORDER))
-        jobs.append(("grid-sum-alternating-identity", m6_identity))
+def _barnes_vertical_line(rng, *_):
+    vals = [_udraw(rng, 0.3, 1.0) for _ in range(4)]
+    lhs = barnes_quadrature(*vals)
+    return dict(zip("abcd", vals)), lhs, barnes_closed(*vals)
 
-        def m6_reduction(i=i):
-            rng = _rng_for(cfg.seed, "degenerate-series-reduction", i)
-            params = {f"a{j}": _udraw(rng, 0.0, 0.6) for j in range(1, 5)}
-            spec6, spec5 = m6_reduced_5h5(params)
-            v6 = eval_H(spec6).value
-            v5 = eval_H(spec5).value
-            return _pair_vs("degenerate-series-reduction", params, v6, v5,
-                            tol("degenerate-series-reduction", TOL_CLASSICAL))
-        jobs.append(("degenerate-series-reduction", m6_reduction))
 
-        def barnes(i=i):
-            rng = _rng_for(cfg.seed, "barnes-vertical-line", i)
-            vals = [_udraw(rng, 0.3, 1.0) for _ in range(4)]
-            lhs = barnes_quadrature(*vals)
-            rhs = barnes_closed(*vals)
-            return _pair_vs("barnes-vertical-line",
-                            dict(zip("abcd", vals)), lhs, rhs,
-                            tol("barnes-vertical-line", TOL_CLASSICAL))
-        jobs.append(("barnes-vertical-line", barnes))
-
-        def double_int(i=i):
-            rng = _rng_for(cfg.seed, "double-cosine-power-question", i)
-            bs = [_udraw(rng, 0.2, 0.8) for _ in range(3)]
-            lhs, rhs = double_integral_open_question(*bs)
-            return _pair_vs("double-cosine-power-question",
-                            dict(zip(("b1", "b2", "b3"), bs)), lhs, rhs,
-                            tol("double-cosine-power-question",
-                                Tolerance(rel=1e-6, abs=1e-9)))
-        jobs.append(("double-cosine-power-question", double_int))
-
-    return jobs
+def _double_cosine_power(rng, *_):
+    bs = [_udraw(rng, 0.2, 0.8) for _ in range(3)]
+    lhs, rhs = double_integral_open_question(*bs)
+    return dict(zip(("b1", "b2", "b3"), bs)), lhs, rhs
 
 
 # -- suite: q-core ---------------------------------------------------------------
@@ -434,247 +301,177 @@ def _draw_q_fourier(rng) -> QIntegrandSpec:
     return QIntegrandSpec(q, [a], [b], [w], 0.0)
 
 
-def _jobs_q_core(cfg: SuiteConfig) -> List[Job]:
-    jobs: List[Job] = []
-    n = cfg.draws_per_identity
-
-    def tol(iid, default):
-        return cfg.tol_overrides.get(iid, default)
-
-    for i in range(n):
-        def qpoch_dual(i=i):
-            rng = _rng_for(cfg.seed, "qpoch-negative-dual", i)
-            q = _safe_q(rng)
-            a = complex(_udraw(rng, -0.9, 0.9), _udraw(rng, -0.5, 0.5))
-            m = int(rng.integers(1, 21))
-            lhs = qpoch(a, q, -m)
-            rhs = q ** (0.5 * m * (m + 1)) / ((-a) ** m * qpoch(q / a, q, m))
-            return _pair_vs("qpoch-negative-dual", {"a": a, "q": q, "n": -m},
-                            lhs, rhs, tol("qpoch-negative-dual",
-                                          Tolerance(rel=1e-12, abs=1e-300)))
-        jobs.append(("qpoch-negative-dual", qpoch_dual))
-
-        def r1psi1(i=i):
-            rng = _rng_for(cfg.seed, "sum-1psi1", i)
-            q = float(rng.choice([0.3, 0.5, 0.8]))
-            a = _udraw(rng, -0.5, 0.5)
-            b = a + _udraw(rng, 0.7, 2.0)
-            zlo = q ** (b - a)
-            z = cmath.exp(1j * _udraw(rng, 0, 2 * math.pi)) * _udraw(
-                rng, zlo + 0.07 * (1 - zlo), 0.93)
-            params = {"a": a, "b": b, "z": z}
-            lhs = eval_psi(psi_spec_for(QKind.RAMANUJAN_1PSI1, params, q)).value
-            rhs = closed_form_q(QKind.RAMANUJAN_1PSI1, params, q)
-            return _pair_vs("sum-1psi1", {**params, "q": q}, lhs, rhs,
-                            tol("sum-1psi1", Tolerance(rel=1e-9, abs=1e-13)))
-        jobs.append(("sum-1psi1", r1psi1))
-
-        def b6psi6(i=i):
-            rng = _rng_for(cfg.seed, "sum-6psi6", i)
-            q = float(rng.choice([0.3, 0.5, 0.8]))
-            a = _udraw(rng, 0.2, 0.5)
-            rest = [_udraw(rng, 1.2, 1.7) for _ in range(4)]
-            params = dict(zip("bcde", rest))
-            params["a"] = a
-            lhs = eval_psi(psi_spec_for(QKind.BAILEY_6PSI6, params, q)).value
-            rhs = closed_form_q(QKind.BAILEY_6PSI6, params, q)
-            return _pair_vs("sum-6psi6", {**params, "q": q}, lhs, rhs,
-                            tol("sum-6psi6", Tolerance(rel=1e-9, abs=1e-13)))
-        jobs.append(("sum-6psi6", b6psi6))
-
-        def triple(i=i):
-            rng = _rng_for(cfg.seed, "jacobi-triple-product", i)
-            q = _safe_q(rng)
-            w = complex(_udraw(rng, 0.3, 1.6), _udraw(rng, -0.6, 0.6))
-            lhs = 0j
-            for nn in range(-60, 61):
-                lhs += q ** (0.5 * nn * (nn - 1)) * w ** nn
-            rhs = qpoch_inf(q, q) * qpoch_inf(-w, q) * qpoch_inf(-q / w, q)
-            return _pair_vs("jacobi-triple-product", {"q": q, "w": w},
-                            lhs, rhs, tol("jacobi-triple-product",
-                                          Tolerance(rel=1e-10, abs=1e-13)))
-        jobs.append(("jacobi-triple-product", triple))
-
-        def qf_plain(i=i):
-            rng = _rng_for(cfg.seed, "q-fourier-plain", i)
-            sp = _draw_q_fourier(rng)
-            lhs = q_integrate(sp).value
-            rhs = q_fourier_closed(sp)
-            return _pair_vs("q-fourier-plain",
-                            {"q": sp.q, "a": sp.a[0], "b": sp.b[0], "w": sp.w[0]},
-                            lhs, rhs, tol("q-fourier-plain", Tolerance(rel=1e-7, abs=1e-13)))
-        jobs.append(("q-fourier-plain", qf_plain))
-
-        def qf_shift(i=i):
-            rng = _rng_for(cfg.seed, "q-fourier-strip", i)
-            base = _draw_q_fourier(rng)
-            lo = math.log(abs(base.b[0] / base.w[0]))
-            hi = math.log(abs(base.a[0] / base.w[0]))
-            ti = _udraw(rng, lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
-            t = complex(_udraw(rng, -1.5, 1.5), ti if i % 2 == 0 else 0.0)
-            sp = QIntegrandSpec(base.q, base.a, base.b, base.w, t)
-            lhs = q_integrate(sp).value
-            rhs = q_fourier_closed(sp)
-            return _pair_vs("q-fourier-strip",
-                            {"q": sp.q, "a": sp.a[0], "b": sp.b[0],
-                             "w": sp.w[0], "t": t},
-                            lhs, rhs, tol("q-fourier-strip", Tolerance(rel=1e-7, abs=1e-13)))
-        jobs.append(("q-fourier-strip", qf_shift))
-
-        def q_gauss(i=i):
-            rng = _rng_for(cfg.seed, "q-gaussian-integral", i)
-            q = _udraw(rng, 0.35, 0.92)
-            w = complex(_udraw(rng, 0.5, 2.0), _udraw(rng, -0.5, 0.5))
-            lq = math.log(q)
-
-            def logf(x):
-                return 0.5 * x * (x - 1.0) * lq + x * cmath.log(w)
-            from .qintegrals import q_quadrature
-            got = q_quadrature(lambda x: 0.5 * x * (x - 1.0) * lq
-                               + x * cmath.log(w), 0.0, 0.05, 0.05,
-                               Tolerance(abs=1e-13, rel=1e-12),
-                               freq_hint=abs(cmath.log(w).imag) + 1.0).value
-            want = gaussian_q_integral(q, w)
-            return _pair_vs("q-gaussian-integral", {"q": q, "w": w}, got, want,
-                            tol("q-gaussian-integral", Tolerance(rel=1e-9, abs=1e-13)))
-        jobs.append(("q-gaussian-integral", q_gauss))
-
-        def abel(i=i):
-            rng = _rng_for(cfg.seed, "abel-poisson-kernel", i)
-            q = _safe_q(rng)
-            m = int(rng.integers(1, 3))
-            a = [_udraw(rng, 1.8, 3.0) for _ in range(m)]
-            b = [_udraw(rng, 0.1, 0.45) for _ in range(m)]
-            w = [_udraw(rng, 0.8, 1.2) for _ in range(m)]
-            t = _udraw(rng, -1.0, 1.0)
-            sp = QIntegrandSpec(q, a, b, w, t)
-            target = abel_psi_target(sp)
-            seq = abel_poisson_psi(sp, [0.9, 0.99, 0.999])
-            gaps = [abs(v - target) for _, v in seq]
-            floor = 1e-9 * max(1.0, abs(target))
-            ok = all(gaps[j + 1] < gaps[j] or gaps[j + 1] < floor
-                     for j in range(len(gaps) - 1))
-            final = seq[-1][1] if ok else complex(math.inf)
-            return _pair_vs("abel-poisson-kernel",
-                            {"q": q, "a": a, "b": b, "w": w, "t": t,
-                             "gaps": gaps},
-                            final, target,
-                            tol("abel-poisson-kernel", Tolerance(rel=1e-4, abs=1e-8)))
-        jobs.append(("abel-poisson-kernel", abel))
-
-        def lemma21(i=i):
-            rng = _rng_for(cfg.seed, "qpoch-exponent-bound", i)
-            s = _udraw(rng, 0.2, 2.0)
-            tpart = _udraw(rng, -2.0, 2.0)
-            alpha = complex(s, tpart)
-            q = _udraw(rng, 0.05, 0.95)
-            nn = int(rng.integers(1, 51))
-            K = abs(gamma(complex(s)) / gamma(complex(s, tpart)))
-            lhs = abs(qpoch(q ** alpha if False else _qpower(q, alpha), q, nn))
-            rhs = K * abs(qpoch(q ** s, q, nn))
-            viol = max(0.0, lhs - rhs * (1 + 1e-12))
-            return _pair_vs("qpoch-exponent-bound",
-                            {"alpha": alpha, "q": q, "n": nn}, viol, 0j,
-                            tol("qpoch-exponent-bound", Tolerance(abs=1e-13)))
-        jobs.append(("qpoch-exponent-bound", lemma21))
-
-        def lemma22(i=i):
-            rng = _rng_for(cfg.seed, "qpoch-ratio-monotone", i)
-            beta = _udraw(rng, 0.1, 1.5)
-            alpha = beta + _udraw(rng, 0.0, 1.5)
-            q = _udraw(rng, 0.05, 0.95)
-            nn = int(rng.integers(1, 51))
-            lhs = (qpoch(q ** alpha, q, nn) / qpoch(q ** beta, q, nn)).real
-            rhs = (pochhammer(alpha, nn) / pochhammer(beta, nn)).real
-            viol = max(0.0, lhs - rhs * (1 + 1e-12))
-            return _pair_vs("qpoch-ratio-monotone",
-                            {"alpha": alpha, "beta": beta, "q": q, "n": nn},
-                            viol, 0j, tol("qpoch-ratio-monotone", Tolerance(abs=1e-13)))
-        jobs.append(("qpoch-ratio-monotone", lemma22))
-
-    return jobs
+def _qpoch_negative_dual(rng, *_):
+    q = _safe_q(rng)
+    a = complex(_udraw(rng, -0.9, 0.9), _udraw(rng, -0.5, 0.5))
+    m = int(rng.integers(1, 21))
+    lhs = qpoch(a, q, -m)
+    rhs = q ** (0.5 * m * (m + 1)) / ((-a) ** m * qpoch(q / a, q, m))
+    return {"a": a, "q": q, "n": -m}, lhs, rhs
 
 
-def _qpower(q: float, alpha: complex) -> complex:
-    return cmath.exp(complex(alpha) * math.log(q))
+def _sum_1psi1(rng, *_):
+    q = float(rng.choice([0.3, 0.5, 0.8]))
+    a = _udraw(rng, -0.5, 0.5)
+    b = a + _udraw(rng, 0.7, 2.0)
+    zlo = q ** (b - a)
+    z = cmath.exp(1j * _udraw(rng, 0, 2 * math.pi)) * _udraw(
+        rng, zlo + 0.07 * (1 - zlo), 0.93)
+    params = {"a": a, "b": b, "z": z}
+    lhs = eval_psi(psi_spec_for(QKind.RAMANUJAN_1PSI1, params, q)).value
+    return {**params, "q": q}, lhs, closed_form_q(QKind.RAMANUJAN_1PSI1, params, q)
+
+
+def _sum_6psi6(rng, *_):
+    q = float(rng.choice([0.3, 0.5, 0.8]))
+    a = _udraw(rng, 0.2, 0.5)
+    rest = [_udraw(rng, 1.2, 1.7) for _ in range(4)]
+    params = dict(zip("bcde", rest))
+    params["a"] = a
+    lhs = eval_psi(psi_spec_for(QKind.BAILEY_6PSI6, params, q)).value
+    return {**params, "q": q}, lhs, closed_form_q(QKind.BAILEY_6PSI6, params, q)
+
+
+def _jacobi_triple_product(rng, *_):
+    q = _safe_q(rng)
+    w = complex(_udraw(rng, 0.3, 1.6), _udraw(rng, -0.6, 0.6))
+    lhs = 0j
+    for nn in range(-60, 61):
+        lhs += q ** (0.5 * nn * (nn - 1)) * w ** nn
+    rhs = qpoch_inf(q, q) * qpoch_inf(-w, q) * qpoch_inf(-q / w, q)
+    return {"q": q, "w": w}, lhs, rhs
+
+
+def _q_fourier_plain(rng, *_):
+    sp = _draw_q_fourier(rng)
+    lhs = q_integrate(sp).value
+    return ({"q": sp.q, "a": sp.a[0], "b": sp.b[0], "w": sp.w[0]},
+            lhs, q_fourier_closed(sp))
+
+
+def _q_fourier_strip(rng, tol, draw):
+    # even draws shift t into the strip, odd draws keep it real
+    base = _draw_q_fourier(rng)
+    lo = math.log(abs(base.b[0] / base.w[0]))
+    hi = math.log(abs(base.a[0] / base.w[0]))
+    ti = _udraw(rng, lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
+    t = complex(_udraw(rng, -1.5, 1.5), ti if draw % 2 == 0 else 0.0)
+    sp = QIntegrandSpec(base.q, base.a, base.b, base.w, t)
+    lhs = q_integrate(sp).value
+    return ({"q": sp.q, "a": sp.a[0], "b": sp.b[0], "w": sp.w[0], "t": t},
+            lhs, q_fourier_closed(sp))
+
+
+def _q_gaussian_integral(rng, *_):
+    q = _udraw(rng, 0.35, 0.92)
+    w = complex(_udraw(rng, 0.5, 2.0), _udraw(rng, -0.5, 0.5))
+    lq = math.log(q)
+    got = q_quadrature(lambda x: 0.5 * x * (x - 1.0) * lq
+                       + x * cmath.log(w), 0.0, 0.05, 0.05,
+                       Tolerance(abs=1e-13, rel=1e-12),
+                       freq_hint=abs(cmath.log(w).imag) + 1.0).value
+    return {"q": q, "w": w}, got, gaussian_q_integral(q, w)
+
+
+def _abel_poisson_kernel(rng, *_):
+    q = _safe_q(rng)
+    m = int(rng.integers(1, 3))
+    a = [_udraw(rng, 1.8, 3.0) for _ in range(m)]
+    b = [_udraw(rng, 0.1, 0.45) for _ in range(m)]
+    w = [_udraw(rng, 0.8, 1.2) for _ in range(m)]
+    t = _udraw(rng, -1.0, 1.0)
+    sp = QIntegrandSpec(q, a, b, w, t)
+    target = abel_psi_target(sp)
+    seq = abel_poisson_psi(sp, [0.9, 0.99, 0.999])
+    gaps = [abs(v - target) for _, v in seq]
+    floor = 1e-9 * max(1.0, abs(target))
+    ok = all(gaps[j + 1] < gaps[j] or gaps[j + 1] < floor
+             for j in range(len(gaps) - 1))
+    final = seq[-1][1] if ok else complex(math.inf)
+    return ({"q": q, "a": a, "b": b, "w": w, "t": t, "gaps": gaps},
+            final, target)
+
+
+def _qpoch_exponent_bound(rng, *_):
+    s = _udraw(rng, 0.2, 2.0)
+    tpart = _udraw(rng, -2.0, 2.0)
+    alpha = complex(s, tpart)
+    q = _udraw(rng, 0.05, 0.95)
+    nn = int(rng.integers(1, 51))
+    K = abs(gamma(complex(s)) / gamma(complex(s, tpart)))
+    lhs = abs(qpoch(cmath.exp(alpha * math.log(q)), q, nn))
+    rhs = K * abs(qpoch(q ** s, q, nn))
+    return {"alpha": alpha, "q": q, "n": nn}, max(0.0, lhs - rhs * (1 + 1e-12)), 0j
+
+
+def _qpoch_ratio_monotone(rng, *_):
+    beta = _udraw(rng, 0.1, 1.5)
+    alpha = beta + _udraw(rng, 0.0, 1.5)
+    q = _udraw(rng, 0.05, 0.95)
+    nn = int(rng.integers(1, 51))
+    lhs = (qpoch(q ** alpha, q, nn) / qpoch(q ** beta, q, nn)).real
+    rhs = (pochhammer(alpha, nn) / pochhammer(beta, nn)).real
+    return ({"alpha": alpha, "beta": beta, "q": q, "n": nn},
+            max(0.0, lhs - rhs * (1 + 1e-12)), 0j)
 
 
 # -- suite: q-beta ---------------------------------------------------------------
 
-def _jobs_q_beta(cfg: SuiteConfig) -> List[Job]:
-    jobs: List[Job] = []
-    n = cfg.draws_per_identity
+_QBETA_DRAWERS = {
+    QBetaKind.I_FULL: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
+                                   **{k: _udraw(rng, 0.2, 0.5) for k in "abcd"}},
+    QBetaKind.I_D0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
+                                 **{k: _udraw(rng, 0.2, 0.6) for k in "abc"}},
+    QBetaKind.I_C0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
+                                 **{k: _udraw(rng, 0.2, 0.7) for k in "ab"}},
+    QBetaKind.I_3PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
+                                    "a": _udraw(rng, 0.2, 0.8)},
+    QBetaKind.I_2PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3)},
+}
 
-    def tol(iid, default):
-        return cfg.tol_overrides.get(iid, default)
 
-    draws = {
-        QBetaKind.I_FULL: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                       **{k: _udraw(rng, 0.2, 0.5) for k in "abcd"}},
-        QBetaKind.I_D0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                     **{k: _udraw(rng, 0.2, 0.6) for k in "abc"}},
-        QBetaKind.I_C0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                     **{k: _udraw(rng, 0.2, 0.7) for k in "ab"}},
-        QBetaKind.I_3PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                        "a": _udraw(rng, 0.2, 0.8)},
-        QBetaKind.I_2PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3)},
-    }
-    for i in range(n):
-        for kind in (QBetaKind.I_FULL, QBetaKind.I_D0, QBetaKind.I_C0,
-                     QBetaKind.I_3PSI6, QBetaKind.I_2PSI6):
-            for q in (0.4, 0.7):
-                iid = f"qbeta-{kind.value}"
+def _qbeta_quadrature(kind: QBetaKind, q: float, rng, tol, *_):
+    return qbeta_family(kind, _QBETA_DRAWERS[kind](rng), q, tol)
 
-                def run(i=i, kind=kind, q=q, iid=iid):
-                    rng = _rng_for(cfg.seed, f"{iid}-{q}", i)
-                    params = draws[kind](rng)
-                    return qbeta_family(kind, params, q, tol(iid, TOL_Q))
-                jobs.append((iid, run))
 
-            def psi_rep(i=i, kind=kind):
-                rng = _rng_for(cfg.seed, f"qbeta-{kind.value}-psirep", i)
-                params = draws[kind](rng)
-                return qbeta_psi_consistency(kind, params, 0.5,
-                                             tol(f"qbeta-{kind.value}-psi-representation",
-                                                 Tolerance(rel=1e-9, abs=1e-12)))
-            jobs.append((f"qbeta-{kind.value}-psi-representation", psi_rep))
+def _qbeta_psi_representation(kind: QBetaKind, rng, tol, *_):
+    return qbeta_psi_consistency(kind, _QBETA_DRAWERS[kind](rng), 0.5, tol)
 
-        for kind in (QBetaKind.I_FULL, QBetaKind.I_D0):
-            def gform(i=i, kind=kind):
-                rng = _rng_for(cfg.seed, f"qbeta-{kind.value}-gammaform", i)
-                names = "abcd" if kind is QBetaKind.I_FULL else "abc"
-                params = {"alpha": _udraw(rng, 0.1, 0.4),
-                          **{k: _udraw(rng, 0.1, 0.4) for k in names}}
-                return qbeta_gamma_form(kind, params, 0.5,
-                                        tol(f"qbeta-{kind.value}-gamma-form", TOL_Q))
-            jobs.append((f"qbeta-{kind.value}-gamma-form", gform))
 
-        def h44(i=i):
-            rng = _rng_for(cfg.seed, "doubled-argument-beta", i)
-            cs = [_udraw(rng, 0.05, 0.5) for _ in range(3)]
-            spec = IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
-                                 ((2.0 + 0j, math.pi), (2.0 + 0j, -math.pi)))
-            lhs = integrate(spec).value
-            rhs = h44_integral_value(*cs)
-            return _pair_vs("doubled-argument-beta",
-                            dict(zip(("a", "b", "c"), cs)), lhs, rhs,
-                            tol("doubled-argument-beta", Tolerance(rel=1e-7, abs=1e-12)))
-        jobs.append(("doubled-argument-beta", h44))
+def _qbeta_gamma_form(kind: QBetaKind, rng, tol, *_):
+    names = "abcd" if kind is QBetaKind.I_FULL else "abc"
+    params = {"alpha": _udraw(rng, 0.1, 0.4),
+              **{k: _udraw(rng, 0.1, 0.4) for k in names}}
+    return qbeta_gamma_form(kind, params, 0.5, tol)
 
-        def h44_m4c(i=i):
-            rng = _rng_for(cfg.seed, "doubled-argument-vs-shifted", i)
-            cs = [_udraw(rng, 0.05, 0.5) for _ in range(3)]
-            lhs = math.sqrt(3.0) / 4.0 * h44_integral_value(*cs)
-            rhs = beta_integral_closed(
-                BetaKind.M4_VWP_SHIFTED,
-                {"a": 1.0 / 3.0, "c1": cs[0], "c2": cs[1], "c3": cs[2]})
-            return _pair_vs("doubled-argument-vs-shifted",
-                            dict(zip(("a", "b", "c"), cs)), lhs, rhs,
-                            tol("doubled-argument-vs-shifted",
-                                Tolerance(rel=1e-12, abs=1e-15)))
-        jobs.append(("doubled-argument-vs-shifted", h44_m4c))
 
-    return jobs
+def _qbeta_entries(kind: QBetaKind) -> Tuple[Identity, ...]:
+    """Quadrature at q = 0.4 and 0.7, then the psi representation at 0.5."""
+    iid = f"qbeta-{kind.value}"
+    return (
+        *(Identity(iid, "q-beta", TOL_Q, partial(_qbeta_quadrature, kind, q),
+                   tag=f"{iid}-{q}") for q in (0.4, 0.7)),
+        Identity(f"{iid}-psi-representation", "q-beta",
+                 Tolerance(rel=1e-9, abs=1e-12),
+                 partial(_qbeta_psi_representation, kind), tag=f"{iid}-psirep"),
+    )
+
+
+def _doubled_argument_beta(rng, *_):
+    cs = [_udraw(rng, 0.05, 0.5) for _ in range(3)]
+    spec = IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
+                         ((2.0 + 0j, math.pi), (2.0 + 0j, -math.pi)))
+    lhs = integrate(spec).value
+    return dict(zip(("a", "b", "c"), cs)), lhs, h44_integral_value(*cs)
+
+
+def _doubled_argument_vs_shifted(rng, *_):
+    cs = [_udraw(rng, 0.05, 0.5) for _ in range(3)]
+    lhs = math.sqrt(3.0) / 4.0 * h44_integral_value(*cs)
+    rhs = beta_integral_closed(
+        BetaKind.M4_VWP_SHIFTED,
+        {"a": 1.0 / 3.0, "c1": cs[0], "c2": cs[1], "c3": cs[2]})
+    return dict(zip(("a", "b", "c"), cs)), lhs, rhs
 
 
 # -- suite: limits ---------------------------------------------------------------
@@ -682,130 +479,231 @@ def _jobs_q_beta(cfg: SuiteConfig) -> List[Job]:
 _Q_SEQ = (0.9, 0.99, 0.999)
 
 
-def _monotone_record(iid: str, inputs: Dict, gaps: Sequence[float],
-                     final_tol: float) -> VerificationRecord:
-    """Record for a q -> 1 gap sequence: lhs is the final gap; a broken
-    monotone decrease is reported as an infinite gap so the pass flag stays
-    equivalent to the tolerance comparison."""
-    ok = all(gaps[j] > gaps[j + 1] for j in range(len(gaps) - 1))
-    final = gaps[-1] if ok else math.inf
-    rec = VerificationRecord.compare(iid, {**inputs, "gaps": list(gaps)},
-                                     complex(final), 0j,
-                                     Tolerance(abs=final_tol))
-    return rec
+def _monotone_record(inputs: Dict, gaps: Sequence[float], strict: bool = True):
+    """(inputs, lhs, rhs) for a q -> 1 gap sequence: lhs is the final gap; a
+    broken monotone decrease is reported as an infinite gap so the pass flag
+    stays equivalent to the tolerance comparison."""
+    ok = all(g0 > g1 if strict else g0 >= g1 for g0, g1 in zip(gaps, gaps[1:]))
+    return {**inputs, "gaps": list(gaps)}, complex(gaps[-1] if ok else math.inf), 0j
 
 
-def _jobs_limits(cfg: SuiteConfig) -> List[Job]:
-    jobs: List[Job] = []
-    n = cfg.draws_per_identity
-
-    def tol(iid, default):
-        return cfg.tol_overrides.get(iid, default)
-
-    for i in range(n):
-        def thm21(i=i):
-            rng = _rng_for(cfg.seed, "basic-to-classical-limit", i)
-            m = int(rng.integers(1, 3))
-            alpha = [_udraw(rng, 0.05, 0.4) for _ in range(m)]
-            beta = [a + _udraw(rng, 1.1, 2.2) / m + (2.0 / m - 1.0) for a in alpha]
-            sigma = sum(beta) - sum(alpha)
-            path = QtoOnePath(alpha, beta, 0.5 * sigma,
-                              cmath.exp(1j * _udraw(rng, 0.4, 5.9)), _Q_SEQ)
-            gaps = [g for _, g in theorem21_limit_probe(path)]
-            return _monotone_record("basic-to-classical-limit",
-                                    {"alpha": alpha, "beta": beta,
-                                     "tau": path.tau, "z": path.z},
-                                    gaps, 1e-2)
-        jobs.append(("basic-to-classical-limit", thm21))
-
-        def qbinom(i=i):
-            rng = _rng_for(cfg.seed, "q-binomial-ratio-limit", i)
-            alpha = _udraw(rng, 0.0, 0.6)
-            beta = alpha + _udraw(rng, 0.2, 1.0)
-            z = cmath.exp(1j * _udraw(rng, 0.5, 5.8)) * _udraw(rng, 0.4, 1.0)
-            target = q_binomial_ratio_target(alpha, beta, z)
-            gaps = [abs(closed_form_q(QKind.Q_BINOMIAL_RATIO_LIMIT,
-                                      {"alpha": alpha, "beta": beta, "z": z}, q)
-                        - target) for q in _Q_SEQ]
-            return _monotone_record("q-binomial-ratio-limit",
-                                    {"alpha": alpha, "beta": beta, "z": z},
-                                    gaps, 1e-2)
-        jobs.append(("q-binomial-ratio-limit", qbinom))
-
-        def lconst(i=i):
-            rng = _rng_for(cfg.seed, "qbeta-limit-constant", i)
-            alpha = _udraw(rng, 0.05, 0.45)
-            target = limit_constant_target(alpha)
-            gaps = [abs(limit_constant(q, alpha) - target) / abs(target)
-                    for q in _Q_SEQ]
-            return _monotone_record("qbeta-limit-constant", {"alpha": alpha},
-                                    gaps, 5e-3)
-        jobs.append(("qbeta-limit-constant", lconst))
-
-        def hq(i=i):
-            rng = _rng_for(cfg.seed, "q-fourier-classical-limit", i)
-            alpha = _udraw(rng, 1.1, 1.8)
-            beta = _udraw(rng, 2.1, 2.8)
-            t = float(rng.choice([0.0, 0.7, math.pi, 1.5 * math.pi]))
-            target = h_of_q_target(alpha, beta, t)
-            gaps = [abs(h_of_q(q, alpha, beta, t) - target) for q in _Q_SEQ]
-            ok = all(gaps[j] >= gaps[j + 1] for j in range(len(gaps) - 1))
-            final = gaps[-1] if ok else math.inf
-            return VerificationRecord.compare(
-                "q-fourier-classical-limit",
-                {"alpha": alpha, "beta": beta, "t": t, "gaps": gaps},
-                complex(final), 0j,
-                tol("q-fourier-classical-limit", Tolerance(abs=2e-2)))
-        jobs.append(("q-fourier-classical-limit", hq))
-
-        def qgamma_limit(i=i):
-            rng = _rng_for(cfg.seed, "q-gamma-classical-limit", i)
-            x = _udraw(rng, 0.4, 4.0)
-            target = gamma(complex(x))
-            gaps = [abs(q_gamma(x, q) - target) for q in _Q_SEQ]
-            return _monotone_record("q-gamma-classical-limit", {"x": x},
-                                    gaps, 1e-2)
-        jobs.append(("q-gamma-classical-limit", qgamma_limit))
-
-        def asy_bound(i=i):
-            rng = _rng_for(cfg.seed, "qpoch-asymptotic-bound", i)
-            r = _udraw(rng, 0.1, 0.85)
-            th = _udraw(rng, 0.4, 5.9)
-            a = r * cmath.exp(1j * th)
-            worst = 0.0
-            for u in (0.1, 0.05, 0.025):
-                mgap = lemma_qpoch_log_gap(a, u)
-                bound = qpoch_inf_asymptotic(a, 0.0, u).error_bound
-                worst = max(worst, mgap - bound)
-            return _pair_vs("qpoch-asymptotic-bound", {"a": a},
-                            complex(max(worst, 0.0)), 0j,
-                            tol("qpoch-asymptotic-bound", Tolerance(abs=0.0, rel=1.0)))
-        jobs.append(("qpoch-asymptotic-bound", asy_bound))
-
-        def asy_alpha(i=i):
-            rng = _rng_for(cfg.seed, "qpoch-asymptotic-shifted", i)
-            a = complex(_udraw(rng, 0.1, 0.5), _udraw(rng, 0.05, 0.4))
-            alpha = _udraw(rng, 0.5, 2.0)
-            gaps = []
-            for u in (0.1, 0.05, 0.025):
-                q = math.exp(-u)
-                approx = qpoch_inf_asymptotic(a, alpha, u).value
-                exact = qpoch_inf(a * q ** alpha, q)
-                gaps.append(abs(approx / exact - 1.0))
-            return _monotone_record("qpoch-asymptotic-shifted",
-                                    {"a": a, "alpha": alpha}, gaps, 2e-2)
-        jobs.append(("qpoch-asymptotic-shifted", asy_alpha))
-
-    return jobs
+def _basic_to_classical_limit(rng, *_):
+    m = int(rng.integers(1, 3))
+    alpha = [_udraw(rng, 0.05, 0.4) for _ in range(m)]
+    beta = [a + _udraw(rng, 1.1, 2.2) / m + (2.0 / m - 1.0) for a in alpha]
+    sigma = sum(beta) - sum(alpha)
+    path = QtoOnePath(alpha, beta, 0.5 * sigma,
+                      cmath.exp(1j * _udraw(rng, 0.4, 5.9)), _Q_SEQ)
+    gaps = [g for _, g in theorem21_limit_probe(path)]
+    return _monotone_record({"alpha": alpha, "beta": beta,
+                             "tau": path.tau, "z": path.z}, gaps)
 
 
-_SUITE_BUILDERS = {
-    "classical-core": _jobs_classical_core,
-    "classical-beta": _jobs_classical_beta,
-    "q-core": _jobs_q_core,
-    "q-beta": _jobs_q_beta,
-    "limits": _jobs_limits,
-}
+def _q_binomial_ratio_limit(rng, *_):
+    alpha = _udraw(rng, 0.0, 0.6)
+    beta = alpha + _udraw(rng, 0.2, 1.0)
+    z = cmath.exp(1j * _udraw(rng, 0.5, 5.8)) * _udraw(rng, 0.4, 1.0)
+    target = q_binomial_ratio_target(alpha, beta, z)
+    gaps = [abs(closed_form_q(QKind.Q_BINOMIAL_RATIO_LIMIT,
+                              {"alpha": alpha, "beta": beta, "z": z}, q)
+                - target) for q in _Q_SEQ]
+    return _monotone_record({"alpha": alpha, "beta": beta, "z": z}, gaps)
+
+
+def _qbeta_limit_constant(rng, *_):
+    alpha = _udraw(rng, 0.05, 0.45)
+    target = limit_constant_target(alpha)
+    gaps = [abs(limit_constant(q, alpha) - target) / abs(target) for q in _Q_SEQ]
+    return _monotone_record({"alpha": alpha}, gaps)
+
+
+def _q_fourier_classical_limit(rng, *_):
+    alpha = _udraw(rng, 1.1, 1.8)
+    beta = _udraw(rng, 2.1, 2.8)
+    t = float(rng.choice([0.0, 0.7, math.pi, 1.5 * math.pi]))
+    target = h_of_q_target(alpha, beta, t)
+    gaps = [abs(h_of_q(q, alpha, beta, t) - target) for q in _Q_SEQ]
+    return _monotone_record({"alpha": alpha, "beta": beta, "t": t}, gaps,
+                            strict=False)
+
+
+def _q_gamma_classical_limit(rng, *_):
+    x = _udraw(rng, 0.4, 4.0)
+    target = gamma(complex(x))
+    return _monotone_record({"x": x},
+                            [abs(q_gamma(x, q) - target) for q in _Q_SEQ])
+
+
+def _qpoch_asymptotic_bound(rng, *_):
+    r = _udraw(rng, 0.1, 0.85)
+    th = _udraw(rng, 0.4, 5.9)
+    a = r * cmath.exp(1j * th)
+    worst = 0.0
+    for u in (0.1, 0.05, 0.025):
+        mgap = lemma_qpoch_log_gap(a, u)
+        bound = qpoch_inf_asymptotic(a, 0.0, u).error_bound
+        worst = max(worst, mgap - bound)
+    return {"a": a}, complex(max(worst, 0.0)), 0j
+
+
+def _qpoch_asymptotic_shifted(rng, *_):
+    a = complex(_udraw(rng, 0.1, 0.5), _udraw(rng, 0.05, 0.4))
+    alpha = _udraw(rng, 0.5, 2.0)
+    gaps = []
+    for u in (0.1, 0.05, 0.025):
+        q = math.exp(-u)
+        approx = qpoch_inf_asymptotic(a, alpha, u).value
+        exact = qpoch_inf(a * q ** alpha, q)
+        gaps.append(abs(approx / exact - 1.0))
+    return _monotone_record({"a": a, "alpha": alpha}, gaps)
+
+
+# -- the registry ----------------------------------------------------------------
+
+_HIGH_ORDER_BETA = (BetaKind.M5_VWP, BetaKind.M5_VWP_SHIFTED,
+                    BetaKind.M5_VWP_THIRD, BetaKind.M6_RIEMANN)
+
+# Suites run their entries in this order, once per draw.
+IDENTITIES: Tuple[Identity, ...] = (
+    Identity("cauchy-cosine-integral", "classical-core",
+             Tolerance(rel=1e-9, abs=1e-12), _cauchy_cosine),
+    Identity("fourier-single-factor", "classical-core", TOL_CLASSICAL,
+             _fourier_single_factor),
+    Identity("riemann-grid-sum", "classical-core", TOL_CLASSICAL, _riemann_grid_sum),
+    Identity("grid-sum-p-invariance", "classical-core", TOL_CLASSICAL,
+             _grid_sum_p_invariance),
+    Identity("compact-support", "classical-core", Tolerance(abs=1e-8),
+             _compact_support),
+    Identity("integral-series-representation", "classical-core", TOL_CLASSICAL,
+             _integral_series_representation),
+    Identity("sum-1h1-exp", "classical-core", TOL_CLASSICAL,
+             partial(_sum_1h1_exp, HKind.ONE_H1_MINUS_EXP,
+                     -0.85 * math.pi, 0.85 * math.pi)),
+    Identity("sum-1h1-exp-plus", "classical-core", TOL_CLASSICAL,
+             partial(_sum_1h1_exp, HKind.ONE_H1_PLUS_EXP,
+                     0.2 * math.pi, 1.8 * math.pi)),
+    Identity("sum-1h1-unit", "classical-core", Tolerance(abs=1e-9), _sum_1h1_unit),
+    *(Identity(iid, "classical-core", TOL_CLASSICAL,
+               partial(_summation_theorem, kind))
+      for iid, kind in (("sum-2h2-gauss", HKind.GAUSS_2H2),
+                        ("sum-3h3-well-poised", HKind.WELL_POISED_3H3),
+                        ("sum-4h4-very-well-poised", HKind.VWP_4H4_MINUS1),
+                        ("sum-5h5-very-well-poised", HKind.VWP_5H5))),
+    Identity("symmetry-transform", "classical-core", TOL_CLASSICAL,
+             _symmetry_transform),
+    Identity("gamma-reflection", "classical-core",
+             Tolerance(rel=1e-12, abs=1e-300), _gamma_reflection),
+    Identity("dilog-pair-identity", "classical-core", Tolerance(abs=1e-11),
+             _dilog_pair),
+    Identity("gamma-duplication-instance", "classical-core",
+             Tolerance(rel=1e-11, abs=1e-13), _gamma_duplication),
+
+    *(Identity(f"beta-{kind.value}", "classical-beta",
+               TOL_HIGH_ORDER if kind in _HIGH_ORDER_BETA
+               else Tolerance(rel=1e-7, abs=1e-12),
+               partial(_beta_integral, kind))
+      for kind in BetaKind),
+    Identity("grid-sum-alternating-identity", "classical-beta", TOL_HIGH_ORDER,
+             _grid_sum_alternating),
+    Identity("degenerate-series-reduction", "classical-beta", TOL_CLASSICAL,
+             _degenerate_series_reduction),
+    Identity("barnes-vertical-line", "classical-beta", TOL_CLASSICAL,
+             _barnes_vertical_line),
+    Identity("double-cosine-power-question", "classical-beta",
+             Tolerance(rel=1e-6, abs=1e-9), _double_cosine_power),
+
+    Identity("qpoch-negative-dual", "q-core", Tolerance(rel=1e-12, abs=1e-300),
+             _qpoch_negative_dual),
+    Identity("sum-1psi1", "q-core", Tolerance(rel=1e-9, abs=1e-13), _sum_1psi1),
+    Identity("sum-6psi6", "q-core", Tolerance(rel=1e-9, abs=1e-13), _sum_6psi6),
+    Identity("jacobi-triple-product", "q-core",
+             Tolerance(rel=1e-10, abs=1e-13), _jacobi_triple_product),
+    Identity("q-fourier-plain", "q-core", Tolerance(rel=1e-7, abs=1e-13),
+             _q_fourier_plain),
+    Identity("q-fourier-strip", "q-core", Tolerance(rel=1e-7, abs=1e-13),
+             _q_fourier_strip),
+    Identity("q-gaussian-integral", "q-core", Tolerance(rel=1e-9, abs=1e-13),
+             _q_gaussian_integral),
+    Identity("abel-poisson-kernel", "q-core", Tolerance(rel=1e-4, abs=1e-8),
+             _abel_poisson_kernel),
+    Identity("qpoch-exponent-bound", "q-core", Tolerance(abs=1e-13),
+             _qpoch_exponent_bound),
+    Identity("qpoch-ratio-monotone", "q-core", Tolerance(abs=1e-13),
+             _qpoch_ratio_monotone),
+
+    *(entry for kind in (QBetaKind.I_FULL, QBetaKind.I_D0, QBetaKind.I_C0,
+                         QBetaKind.I_3PSI6, QBetaKind.I_2PSI6)
+      for entry in _qbeta_entries(kind)),
+    *(Identity(f"qbeta-{kind.value}-gamma-form", "q-beta", TOL_Q,
+               partial(_qbeta_gamma_form, kind),
+               tag=f"qbeta-{kind.value}-gammaform")
+      for kind in (QBetaKind.I_FULL, QBetaKind.I_D0)),
+    Identity("doubled-argument-beta", "q-beta", Tolerance(rel=1e-7, abs=1e-12),
+             _doubled_argument_beta),
+    Identity("doubled-argument-vs-shifted", "q-beta",
+             Tolerance(rel=1e-12, abs=1e-15), _doubled_argument_vs_shifted),
+
+    Identity("basic-to-classical-limit", "limits", Tolerance(abs=1e-2),
+             _basic_to_classical_limit),
+    Identity("q-binomial-ratio-limit", "limits", Tolerance(abs=1e-2),
+             _q_binomial_ratio_limit),
+    Identity("qbeta-limit-constant", "limits", Tolerance(abs=5e-3),
+             _qbeta_limit_constant),
+    Identity("q-fourier-classical-limit", "limits", Tolerance(abs=2e-2),
+             _q_fourier_classical_limit),
+    Identity("q-gamma-classical-limit", "limits", Tolerance(abs=1e-2),
+             _q_gamma_classical_limit),
+    Identity("qpoch-asymptotic-bound", "limits", Tolerance(abs=0.0, rel=1.0),
+             _qpoch_asymptotic_bound),
+    Identity("qpoch-asymptotic-shifted", "limits", Tolerance(abs=2e-2),
+             _qpoch_asymptotic_shifted),
+)
+
+SUITE_NAMES = tuple(dict.fromkeys(entry.suite for entry in IDENTITIES))
+
+
+# -- the runner ------------------------------------------------------------------
+
+@dataclass
+class SuiteConfig:
+    suite: str
+    seed: int = 0
+    draws_per_identity: int = 2
+    format: str = "json"
+
+    def __post_init__(self):
+        if self.suite not in SUITE_NAMES:
+            raise ValueError(f"unknown suite {self.suite!r}; "
+                             f"known: {', '.join(SUITE_NAMES)}")
+        if self.draws_per_identity < 1:
+            raise ValueError("draws_per_identity must be >= 1")
+        if self.format not in ("json", "csv"):
+            raise ValueError("format must be json or csv")
+
+
+@dataclass
+class SuiteReport:
+    records: List[VerificationRecord]
+    total: int
+    passed: int
+    failed: int
+    max_rel_gap: float
+    tool_version: str
+    config: SuiteConfig
+
+    @classmethod
+    def build(cls, records: Sequence[VerificationRecord],
+              config: SuiteConfig) -> "SuiteReport":
+        failed = sum(1 for r in records if not r.passed)
+        max_rel = max((r.rel_gap for r in records), default=0.0)
+        return cls(list(records), len(records), len(records) - failed, failed,
+                   max_rel, _tool_version, config)
+
+
+def suite_jobs(suite: str, draws: int) -> List[Tuple[int, Identity]]:
+    """The (draw, identity) pairs of a suite in record order, unevaluated."""
+    return [(draw, entry) for draw in range(draws)
+            for entry in IDENTITIES if entry.suite == suite]
 
 
 def _worker_count() -> int:
@@ -818,23 +716,28 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _run_job(seed: int, job: Tuple[int, Identity]) -> VerificationRecord:
+    draw, entry = job
+    t0 = time.perf_counter()
+    try:
+        out = entry.check(_rng_for(seed, entry.tag, draw), entry.tol, draw)
+        rec = (out if isinstance(out, VerificationRecord)
+               else VerificationRecord.compare(entry.id, *out, entry.tol))
+    except Exception as exc:
+        # one bad draw fails its record, not the suite
+        rec = VerificationRecord(entry.id, {"error": str(exc),
+                                            "error_class": type(exc).__name__},
+                                 0j, 0j, math.inf, math.inf,
+                                 Tolerance(abs=1e-300), False)
+    rec.runtime_ms = (time.perf_counter() - t0) * 1e3
+    return rec
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run one named suite; deterministic in (suite, seed, draws) apart from
     the runtime_ms fields."""
-    jobs = _SUITE_BUILDERS[config.suite](config)
-
-    def run_one(job: Job) -> VerificationRecord:
-        iid, fn = job
-        t0 = time.perf_counter()
-        try:
-            rec = fn()
-        except RBetaError as exc:
-            rec = VerificationRecord(iid, {"error": str(exc)}, 0j, 0j,
-                                     math.inf, math.inf,
-                                     Tolerance(abs=1e-300), False)
-        rec.runtime_ms = (time.perf_counter() - t0) * 1e3
-        return rec
-
+    jobs = suite_jobs(config.suite, config.draws_per_identity)
+    run_one = partial(_run_job, config.seed)
     workers = _worker_count()
     if workers == 1:
         records = [run_one(j) for j in jobs]

@@ -12,7 +12,7 @@ from rbeta.bilateral import (BilateralSeriesSpec, ConvergenceKind, HKind,
                              closed_form_H, eval_F, eval_H,
                              reduce_to_unilateral, series_spec_for,
                              symmetry_transform)
-from rbeta.core import Tolerance
+from rbeta.core import Tolerance, VerificationRecord
 from rbeta.errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                           NotReducible)
 from rbeta.gammafns import gamma
@@ -228,7 +228,8 @@ def test_tolerance_invariant():
         Tolerance(abs=0.0, rel=0.0)
     with pytest.raises(ValueError):
         Tolerance(abs=-1.0, rel=1e-9)
-    assert Tolerance(abs=1e-12).met_by(1e-13, 1.0)
+    assert VerificationRecord.compare("t", {}, 1e-13, 0j,
+                                      Tolerance(abs=1e-12)).passed
 
 
 def test_reduce_two_pair_matches_one_sided_sum():

@@ -1,0 +1,86 @@
+"""Identity registry: suite composition and per-record failure isolation."""
+
+from rbeta import verify
+from rbeta.core import Tolerance
+from rbeta.verify import Identity, SuiteConfig, run_suite, suite_jobs
+
+
+def _ids(*names):
+    return [(n, n) for n in names]
+
+
+def _qbeta(kind):
+    iid = f"qbeta-{kind}"
+    return [(iid, f"{iid}-0.4"), (iid, f"{iid}-0.7"),
+            (f"{iid}-psi-representation", f"{iid}-psirep")]
+
+
+# (identity id, rng tag) of one draw, in record order
+SUITE_ORDER = {
+    "classical-core": _ids(
+        "cauchy-cosine-integral", "fourier-single-factor", "riemann-grid-sum",
+        "grid-sum-p-invariance", "compact-support",
+        "integral-series-representation", "sum-1h1-exp", "sum-1h1-exp-plus",
+        "sum-1h1-unit", "sum-2h2-gauss", "sum-3h3-well-poised",
+        "sum-4h4-very-well-poised", "sum-5h5-very-well-poised",
+        "symmetry-transform", "gamma-reflection", "dilog-pair-identity",
+        "gamma-duplication-instance"),
+    "classical-beta": _ids(
+        "beta-RamanujanM2", "beta-RamanujanM2Cos", "beta-M3Cos",
+        "beta-M3Plain", "beta-M4Plain", "beta-M4VWP", "beta-M4VWPShifted",
+        "beta-M5VWP", "beta-M5VWPShifted", "beta-M5VWPThird",
+        "beta-M6Riemann", "grid-sum-alternating-identity",
+        "degenerate-series-reduction", "barnes-vertical-line",
+        "double-cosine-power-question"),
+    "q-core": _ids(
+        "qpoch-negative-dual", "sum-1psi1", "sum-6psi6",
+        "jacobi-triple-product", "q-fourier-plain", "q-fourier-strip",
+        "q-gaussian-integral", "abel-poisson-kernel", "qpoch-exponent-bound",
+        "qpoch-ratio-monotone"),
+    "q-beta": (_qbeta("I_full") + _qbeta("I_d0") + _qbeta("I_c0")
+               + _qbeta("I_3psi6") + _qbeta("I_2psi6")
+               + [("qbeta-I_full-gamma-form", "qbeta-I_full-gammaform"),
+                  ("qbeta-I_d0-gamma-form", "qbeta-I_d0-gammaform")]
+               + _ids("doubled-argument-beta", "doubled-argument-vs-shifted")),
+    "limits": _ids(
+        "basic-to-classical-limit", "q-binomial-ratio-limit",
+        "qbeta-limit-constant", "q-fourier-classical-limit",
+        "q-gamma-classical-limit", "qpoch-asymptotic-bound",
+        "qpoch-asymptotic-shifted"),
+}
+
+
+def test_suite_composition():
+    counts = {"classical-core": 34, "classical-beta": 30, "q-core": 20,
+              "q-beta": 38, "limits": 14}
+    assert verify.SUITE_NAMES == tuple(SUITE_ORDER)
+    for suite, order in SUITE_ORDER.items():
+        jobs = suite_jobs(suite, 2)
+        assert len(jobs) == counts[suite]
+        assert [d for d, _ in jobs] == [0] * len(order) + [1] * len(order)
+        assert [(e.id, e.tag) for _, e in jobs] == order + order
+
+
+def test_bad_draw_fails_only_its_record(monkeypatch):
+    monkeypatch.setenv("RB_THREADS", "1")
+    cfg = SuiteConfig(suite="classical-core", seed=3, draws_per_identity=1)
+    normal = {r.identity_id: r for r in run_suite(cfg).records}
+
+    def divide_by_zero(rng, *_):
+        return {"x": float(rng.uniform())}, 1.0 / 0.0, 0j
+
+    keep = [e for e in verify.IDENTITIES
+            if e.id in ("gamma-reflection", "dilog-pair-identity")]
+    monkeypatch.setattr(verify, "IDENTITIES", (
+        keep[0], Identity("broken", "classical-core", Tolerance(abs=1e-12),
+                          divide_by_zero), keep[1]))
+    report = run_suite(cfg)
+    assert (report.total, report.failed) == (3, 1)
+    bad = report.records[1]
+    assert bad.identity_id == "broken" and not bad.passed
+    assert bad.inputs == {"error": "float division by zero",
+                          "error_class": "ZeroDivisionError"}
+    for rec in (report.records[0], report.records[2]):
+        ref = normal[rec.identity_id]
+        assert rec.passed
+        assert (rec.inputs, rec.lhs, rec.rhs) == (ref.inputs, ref.lhs, ref.rhs)
