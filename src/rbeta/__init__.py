@@ -22,9 +22,8 @@ from .qseries import (QSeriesSpec, QtoOnePath, qpoch, qpoch_inf,
                       closed_form_q, psi_spec_for, qpoch_inf_asymptotic,
                       theorem21_limit_probe)
 from .integrals import (IntegrandSpec, QuadratureResult, weight_gm, integrate,
-                        cauchy_integral_check, poisson_terms, poisson_sum_rhs,
-                        support_check, integral_repr_H, BetaKind,
-                        beta_integral_closed, integrand_spec_for)
+                        poisson_terms, poisson_sum_rhs, integral_repr_H,
+                        BetaKind, beta_integral_closed, integrand_spec_for)
 from .qintegrals import (QIntegrandSpec, q_integrate, q_fourier_closed,
                          abel_poisson_psi, abel_psi_target, QBetaKind,
                          qbeta_family, limit_constant, limit_constant_target,

@@ -18,8 +18,13 @@ class SumResult:
     accelerated: bool
 
 
-def levin_u(terms: Sequence[complex], beta: float = 1.0) -> Tuple[complex, float]:
-    """u-variant Levin transform of sum(terms).
+# terms in the last Levin window of a full budget
+_LEVIN_BLOCK = 60
+
+
+def levin_u(terms: Sequence[complex]) -> Tuple[complex, float]:
+    """u-variant Levin transform of sum(terms), with shift parameter
+    beta = 1 (the 1.0 in each (1.0 + n) below).
 
     Walks the k-diagonal, keeps the first stabilized estimate and stops once
     roundoff makes successive estimates diverge again.  Returns (value,
@@ -35,7 +40,7 @@ def levin_u(terms: Sequence[complex], beta: float = 1.0) -> Tuple[complex, float
     N = []
     D = []
     for n, t in enumerate(terms):
-        w = (beta + n) * t
+        w = (1.0 + n) * t
         if w == 0:
             w = 1e-300
         N.append(s[n] / w)
@@ -55,7 +60,7 @@ def levin_u(terms: Sequence[complex], beta: float = 1.0) -> Tuple[complex, float
             if k == 1:
                 b = 1.0
             else:
-                b = (beta + n) * (beta + n + k - 1) ** (k - 2) / (beta + n + k) ** (k - 1)
+                b = (1.0 + n) * (1.0 + n + k - 1) ** (k - 2) / (1.0 + n + k) ** (k - 1)
             newN.append(N[n + 1] - b * N[n])
             newD.append(D[n + 1] - b * D[n])
         N, D = newN, newD
@@ -81,9 +86,7 @@ def levin_u(terms: Sequence[complex], beta: float = 1.0) -> Tuple[complex, float
 def sum_one_sided(term_ratios: Callable[[int], complex],
                   first_term: complex,
                   tol_abs: float,
-                  scale_hint: float = 1.0,
-                  max_terms: int = 400,
-                  levin_block: int = 60) -> SumResult:
+                  max_terms: int = 400) -> SumResult:
     """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n).
 
     Direct summation while the terms decay geometrically (ratio <= 0.75);
@@ -103,7 +106,7 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
         total += t
         n += 1
         mag = abs(t)
-        if mag < max(1e-30, 1e-17 * max(scale_hint, abs(total))) and n >= 6:
+        if mag < max(1e-30, 1e-17 * max(1.0, abs(total))) and n >= 6:
             # converged by raw decay
             rr = abs(r)
             tail = mag * rr / (1.0 - rr) if rr < 1 else mag
@@ -123,7 +126,7 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
         terms.append(terms[-1] * term_ratios(m))
     best_val = complex(np.sum(terms))
     best_err = float("inf")
-    for off in (0, 24, 96, max_terms - levin_block):
+    for off in (0, 24, 96, max_terms - _LEVIN_BLOCK):
         if off < 0 or len(terms) - off < 16:
             continue
         val, err = levin_u(terms[off:])

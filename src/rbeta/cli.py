@@ -171,7 +171,8 @@ def _cmd_verify(args) -> int:
             print(f"{mark} {rec.identity_id}: rel_gap={rec.rel_gap:.3e} "
                   f"abs_gap={rec.abs_gap:.3e} ({rec.runtime_ms:.0f} ms)")
         print(f"summary: {report.passed}/{report.total} passed, "
-              f"max rel gap {report.max_rel_gap:.3e}")
+              f"max rel gap {report.max_rel_gap:.3e} (nonzero targets), "
+              f"max abs gap {report.max_abs_gap:.3e} (zero targets)")
     if args.out:
         try:
             write_report(report, args.out, args.format)

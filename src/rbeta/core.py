@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -105,7 +104,3 @@ def format_complex(z: complex, digits: int = 15) -> str:
         return re_s
     sign = "+" if im >= 0 else "-"
     return f"{re_s}{sign}{abs(im):.{digits}g}i"
-
-
-def cis(theta: float) -> complex:
-    return cmath.exp(1j * theta)

@@ -27,15 +27,15 @@ import numpy as np
 from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, eval_H,
                         cancel_matching_parameters)
-from .core import Tolerance, DEFAULT_TOL, VerificationRecord
+from .core import Tolerance, DEFAULT_TOL
 from .errors import ConstraintViolation, MarginViolation
 from .gammafns import _lanczos_log, gamma, recip_gamma
 from .quadrature import QuadratureResult, gauss_panels, tanh_sinh
 
 __all__ = [
     "IntegrandSpec", "QuadratureResult", "weight_gm", "integrate",
-    "cauchy_integral_check", "poisson_terms", "poisson_sum_rhs",
-    "support_check", "integral_repr_H", "BetaKind", "beta_integral_closed",
+    "cauchy_cosine_integral", "poisson_terms", "poisson_sum_rhs",
+    "integral_repr_H", "BetaKind", "beta_integral_closed",
     "integrand_spec_for", "barnes_closed", "barnes_quadrature",
     "double_integral_open_question",
 ]
@@ -135,9 +135,13 @@ def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
     return out
 
 
+# unit intervals summed and accelerated per tail signal
+_TAIL_INTERVALS = 48
+
+
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
-                   tau_terms: Sequence[WeightTerm], X: float, omega: float,
-                   n_intervals: int = 48) -> Tuple[complex, float]:
+                   tau_terms: Sequence[WeightTerm], X: float,
+                   omega: float) -> Tuple[complex, float]:
     """integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
@@ -155,8 +159,8 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
     halfs = 0.5 * (se[1:] - se[:-1])
     from numpy.polynomial.legendre import leggauss
     xg, wg = leggauss(16)
-    # nodes: (n_intervals, sub, 16)
-    xs = (X + np.arange(n_intervals)[:, None, None] + mids[None, :, None]
+    # nodes: (_TAIL_INTERVALS, sub, 16)
+    xs = (X + np.arange(_TAIL_INTERVALS)[:, None, None] + mids[None, :, None]
           + halfs[None, :, None] * xg[None, None, :])
     flat = xs.ravel()
     with np.errstate(over="ignore", under="ignore"):
@@ -204,16 +208,15 @@ def _choose_X(spec: IntegrandSpec, tol_abs: float) -> float:
     return min(X, 96.0)
 
 
-def integrate(spec: IntegrandSpec, tol: Tolerance = DEFAULT_TOL,
-              X: Optional[float] = None) -> QuadratureResult:
+def integrate(spec: IntegrandSpec,
+              tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
     """Evaluate the integral by Gauss panels on [-X, X] plus reflected,
     accelerated oscillatory tails on both sides."""
     _require_margin(spec)
     tol_abs = max(tol.abs, 1e-14)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
     omega = spec.m * math.pi + abs(spec.t) + wmax
-    if X is None:
-        X = _choose_X(spec, tol_abs)
+    X = _choose_X(spec, tol_abs)
     width = min(0.5, math.pi / (2.0 * omega))
     core, core_err, n_panels = gauss_panels(lambda x: _f_core(spec, x),
                                             -X, X, width)
@@ -241,10 +244,10 @@ def fourier_single_factor(a: complex, b: complex, t: float) -> complex:
             * cmath.exp(-0.5j * t * (b - a)))
 
 
-def cauchy_integral_check(gamma_: complex, delta: complex,
-                          tol: Tolerance = Tolerance(rel=1e-9, abs=1e-12)
-                          ) -> VerificationRecord:
-    """Finite cosine-power integral against its gamma-ratio value."""
+def cauchy_cosine_integral(gamma_: complex, delta: complex
+                           ) -> Tuple[complex, complex]:
+    """Finite cosine-power integral by tanh-sinh quadrature and its
+    gamma-ratio value, as (quadrature, closed form)."""
     gamma_ = complex(gamma_)
     delta = complex(delta)
     if gamma_.real <= -0.9:
@@ -257,9 +260,7 @@ def cauchy_integral_check(gamma_: complex, delta: complex,
     rhs = (math.pi * gamma(gamma_ + 1.0)
            / (2.0 ** gamma_ * gamma(1.0 + 0.5 * (gamma_ + delta))
               * gamma(1.0 + 0.5 * (gamma_ - delta))))
-    return VerificationRecord.compare(
-        "cauchy-cosine-integral",
-        {"gamma": gamma_, "delta": delta}, lhs, rhs, tol)
+    return lhs, rhs
 
 
 # -- Poisson/grid-sum route ----------------------------------------------------
@@ -318,26 +319,11 @@ def grid_sum_direct(spec: IntegrandSpec, k: int, p: int,
     return (vp + vn) / p
 
 
-def support_check(spec: IntegrandSpec, t_values: Sequence[float],
-                  tol: Tolerance = Tolerance(abs=1e-8)) -> List[VerificationRecord]:
-    """Verify vanishing of the transform beyond |t| = m pi."""
-    out = []
-    for t in t_values:
-        if abs(t) < spec.m * math.pi:
-            raise ConstraintViolation(f"|t|={abs(t):.4g} below support edge")
-        sp = IntegrandSpec(spec.a, spec.b, float(t), spec.weight)
-        res = integrate(sp, tol)
-        out.append(VerificationRecord.compare(
-            "compact-support", {"a": sp.a, "b": sp.b, "t": t},
-            res.value, 0j, tol))
-    return out
-
-
 def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
-                    weight_order: Optional[int] = None,
-                    tol: Tolerance = Tolerance(rel=1e-8, abs=1e-10)
-                    ) -> VerificationRecord:
-    """Weighted integral against its bilateral-series representation.
+                    weight_order: Optional[int] = None
+                    ) -> Tuple[complex, complex]:
+    """Weighted integral and its bilateral-series representation, as
+    (quadrature, series).
 
     weight_order m (default): weight sin(m pi x)/sin(pi x), series argument
     -exp(-it), t in [-pi, pi].  weight_order m-1: t must be 0 and the series
@@ -364,10 +350,7 @@ def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
     for aj, bj in zip(a, b):
         c0 *= complex(recip_gamma(aj + 1.0)) * complex(recip_gamma(bj + 1.0))
     hs = BilateralSeriesSpec([-bj for bj in b], [aj + 1.0 for aj in a], z)
-    rhs = c0 * eval_H(hs).value
-    return VerificationRecord.compare(
-        "integral-series-representation",
-        {"a": a, "b": b, "t": t, "weight_order": weight_order}, lhs, rhs, tol)
+    return lhs, c0 * eval_H(hs).value
 
 
 # -- closed-form beta integrals -------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Tolerance, DEFAULT_TOL, VerificationRecord
+from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation)
 from .gammafns import gamma
@@ -100,15 +101,15 @@ class QIntegrandSpec:
 
 
 def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
-                          tol_abs: float, x0: float = 4.0) -> float:
-    """Smallest X >= x0 with boundary magnitude * geometric tail below tol.
+                          tol_abs: float) -> float:
+    """Smallest X >= 4 with boundary magnitude * geometric tail below tol.
 
     Probes several offset points per candidate X so isolated zeros of the
     integrand cannot fake decay.
     """
     if ratio >= 1.0:
         raise AnnulusViolation("integrand does not decay on this side")
-    X = x0
+    X = 4.0
     for _ in range(200):
         lm = max(log_mag(X), log_mag(X - 0.372), log_mag(X - 0.709))
         lm_prev = max(log_mag(X - 1.0), log_mag(X - 1.372), log_mag(X - 1.709))
@@ -307,22 +308,17 @@ def _qbeta_prefactor(alpha: complex, q: complex) -> complex:
             / (complex(q) ** 0.125 * cmath.sqrt(u)))
 
 
-def _qbeta_product(kind: QBetaKind, alpha: complex, yv: Sequence[complex],
-                   q: float) -> complex:
-    """The printed product form of a q-beta integral."""
-    pref = _qbeta_prefactor(alpha, q)
-    if kind is QBetaKind.I_FULL:
-        a, b, c, d = yv
-        return pref * qpoch_inf_multi(
-            [-q * a * b, -q * a * c, -q * a * d, -q * b * c, -q * b * d,
-             -q * c * d], q) / qpoch_inf(q * a * b * c * d, q)
-    if kind is QBetaKind.I_D0:
-        a, b, c = yv
-        return pref * qpoch_inf_multi([-q * a * b, -q * a * c, -q * b * c], q)
-    if kind is QBetaKind.I_C0:
-        a, b = yv
-        return pref * qpoch_inf(-q * a * b, q)
-    return pref
+def _qbeta_product(alpha: complex, ys: Sequence[complex], q: float) -> complex:
+    """The printed product form of a q-beta integral: one factor per pair of
+    y's, over (q abcd; q)_inf when all four are present."""
+    out = _qbeta_prefactor(alpha, q) * qpoch_inf_multi(
+        [-q * yi * yj for yi, yj in itertools.combinations(ys, 2)], q)
+    if len(ys) == 4:
+        qy = q
+        for y in ys:
+            qy *= y
+        out = out / qpoch_inf(qy, q)
+    return out
 
 
 def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex,
@@ -347,8 +343,9 @@ def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex,
 
 def qbeta_family(kind: QBetaKind, params: Dict[str, complex], q: float,
                  tol: Tolerance = Tolerance(rel=1e-6, abs=1e-12)
-                 ) -> VerificationRecord:
-    """Quadrature of a q-beta integral against its printed product form.
+                 ) -> Tuple[complex, complex]:
+    """Quadrature of a q-beta integral, to accuracy ``tol``, and its printed
+    product form, as (quadrature, product).
 
     The q -> 1 behaviour of the prefactor is checked separately, against the
     exact finite-q form stated in `limit_constant`.
@@ -376,26 +373,18 @@ def qbeta_family(kind: QBetaKind, params: Dict[str, complex], q: float,
     res = q_quadrature(log_f, 0.0, rr, rl, tol,
                        freq_hint=abs(cmath.log(alpha).imag) * 4.0
                        + sum(abs(cmath.log(complex(y)).imag) for y in yv))
-    rhs = _qbeta_product(kind, alpha, yv, q)
-    return VerificationRecord.compare(
-        f"qbeta-{kind.value}", {**{k: v for k, v in params.items()}, "q": q},
-        res.value, rhs, tol)
+    return res.value, _qbeta_product(alpha, yv, q)
 
 
-def qbeta_psi_consistency(kind: QBetaKind, params: Dict[str, complex], q: float,
-                          tol: Tolerance = Tolerance(rel=1e-9, abs=1e-12)
-                          ) -> VerificationRecord:
-    """Product form of a q-beta integral against its bilateral basic series
-    representation (no quadrature on either side)."""
+def qbeta_psi_consistency(kind: QBetaKind, params: Dict[str, complex],
+                          q: float) -> Tuple[complex, complex]:
+    """Product form of a q-beta integral and its bilateral basic series
+    representation, as (product, series); no quadrature on either side."""
     kind = QBetaKind(kind)
     p = {k: complex(v) for k, v in params.items()}
     alpha = p["alpha"]
     yv = [p[name] for name in _QBETA_YS[kind]]
-    lhs = _qbeta_product(kind, alpha, yv, q)
-    rhs = _qbeta_psi_rep(alpha, yv, q, DEFAULT_TOL)
-    return VerificationRecord.compare(
-        f"qbeta-{kind.value}-psi-representation",
-        {**{k: v for k, v in params.items()}, "q": q}, lhs, rhs, tol)
+    return _qbeta_product(alpha, yv, q), _qbeta_psi_rep(alpha, yv, q, DEFAULT_TOL)
 
 
 def limit_constant(q: float, alpha: complex) -> complex:
@@ -429,9 +418,10 @@ def limit_constant_target(alpha: complex) -> complex:
 
 def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex], q: float,
                      tol: Tolerance = Tolerance(rel=1e-6, abs=1e-12)
-                     ) -> VerificationRecord:
-    """Quadrature of the q-gamma rewritten integrand against its q-gamma
-    right side (the exponent-parameter form of the q-beta integrals)."""
+                     ) -> Tuple[complex, complex]:
+    """Quadrature of the q-gamma rewritten integrand, to accuracy ``tol``,
+    and its q-gamma right side (the exponent-parameter form of the q-beta
+    integrals), as (quadrature, q-gamma form)."""
     kind = QBetaKind(kind)
     if kind not in (QBetaKind.I_FULL, QBetaKind.I_D0):
         raise ValueError(f"no q-gamma form for {kind.value}")
@@ -459,14 +449,12 @@ def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex], q: float,
     res = q_quadrature(log_g, 0.0, rr, rl, tol,
                        freq_hint=2.0 * math.pi + 2.0)
     pair_gammas = 1.0 + 0j
-    for yi, yj in ((i, j) for i in range(n_y) for j in range(i + 1, n_y)):
-        pair_gammas *= q_gamma(ys[yi] + ys[yj] + 1.0, q)
+    for yi, yj in itertools.combinations(ys, 2):
+        pair_gammas *= q_gamma(yi + yj + 1.0, q)
     rhs = limit_constant(q, alpha) / pair_gammas
     if kind is QBetaKind.I_FULL:
         rhs *= q_gamma(s_y + 1.0, q)
-    return VerificationRecord.compare(
-        f"qbeta-{kind.value}-gamma-form",
-        {**{k: v for k, v in params.items()}, "q": q}, res.value, rhs, tol)
+    return res.value, rhs
 
 
 def h44_integral_value(a: complex, b: complex, c: complex) -> complex:

@@ -207,8 +207,11 @@ def q_gamma(x: complex, q: float) -> complex:
     return cmath.exp(lg)
 
 
-def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL,
-             max_terms: int = 400_000) -> SeriesValue:
+# terms summed per non-terminating side before giving up
+_PSI_MAX_TERMS = 400_000
+
+
+def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     """Bilateral basic series sum over n in Z, both sides geometric.
 
     Non-terminating sides require the argument inside the absolute-
@@ -292,10 +295,10 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL,
                     break
             else:
                 small = 0
-            if n >= max_terms:
+            if n >= _PSI_MAX_TERMS:
                 raise ToleranceNotReached(
                     f"{label} side of psi series did not reach tolerance "
-                    f"in {max_terms} terms (|ratio|={rr:.6f})")
+                    f"in {_PSI_MAX_TERMS} terms (|ratio|={rr:.6f})")
         tail = abs(t) * (rr / (1.0 - rr)) if rr < 1.0 else abs(t)
         total += part
         est += tail + 1e-16 * abs(part)

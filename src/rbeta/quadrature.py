@@ -17,6 +17,8 @@ __all__ = ["QuadratureResult", "gauss_panels", "gauss_panels_graded",
 
 _X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
+# tanh-sinh sums its step variable k over [-3.8, 3.8]
+_TS_CUTOFF = 3.8
 
 
 @dataclass
@@ -66,7 +68,7 @@ def _panels_on_edges(f, edges: np.ndarray) -> Tuple[complex, float, int]:
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              max_level: int = 10, cutoff: float = 3.8) -> Tuple[complex, float]:
+              max_level: int = 10) -> Tuple[complex, float]:
     """Tanh-sinh quadrature on (lo, hi); robust to algebraic endpoint
     singularities.  Halves the step per level, reusing prior nodes; the last
     refinement jump is the error estimate.
@@ -88,10 +90,10 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         return complex((vals * w[inside]).sum() * r)
 
     h = 1.0
-    value = h * strip_sum(np.arange(-cutoff, cutoff + 1e-12, h))
+    value = h * strip_sum(np.arange(-_TS_CUTOFF, _TS_CUTOFF + 1e-12, h))
     err = abs(value)
     for _ in range(max_level):
-        mids = np.arange(-cutoff + h / 2, cutoff, h)
+        mids = np.arange(-_TS_CUTOFF + h / 2, _TS_CUTOFF, h)
         value_new = 0.5 * value + (h / 2) * strip_sum(mids)
         err = abs(value_new - value)
         value = value_new

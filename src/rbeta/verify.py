@@ -33,12 +33,12 @@ from .qseries import (QKind, QtoOnePath, closed_form_q, eval_psi,
                       q_gamma, qpoch, qpoch_inf, qpoch_inf_asymptotic,
                       theorem21_limit_probe)
 from .integrals import (BetaKind, IntegrandSpec, beta_integral_closed,
-                        cauchy_integral_check, double_integral_open_question,
+                        cauchy_cosine_integral, double_integral_open_question,
                         fourier_single_factor, integral_repr_H,
                         integrand_spec_for, integrate, m6_reduced_5h5,
                         poisson_sum_rhs, poisson_terms, barnes_closed,
                         barnes_quadrature)
-from .qintegrals import (QBetaKind, QIntegrandSpec, abel_poisson_psi,
+from .qintegrals import (_QBETA_YS, QBetaKind, QIntegrandSpec, abel_poisson_psi,
                          abel_psi_target, h44_integral_value, h_of_q,
                          h_of_q_target, limit_constant, limit_constant_target,
                          q_fourier_closed, q_integrate, q_quadrature,
@@ -55,10 +55,10 @@ TOL_Q = Tolerance(rel=1e-6, abs=1e-12)
 class Identity:
     """One identity of a suite.
 
-    ``check(rng, tol, draw)`` draws the inputs from ``rng`` and evaluates
-    both routes, returning ``(inputs, lhs, rhs)``; library checks that build
-    their own record return it instead.  ``draw`` is the draw index.
-    ``tag`` seeds the draws and defaults to ``id``.  Checks reach library
+    ``check(rng, draw)`` draws the inputs from ``rng`` and evaluates both
+    routes, returning ``(inputs, lhs, rhs)``; ``draw`` is the draw index.
+    ``tol`` decides the verdict and reaches no check.  ``tag`` seeds the
+    draws and defaults to ``id``.  Checks reach library
     functions through this module's globals at call time, so tracing and
     probing code can rebind them.
     """
@@ -91,10 +91,10 @@ def _safe_q(rng) -> float:
 
 # -- suite: classical-core -------------------------------------------------------
 
-def _cauchy_cosine(rng, tol, *_):
-    g = _udraw(rng, -0.4, 2.0)
+def _cauchy_cosine(rng, *_):
+    g = complex(_udraw(rng, -0.4, 2.0))
     d = complex(_udraw(rng, -1.0, 1.0), _udraw(rng, -0.4, 0.4))
-    return cauchy_integral_check(g, d, tol)
+    return {"gamma": g, "delta": d}, *cauchy_cosine_integral(g, d)
 
 
 def _fourier_single_factor(rng, *_):
@@ -134,12 +134,13 @@ def _compact_support(rng, *_):
     return {"a": a, "b": b, "t": t}, integrate(IntegrandSpec(a, b, t)).value, 0j
 
 
-def _integral_series_representation(rng, tol, *_):
+def _integral_series_representation(rng, *_):
     m = int(rng.integers(1, 4))
-    a = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
-    b = [_udraw(rng, 0.2, 0.9) for _ in range(m)]
+    a = tuple(complex(_udraw(rng, 0.2, 0.9)) for _ in range(m))
+    b = tuple(complex(_udraw(rng, 0.2, 0.9)) for _ in range(m))
     t = _udraw(rng, -0.9 * math.pi, 0.9 * math.pi)
-    return integral_repr_H(a, b, t, tol=tol)
+    return ({"a": a, "b": b, "t": t, "weight_order": m},
+            *integral_repr_H(a, b, t))
 
 
 def _sum_1h1_exp(kind: HKind, t_lo: float, t_hi: float, rng, *_):
@@ -349,7 +350,7 @@ def _q_fourier_plain(rng, *_):
             lhs, q_fourier_closed(sp))
 
 
-def _q_fourier_strip(rng, tol, draw):
+def _q_fourier_strip(rng, draw):
     # even draws shift t into the strip, odd draws keep it real
     base = _draw_q_fourier(rng)
     lo = math.log(abs(base.b[0] / base.w[0]))
@@ -417,32 +418,28 @@ def _qpoch_ratio_monotone(rng, *_):
 
 # -- suite: q-beta ---------------------------------------------------------------
 
-_QBETA_DRAWERS = {
-    QBetaKind.I_FULL: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                   **{k: _udraw(rng, 0.2, 0.5) for k in "abcd"}},
-    QBetaKind.I_D0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                 **{k: _udraw(rng, 0.2, 0.6) for k in "abc"}},
-    QBetaKind.I_C0: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                 **{k: _udraw(rng, 0.2, 0.7) for k in "ab"}},
-    QBetaKind.I_3PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3),
-                                    "a": _udraw(rng, 0.2, 0.8)},
-    QBetaKind.I_2PSI6: lambda rng: {"alpha": _udraw(rng, 0.6, 1.3)},
-}
+def _draw_qbeta(rng, kind: QBetaKind) -> Dict[str, float]:
+    # the fewer the y's, the wider their range: 0.2..0.5 for four, 0.2..0.8
+    # for one
+    ys = _QBETA_YS[kind]
+    hi = (9 - len(ys)) / 10
+    return {"alpha": _udraw(rng, 0.6, 1.3), **{k: _udraw(rng, 0.2, hi) for k in ys}}
 
 
-def _qbeta_quadrature(kind: QBetaKind, q: float, rng, tol, *_):
-    return qbeta_family(kind, _QBETA_DRAWERS[kind](rng), q, tol)
+def _qbeta_quadrature(kind: QBetaKind, q: float, rng, *_):
+    params = _draw_qbeta(rng, kind)
+    return {**params, "q": q}, *qbeta_family(kind, params, q)
 
 
-def _qbeta_psi_representation(kind: QBetaKind, rng, tol, *_):
-    return qbeta_psi_consistency(kind, _QBETA_DRAWERS[kind](rng), 0.5, tol)
+def _qbeta_psi_representation(kind: QBetaKind, rng, *_):
+    params = _draw_qbeta(rng, kind)
+    return {**params, "q": 0.5}, *qbeta_psi_consistency(kind, params, 0.5)
 
 
-def _qbeta_gamma_form(kind: QBetaKind, rng, tol, *_):
-    names = "abcd" if kind is QBetaKind.I_FULL else "abc"
+def _qbeta_gamma_form(kind: QBetaKind, rng, *_):
     params = {"alpha": _udraw(rng, 0.1, 0.4),
-              **{k: _udraw(rng, 0.1, 0.4) for k in names}}
-    return qbeta_gamma_form(kind, params, 0.5, tol)
+              **{k: _udraw(rng, 0.1, 0.4) for k in _QBETA_YS[kind]}}
+    return {**params, "q": 0.5}, *qbeta_gamma_form(kind, params, 0.5)
 
 
 def _qbeta_entries(kind: QBetaKind) -> Tuple[Identity, ...]:
@@ -688,16 +685,20 @@ class SuiteReport:
     passed: int
     failed: int
     max_rel_gap: float
+    max_abs_gap: float
     tool_version: str
     config: SuiteConfig
 
     @classmethod
     def build(cls, records: Sequence[VerificationRecord],
               config: SuiteConfig) -> "SuiteReport":
+        """``max_rel_gap`` is taken over records with a nonzero target and
+        ``max_abs_gap`` over the rest, whose ``rel_gap`` is 1 by construction."""
         failed = sum(1 for r in records if not r.passed)
-        max_rel = max((r.rel_gap for r in records), default=0.0)
+        max_rel = max((r.rel_gap for r in records if r.rhs != 0), default=0.0)
+        max_abs = max((r.abs_gap for r in records if r.rhs == 0), default=0.0)
         return cls(list(records), len(records), len(records) - failed, failed,
-                   max_rel, _tool_version, config)
+                   max_rel, max_abs, _tool_version, config)
 
 
 def suite_jobs(suite: str, draws: int) -> List[Tuple[int, Identity]]:
@@ -708,21 +709,21 @@ def suite_jobs(suite: str, draws: int) -> List[Tuple[int, Identity]]:
 
 def _worker_count() -> int:
     env = os.environ.get("RB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    n = int(env) if env.strip().isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"RB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _run_job(seed: int, job: Tuple[int, Identity]) -> VerificationRecord:
     draw, entry = job
     t0 = time.perf_counter()
     try:
-        out = entry.check(_rng_for(seed, entry.tag, draw), entry.tol, draw)
-        rec = (out if isinstance(out, VerificationRecord)
-               else VerificationRecord.compare(entry.id, *out, entry.tol))
+        rec = VerificationRecord.compare(
+            entry.id, *entry.check(_rng_for(seed, entry.tag, draw), draw),
+            entry.tol)
     except Exception as exc:
         # one bad draw fails its record, not the suite
         rec = VerificationRecord(entry.id, {"error": str(exc),
@@ -790,6 +791,7 @@ def report_to_dict(report: SuiteReport) -> Dict:
             "passed": report.passed,
             "failed": report.failed,
             "max_rel_gap": report.max_rel_gap,
+            "max_abs_gap": report.max_abs_gap,
         },
         "records": [record_to_dict(r) for r in report.records],
     }

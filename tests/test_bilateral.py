@@ -133,6 +133,23 @@ def test_one_h1_at_plus_one_is_zero():
     assert abs(sv.value) < 1e-9
 
 
+@pytest.mark.parametrize("kind,t", [
+    (HKind.ONE_H1_PLUS_EXP, 0.0),
+    (HKind.ONE_H1_PLUS_EXP, 2 * math.pi),
+    (HKind.ONE_H1_MINUS_EXP, math.pi),
+])
+def test_exp_closed_forms_at_z_one(kind, t):
+    # the interval ends put the argument at z = 1, where the series needs
+    # Re(b - a) > 1 and then sums to 0
+    with pytest.raises(ConstraintViolation):
+        closed_form_H(kind, dict(a=0.1, b=0.6, t=t))
+    with pytest.raises(DivergentError):
+        eval_H(series_spec_for(kind, dict(a=0.1, b=0.6, t=t)))
+    params = dict(a=0.1, b=1.8, t=t)
+    assert closed_form_H(kind, params) == 0
+    assert abs(eval_H(series_spec_for(kind, params)).value) < 1e-9
+
+
 def test_gauss_reduces_to_classical_gauss():
     # a fourth parameter equal to 1 reduces to the one-sided Gauss value
     a, b, c = 0.2, -0.3, 1.7

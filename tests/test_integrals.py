@@ -5,17 +5,19 @@ import math
 
 import pytest
 
+from conftest import compare
 from rbeta.bilateral import HKind, closed_form_H, eval_H
+from rbeta.core import Tolerance
 from rbeta.errors import ConstraintViolation, MarginViolation
 from rbeta.gammafns import gamma
 from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              barnes_quadrature, beta_integral_closed,
-                             cauchy_integral_check,
+                             cauchy_cosine_integral,
                              double_integral_open_question,
                              fourier_single_factor, grid_sum_direct,
                              integral_repr_H, integrand_spec_for, integrate,
                              m6_reduced_5h5, poisson_sum_rhs, poisson_terms,
-                             support_check, weight_gm)
+                             weight_gm)
 
 TWO12_OVER_G22 = 2.085125718094681715563  # (2 cos 0)^1.2 / Gamma(2.2), minted
 
@@ -62,22 +64,26 @@ def test_ramanujan_all_zero_parameters():
     assert abs(res.value - 1.0) < 1e-9
 
 
+CAUCHY_TOL = Tolerance(rel=1e-9, abs=1e-12)
+REPR_TOL = Tolerance(rel=1e-8, abs=1e-10)
+
+
 def test_cauchy_trivial_and_quadratic():
-    rec = cauchy_integral_check(0.0, 0.0)
-    assert abs(rec.lhs - math.pi) < 1e-12
-    rec = cauchy_integral_check(2.0, 0.0)
-    assert abs(rec.lhs - math.pi / 2) < 1e-10
-    assert rec.passed
+    lhs, _ = cauchy_cosine_integral(0.0, 0.0)
+    assert abs(lhs - math.pi) < 1e-12
+    pair = cauchy_cosine_integral(2.0, 0.0)
+    assert abs(pair[0] - math.pi / 2) < 1e-10
+    assert compare(pair, CAUCHY_TOL).passed
 
 
 def test_cauchy_complex_delta():
-    rec = cauchy_integral_check(1.3, 0.4 + 0.1j)
+    rec = compare(cauchy_cosine_integral(1.3, 0.4 + 0.1j), CAUCHY_TOL)
     assert rec.passed and rec.rel_gap < 1e-9
 
 
 def test_cauchy_margin():
     with pytest.raises(MarginViolation):
-        cauchy_integral_check(-0.95, 0.0)
+        cauchy_cosine_integral(-0.95, 0.0)
 
 
 def test_poisson_sum_equals_integral(rng):
@@ -138,29 +144,29 @@ def test_poisson_preconditions():
         poisson_sum_rhs(IntegrandSpec([0.3], [0.4], 9.0), 2)  # |t| > p pi
 
 
-def test_support_check_records():
-    spec = IntegrandSpec([0.5], [0.6], 0.0)
-    recs = support_check(spec, [math.pi + 0.2, 4.0, 7.0])
-    assert all(r.passed for r in recs)
-    spec3 = IntegrandSpec([0.4, 0.5, 0.6], [0.3, 0.4, 0.5], 0.0)
-    recs = support_check(spec3, [3 * math.pi + 0.5])
-    assert all(r.passed for r in recs)
+def test_transform_vanishes_beyond_support():
+    # |t| > m pi: the transform of m factor pairs is zero
+    tol = Tolerance(abs=1e-8)
+    for a, b, ts in (([0.5], [0.6], (math.pi + 0.2, 4.0, 7.0)),
+                     ([0.4, 0.5, 0.6], [0.3, 0.4, 0.5], (3 * math.pi + 0.5,))):
+        for t in ts:
+            assert abs(integrate(IntegrandSpec(a, b, t), tol).value) <= tol.abs
 
 
 def test_integral_repr_m1_reduces_to_1h1():
     # unit weight: the plain transform against the single-pair series at -1
-    rec = integral_repr_H([0.6], [0.6], 0.0)
-    assert rec.passed
+    pair = integral_repr_H([0.6], [0.6], 0.0)
+    assert compare(pair, REPR_TOL).passed
     want = closed_form_H(HKind.ONE_H1_MINUS1, {"a": -0.6, "b": 1.6})
     c0 = 1.0 / (gamma(1.6) * gamma(1.6))
-    assert abs(rec.rhs - c0 * want) < 1e-12 * abs(want)
+    assert abs(pair[1] - c0 * want) < 1e-12 * abs(want)
 
 
 def test_integral_repr_t_pi_and_reduced_weight():
-    rec = integral_repr_H([0.3, 0.45], [0.2, 0.55], math.pi)
-    assert rec.passed
-    rec = integral_repr_H([0.3, 0.45], [0.2, 0.55], 0.0, weight_order=1)
-    assert rec.passed
+    pair = integral_repr_H([0.3, 0.45], [0.2, 0.55], math.pi)
+    assert compare(pair, REPR_TOL).passed
+    pair = integral_repr_H([0.3, 0.45], [0.2, 0.55], 0.0, weight_order=1)
+    assert compare(pair, REPR_TOL).passed
 
 
 def test_odd_part_cancellation(rng):

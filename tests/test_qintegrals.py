@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import compare
+from rbeta.core import Tolerance
 from rbeta.errors import AnnulusViolation, DomainError, StripViolation
 from rbeta.gammafns import gamma, gaussian_q_integral
 from rbeta.integrals import BetaKind, IntegrandSpec, beta_integral_closed, integrate
@@ -17,6 +19,8 @@ from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, abel_poisson_psi,
                               q_integrate, qbeta_family, qbeta_gamma_form,
                               qbeta_psi_consistency)
 from rbeta.qseries import QKind, closed_form_q
+
+QBETA_TOL = Tolerance(rel=1e-6, abs=1e-12)
 
 
 def test_q_fourier_plain(rng):
@@ -105,7 +109,7 @@ def test_abel_kernel_m1_limit_is_1psi1():
 ])
 def test_qbeta_quadrature(kind, params):
     for q in (0.4, 0.7):
-        rec = qbeta_family(kind, params, q)
+        rec = compare(qbeta_family(kind, params, q), QBETA_TOL)
         assert rec.passed, f"{kind} q={q}: rel={rec.rel_gap:.2e}"
         assert rec.rel_gap <= 1e-7
 
@@ -125,7 +129,8 @@ def test_qbeta_full_constraint():
     (QBetaKind.I_2PSI6, dict(alpha=0.9)),
 ])
 def test_qbeta_psi_representations(kind, params):
-    rec = qbeta_psi_consistency(kind, params, 0.5)
+    rec = compare(qbeta_psi_consistency(kind, params, 0.5),
+                  Tolerance(rel=1e-9, abs=1e-12))
     assert rec.passed and rec.rel_gap <= 1e-10
 
 
@@ -148,11 +153,13 @@ def test_qbeta_psi_rep_uses_bailey_form():
 
 
 def test_qbeta_gamma_forms():
-    rec = qbeta_gamma_form(QBetaKind.I_D0,
-                           dict(alpha=0.2, a=0.15, b=0.25, c=0.35), 0.5)
+    rec = compare(qbeta_gamma_form(QBetaKind.I_D0,
+                                   dict(alpha=0.2, a=0.15, b=0.25, c=0.35), 0.5),
+                  QBETA_TOL)
     assert rec.passed and rec.rel_gap < 1e-9
-    rec = qbeta_gamma_form(QBetaKind.I_FULL,
-                           dict(alpha=0.2, a=0.15, b=0.25, c=0.35, d=0.2), 0.5)
+    rec = compare(qbeta_gamma_form(QBetaKind.I_FULL,
+                                   dict(alpha=0.2, a=0.15, b=0.25, c=0.35, d=0.2),
+                                   0.5), QBETA_TOL)
     assert rec.passed and rec.rel_gap < 1e-9
 
 

@@ -1,8 +1,13 @@
-"""Identity registry: suite composition and per-record failure isolation."""
+"""Identity registry: suite composition, per-record failure isolation, the
+summary gaps and the worker count."""
+
+import pytest
 
 from rbeta import verify
 from rbeta.core import Tolerance
-from rbeta.verify import Identity, SuiteConfig, run_suite, suite_jobs
+from rbeta.cli import main
+from rbeta.verify import (Identity, SuiteConfig, record_to_dict, run_suite,
+                          suite_jobs)
 
 
 def _ids(*names):
@@ -84,3 +89,36 @@ def test_bad_draw_fails_only_its_record(monkeypatch):
         ref = normal[rec.identity_id]
         assert rec.passed
         assert (rec.inputs, rec.lhs, rec.rhs) == (ref.inputs, ref.lhs, ref.rhs)
+
+
+@pytest.mark.parametrize("suite", ["classical-core", "limits"])
+def test_summary_gaps_split_on_zero_targets(monkeypatch, suite):
+    # zero-target records have rel_gap 1 by construction; they are
+    # summarized by max_abs_gap instead
+    monkeypatch.setenv("RB_THREADS", "1")
+    report = run_suite(SuiteConfig(suite=suite, seed=0, draws_per_identity=1))
+    assert report.failed == 0
+    assert report.max_rel_gap < 1
+    zero = [r.abs_gap for r in report.records if r.rhs == 0]
+    assert zero and report.max_abs_gap == max(zero)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_malformed_thread_count_rejected(monkeypatch, capsys, value):
+    monkeypatch.setenv("RB_THREADS", value)
+    with pytest.raises(ValueError, match="RB_THREADS"):
+        run_suite(SuiteConfig(suite="limits", seed=0, draws_per_identity=1))
+    assert main(["verify", "--suite", "limits", "--draws", "1", "--quiet"]) == 2
+    assert "RB_THREADS" in capsys.readouterr().err
+
+
+def test_records_independent_of_thread_count(monkeypatch):
+    cfg = SuiteConfig(suite="limits", seed=0, draws_per_identity=1)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RB_THREADS", threads)
+        records = [record_to_dict(r) for r in run_suite(cfg).records]
+        for rec in records:
+            rec.pop("runtime_ms")
+        runs.append(records)
+    assert runs[0] == runs[1]
