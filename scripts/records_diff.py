@@ -1,0 +1,116 @@
+"""Compare this checkout's verification records with those of a git ref.
+
+    python3 scripts/records_diff.py REF
+
+Extracts REF's ``src`` with ``git archive`` into a temporary directory and
+runs every suite at seeds 0-3, draws 2, ``RB_THREADS=1`` on both trees
+(``rbeta verify --quiet``), with ``runtime_ms`` zeroed.  For each suite it
+prints the records whose inputs, lhs, rhs or verdict differ and the largest
+relative lhs and rhs change.  The exit code is 1 on any verdict change or
+any change in record ids or their order, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(4)
+DRAWS = 2
+
+
+def _suites():
+    sys.path.insert(0, str(ROOT / "src"))
+    from rbeta.verify import SUITE_NAMES
+    return SUITE_NAMES
+
+
+def _records(src: Path, suite: str, seed: int):
+    env = {**os.environ, "PYTHONPATH": str(src), "RB_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-m", "rbeta.cli", "verify", "--suite", suite,
+         "--seed", str(seed), "--draws", str(DRAWS), "--quiet"],
+        env=env, capture_output=True, text=True)
+    # exit 1 only says that some record failed
+    if out.returncode not in (0, 1):
+        raise SystemExit(f"{src}: verify --suite {suite} --seed {seed} "
+                         f"exited {out.returncode}\n{out.stderr}")
+    records = json.loads(out.stdout)["records"]
+    for rec in records:
+        rec["runtime_ms"] = 0.0
+    return records
+
+
+def _rel_change(old, new) -> float:
+    a = complex(old["re"], old["im"])
+    b = complex(new["re"], new["im"])
+    if a == b:
+        return 0.0
+    d = abs(b - a)
+    if not math.isfinite(d):
+        return math.inf
+    return d / abs(a) if a != 0 else d
+
+
+def _diff_suite(suite: str, old_runs, new_runs) -> bool:
+    """Print one suite's differences; True when ids, order or a verdict
+    changed."""
+    changed = []
+    broken = []
+    lhs_max = rhs_max = 0.0
+    total = 0
+    for seed, old, new in zip(SEEDS, old_runs, new_runs):
+        if [r["identity_id"] for r in old] != [r["identity_id"] for r in new]:
+            broken.append(f"seed {seed}: record ids or order differ")
+            continue
+        total += len(new)
+        for i, (ro, rn) in enumerate(zip(old, new)):
+            if all(ro[k] == rn[k] for k in ("inputs", "lhs", "rhs", "pass")):
+                continue
+            where = f"{rn['identity_id']} (seed {seed}, record {i})"
+            changed.append(where)
+            if ro["pass"] != rn["pass"]:
+                broken.append(f"verdict {ro['pass']} -> {rn['pass']}: {where}")
+            lhs_max = max(lhs_max, _rel_change(ro["lhs"], rn["lhs"]))
+            rhs_max = max(rhs_max, _rel_change(ro["rhs"], rn["rhs"]))
+    print(f"{suite}: {total} records, {len(changed)} differ, "
+          f"max rel lhs change {lhs_max:.3g}, max rel rhs change {rhs_max:.3g}")
+    for where in changed:
+        print(f"  differs: {where}")
+    for what in broken:
+        print(f"  CHANGED {what}")
+    return bool(broken)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    ref = argv[0]
+    suites = _suites()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = (Path(tmp) / "src", ROOT / "src")
+        jobs = [(tree, suite, seed) for tree in trees for suite in suites
+                for seed in SEEDS]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(lambda job: _records(*job), jobs))
+    per_tree = len(suites) * len(SEEDS)
+    bad = False
+    for k, suite in enumerate(suites):
+        span = slice(k * len(SEEDS), (k + 1) * len(SEEDS))
+        bad |= _diff_suite(suite, runs[:per_tree][span], runs[per_tree:][span])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -157,30 +157,52 @@ def _check_well_defined(spec: BilateralSeriesSpec, right: Optional[int],
                                     f"without protective left termination")
 
 
+def _side_kind(n_num: int, n_den: int, w: complex,
+                sigma: complex) -> ConvergenceKind:
+    """Class of one infinite side sum_{n>=0} prod(num)_n/prod(den)_n w^n;
+    with as many numerators as denominators its terms go like n^sigma w^n."""
+    if n_num != n_den:
+        return (ConvergenceKind.ABSOLUTELY_CONVERGENT if n_num < n_den
+                else ConvergenceKind.DIVERGENT)
+    if abs(abs(w) - 1.0) > 1e-13:
+        return (ConvergenceKind.ABSOLUTELY_CONVERGENT if abs(w) < 1.0
+                else ConvergenceKind.NOT_ON_DOMAIN)
+    if sigma.real < -1.0:
+        return ConvergenceKind.ABSOLUTELY_CONVERGENT
+    if sigma.real < 0.0:
+        if abs(w - 1.0) <= 1e-13:
+            return ConvergenceKind.NOT_ON_DOMAIN
+        return ConvergenceKind.CONDITIONALLY_CONVERGENT
+    return ConvergenceKind.DIVERGENT
+
+
 def classify(spec: BilateralSeriesSpec) -> ConvergenceClass:
-    """Termination indices and convergence class of the series."""
+    """Termination indices and convergence class of the series.
+
+    Every side that does not terminate must converge: the right side with
+    argument z, and the left side, which reads
+    sum_k prod(1-d)_k/prod(1-c)_k (eps/z)^k with eps = (-1)^(p-q)."""
     right, left = _termination_cuts(spec)
     _check_well_defined(spec, right, left)
     sigma = spec.sigma
     z = spec.z
-    if right is not None and left is not None:
-        return ConvergenceClass(ConvergenceKind.TERMINATES_BOTH, sigma, right, left)
-    if right is not None:
-        return ConvergenceClass(ConvergenceKind.TERMINATES_RIGHT, sigma, right, None)
-    if left is not None:
-        return ConvergenceClass(ConvergenceKind.TERMINATES_LEFT, sigma, None, left)
-    if spec.p != spec.q:
-        return ConvergenceClass(ConvergenceKind.DIVERGENT, sigma)
-    if abs(abs(z) - 1.0) > 1e-13:
-        # non-terminating equal-length series live on the unit circle only
-        return ConvergenceClass(ConvergenceKind.NOT_ON_DOMAIN, sigma)
-    if sigma.real < -1.0:
-        return ConvergenceClass(ConvergenceKind.ABSOLUTELY_CONVERGENT, sigma)
-    if sigma.real < 0.0:
-        if abs(z - 1.0) <= 1e-13:
-            return ConvergenceClass(ConvergenceKind.NOT_ON_DOMAIN, sigma)
-        return ConvergenceClass(ConvergenceKind.CONDITIONALLY_CONVERGENT, sigma)
-    return ConvergenceClass(ConvergenceKind.DIVERGENT, sigma)
+    sides = []
+    if right is None:
+        sides.append(_side_kind(spec.p, spec.q, z, sigma))
+    if left is None:
+        w = (-1.0) ** (spec.p - spec.q) / z if z != 0 else math.inf
+        sides.append(_side_kind(spec.q, spec.p, w, sigma))
+    kind = next((k for k in (ConvergenceKind.DIVERGENT,
+                             ConvergenceKind.NOT_ON_DOMAIN,
+                             ConvergenceKind.CONDITIONALLY_CONVERGENT)
+                 if k in sides), ConvergenceKind.ABSOLUTELY_CONVERGENT)
+    divergent = kind in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN)
+    if not divergent and right is not None:
+        kind = (ConvergenceKind.TERMINATES_BOTH if left is not None
+                else ConvergenceKind.TERMINATES_RIGHT)
+    elif not divergent and left is not None:
+        kind = ConvergenceKind.TERMINATES_LEFT
+    return ConvergenceClass(kind, sigma, right, left)
 
 
 def _up_ratio(spec: BilateralSeriesSpec):
@@ -360,8 +382,6 @@ def cancel_matching_parameters(spec: BilateralSeriesSpec) -> BilateralSeriesSpec
 class HKind(enum.Enum):
     ONE_H1_MINUS_EXP = "OneH1_minus_exp"
     ONE_H1_PLUS_EXP = "OneH1_plus_exp"
-    ONE_H1_MINUS1 = "OneH1_minus1"
-    ONE_H1_PLUS1 = "OneH1_plus1"
     GAUSS_2H2 = "Gauss2H2"
     TWO_H2_MINUS1 = "TwoH2_minus1_constrained"
     WELL_POISED_3H3 = "WellPoised3H3"
@@ -389,67 +409,57 @@ def _gamma_ratio(num: Sequence[complex], den: Sequence[complex]) -> complex:
     return out
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConstraintViolation(msg)
-
-
-def _one_h1_at_one(a: complex, b: complex) -> complex:
-    """The single-pair series at z = 1: it converges only for Re(b - a) > 1,
-    and then sums to 0."""
-    _require((b - a).real > 1, "needs Re(b - a) > 1")
-    return 0j
-
-
 def closed_form_H(kind: HKind, params: Dict[str, complex]) -> complex:
     """Gamma-ratio value of a summable bilateral series, exactly as the
-    summation theorems print it.  Raises ConstraintViolation when the
-    convergence condition fails and PoleError on gamma poles."""
+    summation theorems print it.  Each value holds where its series
+    converges, so the series' own classification decides: a series that is
+    not summable raises ConstraintViolation, as do the exp kinds' t
+    intervals and TWO_H2_MINUS1's a1 - b1 = a2 - b2.  Gamma poles raise
+    PoleError."""
     kind = HKind(kind)
     p = {k: complex(v) for k, v in params.items()}
+    spec = series_spec_for(kind, p)
+    cls = classify(spec)
+    if not cls.is_summable:
+        raise ConstraintViolation(
+            f"{kind.value} needs a summable series (Re sigma < 0 on |z| = 1, "
+            f"< -1 at z = 1), got {cls.kind.value} with sigma = "
+            f"{cls.sigma:.6g} at z = {spec.z:.6g}")
 
     if kind is HKind.ONE_H1_MINUS_EXP:
         a, b, t = p["a"], p["b"], p["t"].real
-        _require(-math.pi <= t <= math.pi, "t must lie in [-pi, pi]")
+        if not -math.pi <= t <= math.pi:
+            raise ConstraintViolation("t must lie in [-pi, pi]")
         if abs(t) == math.pi:
-            return _one_h1_at_one(a, b)
-        _require((b - a).real > 0, "needs Re(b - a) > 0")
+            # z = 1: the series sums to 0
+            return 0j
         return (_gamma_ratio([1 - a, b], [b - a])
                 * cmath.exp(0.5j * t * (a + b - 1))
                 * (2 * math.cos(t / 2)) ** (b - a - 1))
     if kind is HKind.ONE_H1_PLUS_EXP:
         a, b, t = p["a"], p["b"], p["t"].real
-        _require(0 <= t <= 2 * math.pi, "t must lie in [0, 2pi]")
+        if not 0 <= t <= 2 * math.pi:
+            raise ConstraintViolation("t must lie in [0, 2pi]")
         if t in (0.0, 2 * math.pi):
-            return _one_h1_at_one(a, b)
-        _require((b - a).real > 0, "needs Re(b - a) > 0")
+            # z = 1: the series sums to 0
+            return 0j
         return (_gamma_ratio([1 - a, b], [b - a])
                 * cmath.exp(0.5j * (math.pi - t) * (a + b - 1))
                 * (2 * math.sin(t / 2)) ** (b - a - 1))
-    if kind is HKind.ONE_H1_MINUS1:
-        a, b = p["a"], p["b"]
-        _require((b - a).real > 0, "needs Re(b - a) > 0")
-        return 2 ** (b - a - 1) * _gamma_ratio([1 - a, b], [b - a])
-    if kind is HKind.ONE_H1_PLUS1:
-        return _one_h1_at_one(p["a"], p["b"])
     if kind is HKind.GAUSS_2H2:
         a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        _require((c + d - a - b - 1).real > 0, "needs Re(c+d-a-b-1) > 0")
         return _gamma_ratio([c, d, 1 - a, 1 - b, c + d - a - b - 1],
                             [c - a, d - a, c - b, d - b])
     if kind is HKind.TWO_H2_MINUS1:
         b1, b2, a1, a2 = p["b1"], p["b2"], p["a1"], p["a2"]
-        _require(abs((a1 - b1) - (a2 - b2)) <= 1e-12,
-                 "needs a1 - b1 = a2 - b2")
-        _require((a1 + a2 + b1 + b2 + 2).real > 0, "needs Re sum > -2")
+        if abs((a1 - b1) - (a2 - b2)) > 1e-12:
+            raise ConstraintViolation("needs a1 - b1 = a2 - b2")
         return (cmath.cos(0.5 * math.pi * (b1 - a1))
                 * _gamma_ratio([a1 + 1, b1 + 1, a2 + 1, b2 + 1],
                                [0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
                                 a1 + b2 + 1]))
     if kind is HKind.WELL_POISED_3H3:
         a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        _require((1 + 1.5 * a - b - c - d).real > 0,
-                 "needs Re(1 + 3a/2 - b - c - d) > 0")
         return _gamma_ratio(
             [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d,
              1 + a / 2, 1 - a / 2, 1 + 1.5 * a - b - c - d],
@@ -457,16 +467,11 @@ def closed_form_H(kind: HKind, params: Dict[str, complex]) -> complex:
              1 + a / 2 - b, 1 + a / 2 - c, 1 + a / 2 - d, 1 + a, 1 - a])
     if kind is HKind.VWP_4H4_MINUS1:
         a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        # sigma_H = 2(b+c+d) - 3a - 2 must have Re < 0 for convergence at -1
-        _require((1 + 1.5 * a - b - c - d).real > 0,
-                 "series must converge at z = -1")
         return _gamma_ratio(
             [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d],
             [1 - a, 1 + a, 1 + a - b - c, 1 + a - b - d, 1 + a - c - d])
     if kind is HKind.VWP_5H5:
         a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-        _require((1 + 2 * a - b - c - d - e).real > 0,
-                 "needs Re(1 + 2a - b - c - d - e) > 0")
         return _gamma_ratio(
             [1 - b, 1 - c, 1 - d, 1 - e, 1 + a - b, 1 + a - c, 1 + a - d,
              1 + a - e, 1 + 2 * a - b - c - d - e],
@@ -483,10 +488,6 @@ def series_spec_for(kind: HKind, params: Dict[str, complex]) -> BilateralSeriesS
         t = p["t"].real
         z = -cmath.exp(-1j * t) if kind is HKind.ONE_H1_MINUS_EXP else cmath.exp(1j * t)
         return BilateralSeriesSpec([p["a"]], [p["b"]], z)
-    if kind is HKind.ONE_H1_MINUS1:
-        return BilateralSeriesSpec([p["a"]], [p["b"]], -1.0)
-    if kind is HKind.ONE_H1_PLUS1:
-        return BilateralSeriesSpec([p["a"]], [p["b"]], 1.0)
     if kind is HKind.GAUSS_2H2:
         return BilateralSeriesSpec([p["a"], p["b"]], [p["c"], p["d"]], 1.0)
     if kind is HKind.TWO_H2_MINUS1:

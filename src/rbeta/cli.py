@@ -1,8 +1,9 @@
 """Command-line front end: evaluate series and integrals, run verification
 suites, emit JSON/CSV reports.
 
-Exit codes: 0 success / all records pass; 1 failed records; 2 argument or
-parse errors; 3 divergence or constraint violations; 4 report I/O failure.
+Exit codes: 0 success / all records pass; 1 failed records; 2 argument,
+parse or domain errors and ill-formed specs; 3 every other library error
+(divergence, constraint, annulus, pole, ...); 4 report I/O failure.
 """
 
 from __future__ import annotations
@@ -12,10 +13,7 @@ import sys
 from typing import List, Optional
 
 from .core import Tolerance, format_complex, parse_complex, parse_complex_list
-from .errors import (ConstraintViolation, DivergentError, DomainError,
-                     IllFormedSpec, MarginViolation, NotReducible,
-                     OutsideAnnulus, PoleError, StripViolation,
-                     ToleranceNotReached)
+from .errors import ConstraintViolation, DomainError, IllFormedSpec, RBetaError
 from .bilateral import (BilateralSeriesSpec, HKind, classify, closed_form_H,
                         eval_H)
 from .qseries import QSeriesSpec, eval_psi
@@ -25,9 +23,6 @@ from .verify import (SuiteConfig, run_suite, report_to_json,
                      write_report)
 
 _USAGE_ERRORS = (ValueError, IllFormedSpec, DomainError)
-_MATH_ERRORS = (DivergentError, ConstraintViolation, PoleError,
-                OutsideAnnulus, MarginViolation, StripViolation,
-                NotReducible, ToleranceNotReached)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,9 +93,9 @@ def _matching_closed_form(spec: BilateralSeriesSpec) -> complex:
     if spec.p == 1 and spec.q == 1:
         a, b = spec.c[0], spec.d[0]
         if spec.z == -1:
-            return closed_form_H(HKind.ONE_H1_MINUS1, {"a": a, "b": b})
+            return closed_form_H(HKind.ONE_H1_MINUS_EXP, {"a": a, "b": b, "t": 0})
         if spec.z == 1:
-            return closed_form_H(HKind.ONE_H1_PLUS1, {"a": a, "b": b})
+            return closed_form_H(HKind.ONE_H1_PLUS_EXP, {"a": a, "b": b, "t": 0})
     if spec.p == 2 and spec.q == 2 and spec.z == 1:
         return closed_form_H(HKind.GAUSS_2H2,
                              {"a": spec.c[0], "b": spec.c[1],
@@ -120,7 +115,7 @@ def _cmd_eval_psi(args) -> int:
     return 0
 
 
-def _parse_weight(text: str, m: int):
+def _parse_weight(text: str):
     text = text.strip().lower()
     if text in ("", "none", "1"):
         return ()
@@ -147,7 +142,7 @@ def _cmd_integrate(args) -> int:
     else:
         if t.imag != 0:
             raise ValueError("classical integrands need real t")
-        spec = IntegrandSpec(a, b, t.real, _parse_weight(args.weight, m))
+        spec = IntegrandSpec(a, b, t.real, _parse_weight(args.weight))
         res = integrate(spec, tol)
     print(f"value: {format_complex(res.value)}")
     print(f"est_error: {res.est_error:.3e}")
@@ -199,12 +194,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_integrate(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except _MATH_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RBetaError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

@@ -233,6 +233,6 @@ def gaussian_q_integral(q: float, w: complex) -> complex:
     w = complex(w)
     if w == 0:
         raise DomainError("w must be nonzero")
-    u = math.log(1.0 / q)
+    u = -math.log(q)
     return (cmath.sqrt(2.0 * math.pi * w) * cmath.exp(cmath.log(w) ** 2 / (2.0 * u))
             / (q ** 0.125 * math.sqrt(u)))

@@ -380,87 +380,65 @@ def _pairs(vals: Sequence[complex]) -> List[complex]:
     return [vi + vj for vi, vj in itertools.combinations(vals, 2)]
 
 
-def _margin_check(value: complex, what: str, slack: float = 0.1) -> None:
-    if value.real <= slack - 1e-12:
-        raise ConstraintViolation(f"needs Re({what}) > {slack}, got {value.real:.4g}")
-
-
 def beta_integral_closed(kind: BetaKind, params: Dict[str, complex],
                          tol: Tolerance = DEFAULT_TOL) -> complex:
     """The printed closed-form value of each beta integral (gamma ratios, or
-    a bilateral-series value where no gamma form exists).  No quadrature."""
+    a bilateral-series value where no gamma form exists).  No quadrature.
+
+    Each value holds where its integral converges, so a nonpositive
+    integrability margin of the matching integrand raises
+    ConstraintViolation, as does RAMANUJAN_M2_COS's a1 - b1 = a2 - b2."""
     kind = BetaKind(kind)
     p = {k: complex(v) for k, v in params.items()}
+    spec = integrand_spec_for(kind, p)
+    if spec.margin() <= 0:
+        raise ConstraintViolation(
+            f"{kind.value} needs a positive integrability margin "
+            f"Re(sum(a) + sum(b)) + m - 1, got {spec.margin():.4g}")
 
     if kind is BetaKind.RAMANUJAN_M2:
         a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
-        _margin_check(a1 + a2 + b1 + b2 + 1, "sum(a)+sum(b)+1")
         return (gamma(a1 + b1 + a2 + b2 + 1)
                 / _gamma_prod([a1 + b1 + 1, a1 + b2 + 1, a2 + b1 + 1, a2 + b2 + 1]))
     if kind is BetaKind.RAMANUJAN_M2_COS:
         a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
         if abs((a1 - b1) - (a2 - b2)) > 1e-12:
             raise ConstraintViolation("needs a1 - b1 = a2 - b2")
-        _margin_check(a1 + a2 + b1 + b2 + 1, "sum(a)+sum(b)+1")
         return (cmath.cos(0.5 * math.pi * (b1 - a1))
                 / _gamma_prod([0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
                                a1 + b2 + 1]))
     if kind is BetaKind.M3_COS:
         a = p["a"]
         bs = [p["b1"], p["b2"], p["b3"]]
-        _margin_check(1 + 1.5 * a + sum(bs), "1 + 3a/2 + sum(b)")
         return (cmath.cos(0.5 * math.pi * a) * gamma(1 + 1.5 * a + sum(bs))
                 / _gamma_prod([1 + 0.5 * a + bj for bj in bs])
                 / _gamma_prod([1 + a + s for s in _pairs(bs)]))
-    if kind is BetaKind.M3_PLAIN:
-        cs = [p["c1"], p["c2"], p["c3"]]
-        _margin_check(1 + sum(cs), "1 + sum(c)")
+    if kind in (BetaKind.M3_PLAIN, BetaKind.M4_PLAIN):
+        n = 3 if kind is BetaKind.M3_PLAIN else 4
+        cs = [p[f"c{j}"] for j in range(1, n + 1)]
         C = 1.0 / _gamma_prod([cj + 1.25 for cj in cs]) / _gamma_prod([cj + 0.75 for cj in cs])
         hs = BilateralSeriesSpec([0.25 - cj for cj in cs],
-                                 [1.25 + cj for cj in cs], -1.0)
+                                 [1.25 + cj for cj in cs], (-1.0) ** n)
         return C * eval_H(hs, tol).value
-    if kind is BetaKind.M4_PLAIN:
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        _margin_check(sum(cs) + 1.5, "sum(c) + 3/2")
-        C = 1.0 / _gamma_prod([cj + 1.25 for cj in cs]) / _gamma_prod([cj + 0.75 for cj in cs])
-        hs = BilateralSeriesSpec([0.25 - cj for cj in cs],
-                                 [1.25 + cj for cj in cs], 1.0)
-        return C * eval_H(hs, tol).value
-    if kind is BetaKind.M4_VWP:
+    if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
         a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"]]
-        _margin_check(3 * a + 2 * sum(bs) + 1, "3a + 2 sum(b) + 1")
-        return 1.0 / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
+        n = 3 if kind is BetaKind.M4_VWP else 4
+        bs = [p[f"b{j}"] for j in range(1, n + 1)]
+        num = 1.0 if n == 3 else gamma(1 + 2 * a + sum(bs))
+        return num / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
                                  + [1 + a + s for s in _pairs(bs)])
-    if kind is BetaKind.M4_VWP_SHIFTED:
+    if kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M5_VWP_SHIFTED):
         a = p["a"]
-        cs = [p["c1"], p["c2"], p["c3"]]
-        _margin_check(sum(cs) + 0.5, "sum(c) + 1/2")
-        return 1.0 / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
+        n = 3 if kind is BetaKind.M4_VWP_SHIFTED else 4
+        cs = [p[f"c{j}"] for j in range(1, n + 1)]
+        num = 1.0 if n == 3 else gamma(1 + sum(cs))
+        return num / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
                                  + [1 + s for s in _pairs(cs)])
-    if kind is BetaKind.M5_VWP:
-        a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"], p["b4"]]
-        _margin_check(1 + 2 * a + sum(bs), "1 + 2a + sum(b)")
-        return (gamma(1 + 2 * a + sum(bs))
-                / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
-                              + [1 + a + s for s in _pairs(bs)]))
-    if kind is BetaKind.M5_VWP_SHIFTED:
-        a = p["a"]
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        _margin_check(1 + sum(cs), "1 + sum(c)")
-        return (gamma(1 + sum(cs))
-                / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
-                              + [1 + s for s in _pairs(cs)]))
     if kind is BetaKind.M5_VWP_THIRD:
         cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        _margin_check(1 + sum(cs), "1 + sum(c)")
         return (-gamma(1 + sum(cs))
                 / (8 * math.pi ** 2 * _gamma_prod([1 + s for s in _pairs(cs)])))
     if kind is BetaKind.M6_RIEMANN:
-        av = [p[f"a{j}"] for j in range(1, 7)]
-        _margin_check(sum(av) + 2.5, "sum(a) + 5/2")
-        spec = integrand_spec_for(BetaKind.M6_RIEMANN, params)
         s = poisson_terms(spec, 6, tol)
         return 2 * s[0] + 4 * s[2]
     raise ValueError(f"unknown kind {kind}")

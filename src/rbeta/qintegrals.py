@@ -175,7 +175,7 @@ def q_fourier_closed(spec: QIntegrandSpec) -> complex:
     if spec.t.imag != 0.0:
         spec.check_strip()
     q, a, b, w, t = spec.q, spec.a[0], spec.b[0], spec.w[0], spec.t
-    u = cmath.log(1.0 / q)
+    u = -cmath.log(q)
     eit = cmath.exp(-1j * t)
     val = qpoch_inf(b / a, q)
     val /= qpoch_inf(-(w / a) * eit, q) * qpoch_inf(-(b / w) / eit, q)
@@ -302,7 +302,7 @@ def _qbeta_log_f(alpha: complex, ys: Sequence[complex], q: complex):
 
 
 def _qbeta_prefactor(alpha: complex, q: complex) -> complex:
-    u = cmath.log(1.0 / q)
+    u = -cmath.log(q)
     return (cmath.sqrt(2.0 * math.pi) * alpha
             * cmath.exp(2.0 * cmath.log(alpha) ** 2 / u)
             / (complex(q) ** 0.125 * cmath.sqrt(u)))
@@ -404,7 +404,7 @@ def limit_constant(q: float, alpha: complex) -> complex:
     if not 0.0 < q < 1.0:
         raise DomainError("q must lie in (0,1)")
     alpha = complex(alpha)
-    u = math.log(1.0 / q)
+    u = -math.log(q)
     lg = (0.5 * math.log(2.0 * math.pi) + (alpha - 0.125) * math.log(q)
           + 2.0 * cmath.log(-1j * q ** alpha) ** 2 / u
           - math.log(1.0 - q) - 0.5 * math.log(u)
@@ -473,7 +473,7 @@ def h_of_q(q: float, alpha: float, beta: float, t: float) -> complex:
         raise DomainError("q must lie in (0,1)")
     if not (alpha > 1.0 and beta > 2.0):
         raise DomainError("needs alpha > 1 and beta > 2")
-    u = math.log(1.0 / q)
+    u = -math.log(q)
     lg = ((alpha + beta - 2.0) * math.log(1.0 - q)
           - 2.0 * log_qpoch_inf(q, q)
           + log_qpoch_inf(q ** (alpha + beta - 1.0), q)

@@ -110,6 +110,25 @@ class QSeriesSpec:
                 raise IllFormedSpec(f"upper parameter {aj} equals q^{k} "
                                     f"without protective termination")
 
+    def annulus_violation(self) -> Optional[str]:
+        """The failed absolute-convergence condition, or None.  The argument
+        must be nonzero; with as many lower as upper parameters a
+        non-terminating right side needs |z| < 1 and a non-terminating left
+        side prod|b|/prod|a| < |z|."""
+        if self.z == 0:
+            return "argument must be nonzero"
+        if len(self.b) != len(self.a):
+            return None
+        right_cut, left_cut = self.termination_cuts()
+        prod_b = float(np.prod(np.abs(self.b))) if self.b else 1.0
+        prod_a = float(np.prod(np.abs(self.a))) if self.a else 1.0
+        if right_cut is None and not abs(self.z) < 1.0:
+            return f"|z|={abs(self.z):.6g} not below 1"
+        if left_cut is None and prod_b > 0 and not prod_b / prod_a < abs(self.z):
+            return (f"|z|={abs(self.z):.6g} not above annulus bound "
+                    f"{prod_b / prod_a:.6g}")
+        return None
+
 
 def qpoch(a: complex, q: complex, n: int) -> complex:
     """q-shifted factorial (a;q)_n for any integer n."""
@@ -228,17 +247,9 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     d = len(spec.b) - len(spec.a)
     if d < 0:
         raise IllFormedSpec("more upper than lower parameters unsupported")
-    if z == 0:
-        raise OutsideAnnulus("argument must be nonzero")
-    prod_b = float(np.prod(np.abs(b))) if len(b) else 1.0
-    prod_a = float(np.prod(np.abs(a))) if len(a) else 1.0
-    if d == 0:
-        if right_cut is None and not abs(z) < 1.0 + 1e-13:
-            raise OutsideAnnulus(f"|z|={abs(z):.6g} not below 1")
-        if left_cut is None and prod_b > 0 \
-                and not prod_b / prod_a - 1e-13 < abs(z):
-            raise OutsideAnnulus(
-                f"|z|={abs(z):.6g} below annulus bound {prod_b / prod_a:.6g}")
+    problem = spec.annulus_violation()
+    if problem:
+        raise OutsideAnnulus(problem)
 
     tol_abs = max(tol.abs, 1e-16)
 
@@ -315,23 +326,26 @@ class QKind(enum.Enum):
 
 
 def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
-    """Product-form values of the q-summation theorems."""
+    """Product-form values of the q-summation theorems.  Each holds where
+    its bilateral series converges absolutely, so the series' own annulus
+    test decides: outside it the value raises ConstraintViolation, as does
+    Q_BINOMIAL_RATIO_LIMIT outside 0 < |z| <= 1."""
     kind = QKind(kind)
     q = _check_base(q)
     p = {k: complex(v) for k, v in params.items()}
+    if kind is not QKind.Q_BINOMIAL_RATIO_LIMIT:
+        problem = psi_spec_for(kind, p, q).annulus_violation()
+        if problem:
+            raise ConstraintViolation(f"{kind.value} series: {problem}")
     if kind is QKind.RAMANUJAN_1PSI1:
         a, b, z = p["a"], p["b"], p["z"]
         qa = q ** a
         qb = q ** b
-        if not (abs(q ** (b - a)) < abs(z) < 1.0):
-            raise ConstraintViolation("needs q^Re(b-a) < |z| < 1")
         num = [q, q ** (b - a), qa * z, q ** (1 - a) / z]
         den = [qb, q ** (1 - a), z, q ** (b - a) / z]
         return qpoch_inf_multi(num, q) / qpoch_inf_multi(den, q)
     if kind is QKind.BAILEY_6PSI6:
         a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-        if not abs(q * a * a) < abs(b * c * d * e):
-            raise ConstraintViolation("needs |q a^2| < |bcde|")
         num = [q, q * a, q / a, q * a / (b * c), q * a / (b * d),
                q * a / (b * e), q * a / (c * d), q * a / (c * e),
                q * a / (d * e)]

@@ -155,7 +155,8 @@ def _sum_1h1_exp(kind: HKind, t_lo: float, t_hi: float, rng, *_):
 def _sum_1h1_unit(rng, *_):
     a = _udraw(rng, -0.8, 0.3)
     b = a + _udraw(rng, 1.6, 3.0)
-    lhs = eval_H(series_spec_for(HKind.ONE_H1_PLUS1, {"a": a, "b": b})).value
+    lhs = eval_H(series_spec_for(HKind.ONE_H1_PLUS_EXP,
+                                 {"a": a, "b": b, "t": 0.0})).value
     return {"a": a, "b": b}, lhs, 0j
 
 

@@ -85,7 +85,7 @@ def test_criterion_03_single_pair_series_values():
             b = a + rng.uniform(1.6, 3.0)
             sv = eval_H(BilateralSeriesSpec([a], [b], 1.0))
             assert abs(sv.value) <= 1e-9, (a, b, abs(sv.value))
-            want = closed_form_H(HKind.ONE_H1_MINUS1, dict(a=a, b=b))
+            want = closed_form_H(HKind.ONE_H1_MINUS_EXP, dict(a=a, b=b, t=0.0))
             got = eval_H(BilateralSeriesSpec([a], [b], -1.0)).value
             assert abs(got - want) <= 1e-8 * abs(want), (a, b)
 

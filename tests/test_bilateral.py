@@ -55,6 +55,21 @@ def test_classify_conditional_and_z1_exclusion():
         eval_H(spec1)
 
 
+def test_classify_one_side_terminating_checks_the_other_side():
+    # c = 0 ends the right side at n = 0; the infinite left side has
+    # argument eps/z and must converge on its own
+    for c, d in (([0.0, 0.5], [0.6, 0.7]),   # left terms decay like k^-0.8
+                 ([0.0], [0.5])):             # left terms decay like k^-0.5
+        spec = BilateralSeriesSpec(c, d, 1.0)
+        assert classify(spec).kind is ConvergenceKind.NOT_ON_DOMAIN
+        with pytest.raises(DivergentError):
+            eval_H(spec)
+    # left argument 1/2: sum_k (0.7)_k/k! 2^-k = 2^0.7, the n = 0 term included
+    spec = BilateralSeriesSpec([0.0], [0.3], 2.0)
+    assert classify(spec).kind is ConvergenceKind.TERMINATES_RIGHT
+    assert abs(eval_H(spec).value - 2.0 ** 0.7) < 1e-12
+
+
 def test_ill_formed_specs():
     with pytest.raises(IllFormedSpec):
         classify(BilateralSeriesSpec([0.3], [-2.0], 1.0))
@@ -63,8 +78,9 @@ def test_ill_formed_specs():
 
 
 def test_termination_carve_out():
-    # right termination at M=3 protects d_j = -4 (pole would hit at n=5)
-    spec = BilateralSeriesSpec([-3.0, 0.2], [-4.0, 1.5], 1.0)
+    # right termination at M=3 protects d_j = -4 (pole would hit at n=5);
+    # z = 2 puts the infinite left side at argument 1/2, where it converges
+    spec = BilateralSeriesSpec([-3.0, 0.2], [-4.0, 1.5], 2.0)
     assert classify(spec).kind is ConvergenceKind.TERMINATES_RIGHT
     # ... but not d_j = -1 (pole at n=2 <= M)
     with pytest.raises(IllFormedSpec):
@@ -105,7 +121,7 @@ def test_termination_no_acceleration_matches_direct(rng):
 @pytest.mark.parametrize("kind,params", [
     (HKind.GAUSS_2H2, dict(a=0.1, b=0.2, c=1.4, d=1.6)),
     (HKind.GAUSS_2H2, dict(a=-0.3, b=0.25, c=1.1, d=1.8)),
-    (HKind.ONE_H1_MINUS1, dict(a=0.3, b=1.7)),
+    (HKind.ONE_H1_MINUS_EXP, dict(a=0.3, b=1.7, t=0.0)),
     (HKind.WELL_POISED_3H3, dict(a=0.4, b=-0.2, c=0.1, d=-0.3)),
     (HKind.VWP_4H4_MINUS1, dict(a=0.5, b=-0.3, c=-0.2, d=-0.4)),
     (HKind.VWP_5H5, dict(a=0.4, b=0.1, c=0.15, d=0.2, e=0.25)),
@@ -128,7 +144,7 @@ def test_closed_form_exp_arguments():
 
 
 def test_one_h1_at_plus_one_is_zero():
-    assert closed_form_H(HKind.ONE_H1_PLUS1, dict(a=0.3, b=1.7)) == 0
+    assert closed_form_H(HKind.ONE_H1_PLUS_EXP, dict(a=0.3, b=1.7, t=0.0)) == 0
     sv = eval_H(BilateralSeriesSpec([0.3], [2.1], 1.0))
     assert abs(sv.value) < 1e-9
 

@@ -49,7 +49,7 @@ def test_eval_h_closed_form():
                         "--closed-form"])
     assert code == 0
     from rbeta.bilateral import HKind, closed_form_H
-    want = closed_form_H(HKind.ONE_H1_MINUS1, dict(a=0.3, b=1.7))
+    want = closed_form_H(HKind.ONE_H1_MINUS_EXP, dict(a=0.3, b=1.7, t=0.0))
     val = parse_complex(out.splitlines()[0].split(": ")[1])
     assert abs(val - want) < 1e-12 * abs(want)
 
@@ -58,6 +58,14 @@ def test_eval_h_conditional_z1_exit3():
     code, _, err = run(["eval-h", "--c", "0.3", "--d", "0.9", "--z", "1"])
     assert code == 3
     assert "z = 1" in err
+
+
+def test_integrate_library_error_exit3():
+    # w = 1 lies outside the q-integrand's annulus
+    code, _, err = run(["integrate", "--a", "0.2", "--b", "0.5", "--q", "0.5",
+                        "--w", "1.0"])
+    assert code == 3
+    assert "AnnulusViolation" in err
 
 
 def test_eval_h_parse_error_exit2():

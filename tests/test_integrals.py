@@ -157,7 +157,7 @@ def test_integral_repr_m1_reduces_to_1h1():
     # unit weight: the plain transform against the single-pair series at -1
     pair = integral_repr_H([0.6], [0.6], 0.0)
     assert compare(pair, REPR_TOL).passed
-    want = closed_form_H(HKind.ONE_H1_MINUS1, {"a": -0.6, "b": 1.6})
+    want = closed_form_H(HKind.ONE_H1_MINUS_EXP, {"a": -0.6, "b": 1.6, "t": 0.0})
     c0 = 1.0 / (gamma(1.6) * gamma(1.6))
     assert abs(pair[1] - c0 * want) < 1e-12 * abs(want)
 

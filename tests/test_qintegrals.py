@@ -4,6 +4,7 @@ and the q->1 probes."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -213,3 +214,21 @@ def test_h44_value_consistency():
     m4c = beta_integral_closed(BetaKind.M4_VWP_SHIFTED,
                                dict(a=1.0 / 3.0, c1=cs[0], c2=cs[1], c3=cs[2]))
     assert abs(math.sqrt(3.0) / 4.0 * want - m4c) <= 1e-12 * abs(m4c)
+
+
+def test_limit_constant_matches_mpmath():
+    # the same formula at 40 digits; u = -log q keeps the 1/u terms exact
+    # enough as q -> 1
+    for q in (0.9, 0.99, 0.999):
+        with mp.workdps(40):
+            qm = mp.mpf(q)
+            u = -mp.log(qm)
+            log_qq = mp.log(mp.qp(qm, qm))
+            for alpha in (0.2, 0.3 + 0.1j):
+                al = mp.mpc(alpha)
+                lg = (mp.log(2 * mp.pi) / 2 + (al - mp.mpf(1) / 8) * mp.log(qm)
+                      + 2 * mp.log(-1j * mp.power(qm, al)) ** 2 / u
+                      - mp.log(1 - qm) - mp.log(u) / 2 - 3 * log_qq)
+                want = complex(-1j * mp.exp(lg))
+                got = limit_constant(q, alpha)
+                assert abs(got - want) <= 1e-11 * abs(want), (q, alpha)
