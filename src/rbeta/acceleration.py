@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = ["levin_u", "sum_one_sided", "SumResult"]
 
@@ -22,65 +23,83 @@ class SumResult:
 _LEVIN_BLOCK = 60
 
 
-def levin_u(terms: Sequence[complex]) -> Tuple[complex, float]:
+def levin_u(terms: ArrayLike) -> Union[Tuple[complex, float],
+                                      Tuple[np.ndarray, np.ndarray]]:
     """u-variant Levin transform of sum(terms), with shift parameter
-    beta = 1 (the 1.0 in each (1.0 + n) below).
+    beta = 1 (the 1.0 + n in the weights and coefficients below).
 
-    Walks the k-diagonal, keeps the first stabilized estimate and stops once
-    roundoff makes successive estimates diverge again.  Returns (value,
-    estimated error); the estimate is the stabilization gap with a small
-    safety factor.
+    ``terms`` is one sequence, giving a scalar (value, estimated error), or
+    an (S, n) array of S sequences, giving arrays of S values and errors;
+    each row is transformed exactly as it would be alone.  The table's
+    columns are built for all rows at once; each row's k-diagonal estimates
+    are then walked in turn: the first stabilized estimate is kept, and the
+    walk stops once roundoff makes successive estimates diverge again.  The
+    error estimate is the stabilization gap with a small safety factor.
     """
-    terms = [complex(t) for t in terms]
-    if not terms:
-        return 0j, 0.0
-    s = np.cumsum(terms)
-    if len(terms) < 4:
-        return complex(s[-1]), abs(terms[-1])
-    N = []
-    D = []
-    for n, t in enumerate(terms):
-        w = (1.0 + n) * t
-        if w == 0:
-            w = 1e-300
-        N.append(s[n] / w)
-        D.append(1.0 / w)
-    best = complex(s[-1])
-    best_d = abs(terms[-1])
-    prev: Optional[complex] = None
-    grow = 0
-    k = 1
+    t = np.asarray(terms, dtype=complex)
+    rows = t.reshape(1, -1) if t.ndim == 1 else t
+    S, n = rows.shape
+    if n == 0:
+        values, errs = np.zeros(S, dtype=complex), np.zeros(S)
+    elif n < 4:
+        values, errs = rows.cumsum(axis=1)[:, -1], np.abs(rows[:, -1])
+    else:
+        values, errs = _levin_rows(rows)
+    if t.ndim == 1:
+        return complex(values[0]), float(errs[0])
+    return values, errs
+
+
+def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    S, n = t.shape
+    s = np.cumsum(t, axis=1)
+    w = (1.0 + np.arange(n)) * t
+    w[w == 0] = 1e-300
+    N = s / w
+    D = 1.0 / w
     # roundoff dominates the table well before depth ~50; deeper columns
     # would also overflow the recursion coefficients
-    max_depth = min(len(N) - 1, 48)
-    while len(N) >= 2 and k <= max_depth:
-        newN = []
-        newD = []
-        for n in range(len(N) - 1):
-            if k == 1:
-                b = 1.0
-            else:
-                b = (1.0 + n) * (1.0 + n + k - 1) ** (k - 2) / (1.0 + n + k) ** (k - 1)
-            newN.append(N[n + 1] - b * N[n])
-            newD.append(D[n + 1] - b * D[n])
-        N, D = newN, newD
-        if D[0] != 0:
-            est = N[0] / D[0]
-            if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
-                break
-            if prev is not None:
-                d = abs(est - prev)
-                if d < best_d:
-                    best, best_d = est, d
-                    grow = 0
-                elif best_d > 0 and d > 100.0 * best_d:
-                    grow += 1
-                    if grow >= 3:
-                        break
-            prev = est
-        k += 1
-    err = 4.0 * best_d + 1e-15 * abs(best)
-    return best, err
+    depth = min(n - 1, 48)
+    N0 = np.empty((S, depth), dtype=complex)
+    D0 = np.empty((S, depth), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, depth + 1):
+            m = 1.0 + np.arange(n - k)
+            b = 1.0 if k == 1 else m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+            N = N[:, 1:] - b * N[:, :-1]
+            D = D[:, 1:] - b * D[:, :-1]
+            N0[:, k - 1] = N[:, 0]
+            D0[:, k - 1] = D[:, 0]
+        ests = N0 / D0
+    values = np.empty(S, dtype=complex)
+    errs = np.empty(S)
+    for i in range(S):
+        values[i], errs[i] = _walk(ests[i].tolist(), (D0[i] == 0).tolist(),
+                                   complex(s[i, -1]), abs(t[i, -1]))
+    return values, errs
+
+
+def _walk(ests, zero_d, best: complex, best_d: float) -> Tuple[complex, float]:
+    """Pick a row's estimate from its k-diagonal, starting from the plain
+    partial sum and its last term as the gap."""
+    prev: Optional[complex] = None
+    grow = 0
+    for est, skip in zip(ests, zero_d):
+        if skip:
+            continue
+        if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
+            break
+        if prev is not None:
+            d = abs(est - prev)
+            if d < best_d:
+                best, best_d = est, d
+                grow = 0
+            elif best_d > 0 and d > 100.0 * best_d:
+                grow += 1
+                if grow >= 3:
+                    break
+        prev = est
+    return best, 4.0 * best_d + 1e-15 * abs(best)
 
 
 def sum_one_sided(term_ratios: Callable[[int], complex],

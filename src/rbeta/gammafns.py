@@ -46,12 +46,67 @@ _LANCZOS_C = np.array([
     3.6899182659531622704e-6,
 ])
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+
+def _bernoulli_floats(n: int):
+    b = [Fraction(0)] * (n + 1)
+    b[0] = Fraction(1)
+    for m in range(1, n + 1):
+        s = Fraction(0)
+        for k in range(m):
+            s += Fraction(math.comb(m + 1, k)) * b[k]
+        b[m] = -s / (m + 1)
+    return [float(x) for x in b]
+
+
+_BERNOULLI = _bernoulli_floats(62)
+
+# Stirling series (DLMF 5.11.1) from |z| = 8 on: the coefficients
+# B_2k / (2k (2k-1)), k = 1..10, highest first for Horner in 1/z^2.  The
+# first omitted term is below 2e-18 at |z| = 8; with the sector factor the
+# remainder stays below 3e-15 on Re z >= 1/2.
+_STIRLING_R = 8.0
+_STIRLING_C = [_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)) for k in range(10, 0, -1)]
 
 ArrayLike = Union[complex, float, np.ndarray]
 
 
 def _lanczos_log(z: np.ndarray) -> np.ndarray:
-    """log Gamma(z) for Re z >= 0.5 (principal on that half-plane)."""
+    """log Gamma(z) for Re z >= 0.5 (principal on that half-plane): the
+    Stirling series for |z| >= 8, the 15-term Lanczos sum below."""
+    big = np.abs(z) >= _STIRLING_R
+    if big.all():
+        return _stirling_log(z)
+    if not big.any():
+        return _lanczos_sum_log(z)
+    out = np.empty(z.shape, dtype=complex)
+    out[big] = _stirling_log(z[big])
+    out[~big] = _lanczos_sum_log(z[~big])
+    return out
+
+
+def _stirling_log(z: np.ndarray) -> np.ndarray:
+    # No in-place complex products: numpy rounds those differently with the
+    # array length, and an element must come out the same alone as in an
+    # array.  log z as log|z| + i arg z: cheaper than the complex log and as
+    # accurate this far from |z| = 1.
+    r = 1.0 / z
+    r2 = r * r
+    acc = r2 * _STIRLING_C[0]
+    for c in _STIRLING_C[1:-1]:
+        acc += c
+        acc = acc * r2
+    acc += _STIRLING_C[-1]
+    acc = acc * r
+    del r, r2  # node-sized; freed before the next ones
+    logz = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z, out=logz.real), out=logz.real)
+    np.arctan2(z.imag, z.real, out=logz.imag)
+    return (z - 0.5) * logz - z + _HALF_LOG_2PI + acc
+
+
+def _lanczos_sum_log(z: np.ndarray) -> np.ndarray:
     zz = z - 1.0
     t = zz + _LANCZOS_G + 0.5
     acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
@@ -65,51 +120,53 @@ def _near_pole(z: np.ndarray) -> np.ndarray:
     return (k <= 0) & (np.abs(z - k) <= POLE_WINDOW)
 
 
+def _reflect(z: ArrayLike):
+    """(scalar, za, lg, left, s) for one gamma-family call: za is z as a
+    complex array, lg = log Gamma(w) from one kernel pass over w = 1 - z on
+    the left half-plane Re z < 1/2 (the mask ``left``) and w = z elsewhere,
+    and s = sin(pi z) on the left elements, reduced to (-1)^n sin(pi(z - n))
+    with n = round(Re z) so it keeps its relative accuracy next to a pole."""
+    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
+    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    left = za.real < 0.5
+    lg = _lanczos_log(np.where(left, 1.0 - za, za))
+    zl = za[left]
+    n = np.round(zl.real)
+    s = np.sin(np.pi * (zl - n))
+    return scalar, za, lg, left, np.where(n % 2 == 0, s, -s)
+
+
 def log_gamma(z: ArrayLike) -> ArrayLike:
     """A logarithm of Gamma(z).
 
     Exact under exp(); on Re z < 1/2 the reflection branch may differ from the
     continuous log-gamma by a multiple of 2*pi*i.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    scalar, za, out, left, s = _reflect(z)
     if scalar and _near_pole(za).any():
         raise PoleError(f"log_gamma pole at {z}")
-    out = np.empty(za.shape, dtype=complex)
-    right = za.real >= 0.5
-    out[right] = _lanczos_log(za[right])
-    zl = za[~right]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[~right] = (math.log(math.pi) - np.log(np.sin(np.pi * zl))
-                       - _lanczos_log(1.0 - zl))
+        out[left] = _LOG_PI - np.log(s) - out[left]
     return complex(out[0]) if scalar else out
 
 
 def gamma(z: ArrayLike) -> ArrayLike:
     """Gamma(z); raises PoleError on nonpositive integers (scalar input)."""
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    scalar, za, lg, left, s = _reflect(z)
     if scalar and _near_pole(za).any():
         raise PoleError(f"gamma pole at {z}")
-    out = np.empty(za.shape, dtype=complex)
-    right = za.real >= 0.5
-    out[right] = np.exp(_lanczos_log(za[right]))
-    zl = za[~right]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out[~right] = np.pi / (np.sin(np.pi * zl) * np.exp(_lanczos_log(1.0 - zl)))
+        out = np.exp(lg)
+        out[left] = np.pi / (s * out[left])
     return complex(out[0]) if scalar else out
 
 
 def recip_gamma(z: ArrayLike) -> ArrayLike:
     """1/Gamma(z), entire; returns exactly 0 at nonpositive integers."""
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(za.shape, dtype=complex)
-    right = za.real >= 0.5
+    scalar, za, lg, left, s = _reflect(z)
     with np.errstate(under="ignore"):
-        out[right] = np.exp(-_lanczos_log(za[right]))
-        zl = za[~right]
-        out[~right] = np.sin(np.pi * zl) / np.pi * np.exp(_lanczos_log(1.0 - zl))
+        out = np.exp(np.where(left, lg, -lg))
+        out[left] = s / np.pi * out[left]
     poles = _near_pole(za)
     if poles.any():
         out[poles] = 0.0
@@ -166,20 +223,6 @@ def _poch_large(c: complex, n: int) -> complex:
 
 
 # -- dilogarithm --------------------------------------------------------------
-
-def _bernoulli_floats(n: int):
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += Fraction(math.comb(m + 1, k)) * b[k]
-        b[m] = -s / (m + 1)
-    return [float(x) for x in b]
-
-
-_BERNOULLI = _bernoulli_floats(62)
-
 
 def dilog(z: complex) -> complex:
     """Principal-branch dilogarithm Li2(z), cut along (1, oo).

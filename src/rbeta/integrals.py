@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, eval_H,
@@ -135,8 +136,10 @@ def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
     return out
 
 
-# unit intervals summed and accelerated per tail signal
+# unit intervals summed and accelerated per tail signal, and the Gauss rule
+# on each sub-panel of an interval
 _TAIL_INTERVALS = 48
+_X16, _W16 = leggauss(16)
 
 
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
@@ -157,31 +160,37 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
     se = np.linspace(0.0, 1.0, sub + 1)
     mids = 0.5 * (se[:-1] + se[1:])
     halfs = 0.5 * (se[1:] - se[:-1])
-    from numpy.polynomial.legendre import leggauss
-    xg, wg = leggauss(16)
     # nodes: (_TAIL_INTERVALS, sub, 16)
     xs = (X + np.arange(_TAIL_INTERVALS)[:, None, None] + mids[None, :, None]
-          + halfs[None, :, None] * xg[None, None, :])
+          + halfs[None, :, None] * _X16[None, None, :])
     flat = xs.ravel()
     with np.errstate(over="ignore", under="ignore"):
         logR = (np.sum(_lanczos_log(flat[None, :] - pn), axis=0)
                 - np.sum(_lanczos_log(pd + 1.0 + flat[None, :]), axis=0))
         R = np.exp(logR).reshape(xs.shape)
-    value = 0j
-    err = 0.0
+    # one 48-term sequence per (weight term, harmonic) signal, built one at a
+    # time and accelerated together
+    seqs = []
+    coefs = []
     for cc, tau in tau_terms:
         if cc == 0:
             continue
         for h, gh in harmonics.items():
             wv = math.pi * h - tau
             phase = np.exp(1j * wv * xs)
-            iv = (R * phase * wg[None, None, :]).sum(axis=2) * halfs[None, :]
+            iv = (R * phase * _W16[None, None, :]).sum(axis=2) * halfs[None, :]
             seq = iv.sum(axis=1)
             amp = abs(cc * gh)
             if amp * np.abs(seq).sum() < 1e-18:
                 continue
-            v, e = levin_u(seq)
-            value += cc * gh * v
+            seqs.append(seq)
+            coefs.append((cc * gh, amp))
+    value = 0j
+    err = 0.0
+    if seqs:
+        vs, es = levin_u(np.array(seqs))
+        for (c, amp), v, e in zip(coefs, vs.tolist(), es.tolist()):
+            value += c * v
             err += amp * e
     return value / math.pi ** m, err / math.pi ** m
 

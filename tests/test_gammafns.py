@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,41 @@ def test_recip_gamma_vectorized_matches_scalar(rng):
     out = recip_gamma(zs)
     for z, v in zip(zs, out):
         assert v == recip_gamma(complex(z))
+
+
+@pytest.mark.parametrize("z", [complex(-5, 1e-12), complex(-80, 1e-9),
+                               complex(-5, 1e-6), -5 + 1e-12, -80 + 1e-9,
+                               -5 + 1e-6])
+def test_recip_gamma_next_to_poles(z):
+    """The reflection's sin(pi z), reduced by round(Re z), keeps its relative
+    accuracy next to a pole (the unreduced sine lost up to 3.6e-4)."""
+    want = complex(mp.rgamma(mp.mpc(z.real, z.imag)))
+    assert abs(recip_gamma(z) - want) <= 1e-13 * abs(want)
+
+
+def _mp_loggamma(z) -> complex:
+    return complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+
+
+def test_log_gamma_across_stirling_switch(rng):
+    """Both sides of |z| = 8, where the kernel goes from Lanczos to the
+    Stirling series, on the sector |arg z| <= pi/2 - 0.05."""
+    r = rng.uniform(7.0, 9.0, 300)
+    th = rng.uniform(-(math.pi / 2 - 0.05), math.pi / 2 - 0.05, 300)
+    zs = r * np.exp(1j * th)
+    got = log_gamma(zs)
+    worst = max(abs(g - _mp_loggamma(z)) for z, g in zip(zs, got))
+    assert worst <= 5e-14
+
+
+def test_log_gamma_tail_range(rng):
+    """Re z in [14, 150], the arguments of the reflected integral tails.
+    |log Gamma| reaches about 600 there, where one ulp is 1.1e-13, so the
+    5e-14 bound is absolute up to |log Gamma| = 1 and relative above."""
+    zs = rng.uniform(14.0, 150.0, 300) + 1j * rng.uniform(-20.0, 20.0, 300)
+    for z, g in zip(zs, log_gamma(zs)):
+        want = _mp_loggamma(z)
+        assert abs(g - want) <= 5e-14 * max(1.0, abs(want))
 
 
 def test_log_gamma_exponentiates_to_gamma(rng):

@@ -1,0 +1,161 @@
+"""The array Levin transform against the pure-Python table it replaced.
+
+``levin_u_oracle`` is the former ``rbeta.acceleration.levin_u``, kept here
+verbatim as the reference: one list-based table walked down its k-diagonal
+with early exit.  The library now builds the table's columns for many
+sequences at once and walks each row's estimates afterwards, so values may
+differ in the last bits (numpy against Python complex arithmetic) but must
+agree to 1e-13 relative, with error estimates within a factor of 2.
+
+Two complex unit-circle signals are noise-limited: there the old and the new
+table each land 0.7-1.8e-13 (relative) from the same transform in 60-digit
+arithmetic (mpmath) of the same double terms, so a 1e-13 match would be
+down to chance; they are held to 2e-13.  Where the oracle's error
+estimate is itself at the roundoff floor (below 1e-12 relative), the
+minimum gap it is taken from is roundoff and only that floor is checked.
+"""
+
+import math
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
+import pytest
+
+from rbeta.acceleration import levin_u
+
+
+def levin_u_oracle(terms: Sequence[complex]) -> Tuple[complex, float]:
+    terms = [complex(t) for t in terms]
+    if not terms:
+        return 0j, 0.0
+    s = np.cumsum(terms)
+    if len(terms) < 4:
+        return complex(s[-1]), abs(terms[-1])
+    N = []
+    D = []
+    for n, t in enumerate(terms):
+        w = (1.0 + n) * t
+        if w == 0:
+            w = 1e-300
+        N.append(s[n] / w)
+        D.append(1.0 / w)
+    best = complex(s[-1])
+    best_d = abs(terms[-1])
+    prev: Optional[complex] = None
+    grow = 0
+    k = 1
+    max_depth = min(len(N) - 1, 48)
+    while len(N) >= 2 and k <= max_depth:
+        newN = []
+        newD = []
+        for n in range(len(N) - 1):
+            if k == 1:
+                b = 1.0
+            else:
+                b = (1.0 + n) * (1.0 + n + k - 1) ** (k - 2) / (1.0 + n + k) ** (k - 1)
+            newN.append(N[n + 1] - b * N[n])
+            newD.append(D[n + 1] - b * D[n])
+        N, D = newN, newD
+        if D[0] != 0:
+            est = N[0] / D[0]
+            if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
+                break
+            if prev is not None:
+                d = abs(est - prev)
+                if d < best_d:
+                    best, best_d = est, d
+                    grow = 0
+                elif best_d > 0 and d > 100.0 * best_d:
+                    grow += 1
+                    if grow >= 3:
+                        break
+            prev = est
+        k += 1
+    err = 4.0 * best_d + 1e-15 * abs(best)
+    return best, err
+
+
+def _from_ratio(first, ratio, n):
+    out = [complex(first)]
+    for k in range(n - 1):
+        out.append(out[-1] * ratio(k))
+    return np.array(out)
+
+
+def _signals():
+    th = math.pi / 3
+    return {
+        "geometric": [0.7 ** n for n in range(30)],
+        "geometric-complex": [(0.5 + 0.6j) ** n for n in range(40)],
+        "alternating": [(-1.0) ** n / (n + 1.0) for n in range(25)],
+        "zeta-1.2": [1.0 / (n + 1.0) ** 1.2 for n in range(60)],
+        "zeta-1.5": [1.0 / (n + 1.0) ** 1.5 for n in range(40)],
+        "unit-circle": [np.exp(1j * (n + 1) * th) / (n + 1) ** 0.3
+                        for n in range(30)],
+        "unit-circle-48": [np.exp(0.9j * n) / (n + 14.0) ** 1.7
+                           for n in range(48)],
+        "zero-term": [1.0, 0.5, 0.0, 0.25, -0.125, 0.0625, 0.03, 0.01],
+        "three-terms": [1.0, 0.5 + 0.1j, 0.25],
+        "one-term": [2.0 - 1.0j],
+        "empty": [],
+    }
+
+
+# 400-term budgets as sum_one_sided builds them, with its four windows
+_RATIOS = {
+    "hyper-0.3-2.6": lambda n: (0.3 + n) / (2.6 + n),
+    "hyper-alternating": lambda n: -(0.5 + n) / (1.7 + n),
+    "hyper-unit-circle": lambda n: (0.2 + n) / (1.9 + n) * np.exp(1j * math.pi / 3),
+}
+_WINDOWS = [(name, off) for name in _RATIOS for off in (0, 24, 96, 340)]
+
+
+# signals whose transform is noise-limited at the 1e-13 level
+_NOISY = {"unit-circle-48", "hyper-unit-circle"}
+
+
+def _assert_close(got, want, rtol=1e-13):
+    v, e = got
+    v0, e0 = want
+    assert abs(v - v0) <= rtol * abs(v0), (v, v0)
+    if e0 == 0:
+        assert e == 0
+    elif e0 <= 1e-12 * abs(v0):
+        assert e <= 1e-12 * abs(v), (e, e0)
+    else:
+        assert 0.5 * e0 <= e <= 2.0 * e0, (e, e0)
+
+
+@pytest.mark.parametrize("name", list(_signals()))
+def test_levin_matches_oracle(name):
+    terms = _signals()[name]
+    _assert_close(levin_u(terms), levin_u_oracle(terms),
+                  2e-13 if name in _NOISY else 1e-13)
+
+
+@pytest.mark.parametrize("name,off", _WINDOWS)
+def test_levin_matches_oracle_on_sum_windows(name, off):
+    terms = _from_ratio(1.0, _RATIOS[name], 400)[off:]
+    _assert_close(levin_u(terms), levin_u_oracle(terms),
+                  2e-13 if name in _NOISY else 1e-13)
+
+
+def test_levin_empty_and_short_exact():
+    assert levin_u([]) == (0j, 0.0)
+    assert levin_u([1.0, 0.5, 0.25]) == (1.75 + 0j, 0.25)
+
+
+@pytest.mark.parametrize("n", [2, 48, 400])
+def test_levin_stacked_rows_bit_identical(n):
+    rng = np.random.default_rng(7)
+    rows = [_from_ratio(1.0, ratio, n) for ratio in _RATIOS.values()]
+    rows += [np.exp(1j * rng.uniform(0, 2 * math.pi)
+                    * np.arange(n)) / (np.arange(n) + rng.uniform(1, 20)) ** 1.3
+             for _ in range(5)]
+    rows.append(np.where(np.arange(n) % 3 == 1, 0.0, rows[0]))
+    stacked = np.array(rows)
+    values, errs = levin_u(stacked)
+    assert values.shape == errs.shape == (len(rows),)
+    for row, v, e in zip(rows, values, errs):
+        v1, e1 = levin_u(row)
+        assert v1 == v and e1 == e
