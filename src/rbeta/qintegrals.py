@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
-                     StripViolation)
+                     StripViolation, ToleranceNotReached)
 from .gammafns import gamma
 from .quadrature import QuadratureResult, gauss_panels, gauss_panels_graded
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, qpoch_inf,
@@ -105,7 +105,8 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
     """Smallest X >= 4 with boundary magnitude * geometric tail below tol.
 
     Probes several offset points per candidate X so isolated zeros of the
-    integrand cannot fake decay.
+    integrand cannot fake decay.  Raises ToleranceNotReached when 200
+    candidates leave the tail above tol.
     """
     if ratio >= 1.0:
         raise AnnulusViolation("integrand does not decay on this side")
@@ -122,7 +123,8 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
         if tail < tol_abs:
             return X
         X += max(1.0, math.log(max(tail / tol_abs, 2.0)) / -math.log(rho) * 0.5)
-    return X
+    raise ToleranceNotReached(
+        f"integrand tail {tail:.3g} still above {tol_abs:.3g} at X = {X:.6g}")
 
 
 def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,

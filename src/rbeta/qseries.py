@@ -158,8 +158,36 @@ def qpoch(a: complex, q: complex, n: int) -> complex:
 def log_qpoch_inf(c, q: complex):
     """Sum of log(1 - c q^k) over k >= 0 (array-aware in c).
 
-    Any-branch logarithm: exact under exp().  Truncates once every
-    |c q^k| < 1e-17.
+    Any-branch logarithm: exact under exp().  Non-finite c gives nan.
+
+    A scalar c is summed in one vectorized sweep over k, up to the first
+    |c q^k| below 1e-17.  An array c is summed as by the factor loop
+
+        cur = c; out = 0
+        repeat: out += log1p(-cur); cur = cur * q
+        until max |cur| < 1e-17 over the finite elements
+
+    and, for real q, with the same bits (signed zeros included): each
+    element gets the terms log1p(-cur) of the same chain cur = cur * q,
+    summed in the same order, and stops at the same global factor count.
+
+    Arrays of fewer than 512 elements (the one-point truncation probes
+    among them) take B factors per pass, B from a fixed cell budget over
+    the array size: one multiply.accumulate builds the B power rows, one
+    row reduction of |cur| finds the stopping factor, one log1p and one
+    add.accumulate sum the rows up to it.  Both scans run row after row,
+    so each element sees the loop's products and sums.  For complex q,
+    accumulate multiplies differently from the binary product, and these
+    sums agree with the loop's to about 1e-14 relative.
+
+    Larger node arrays take one factor per pass and retire an element once
+    its next term provably cannot change its sum.  With |cur| < 1/2 every
+    later term's components are below 2|cur|, and a component s of the sum
+    with 2|cur| <= 2^-54 |s| then never rounds.  An imaginary part is also
+    settled when q and cur are real: every later imaginary part is then a
+    signed zero, which changes no sum but -0.0, and the sums start at +0.0
+    and never hold -0.0.  Retired chains keep entering the stop test, so
+    the survivors stop exactly where the loop stops.
     """
     q = _check_base(q)
     if np.isscalar(c) or getattr(c, "ndim", 1) == 0:
@@ -168,6 +196,8 @@ def log_qpoch_inf(c, q: complex):
         c0 = complex(c)
         if c0 == 0:
             return 0j
+        if not cmath.isfinite(c0):
+            return complex(math.nan, math.nan)
         lq = cmath.log(q)
         k_need = int((math.log(_QPROD_EPS) - math.log(abs(c0))) / math.log(abs(q))) + 2
         k_need = min(max(k_need, 1), _QPROD_MAX_FACTORS)
@@ -175,15 +205,113 @@ def log_qpoch_inf(c, q: complex):
             vals = c0 * np.exp(np.arange(k_need) * lq)
             return complex(np.log1p(-vals).sum())
     c_arr = np.asarray(c, dtype=complex)
-    out = np.zeros(c_arr.shape, dtype=complex)
-    cur = c_arr.copy()
-    with np.errstate(divide="ignore"):
-        for _ in range(_QPROD_MAX_FACTORS):
-            np.add(out, np.log1p(-cur), out=out)
-            cur = cur * q
-            if np.abs(cur).max() < _QPROD_EPS:
-                break
+    finite = np.isfinite(c_arr)
+    c_fin = c_arr[finite]
+    kernel = _log_qpoch_blocks if c_fin.size < _STEP_MIN_SIZE else _log_qpoch_steps
+    with np.errstate(divide="ignore", over="ignore"):
+        sums = kernel(c_fin, q) if c_fin.size else c_fin
+    if c_fin.size == c_arr.size:
+        return sums.reshape(c_arr.shape)
+    out = np.full(c_arr.shape, complex(math.nan, math.nan))
+    out[finite] = sums
     return out
+
+
+# complex cells per block of the small-array kernel
+_QPROD_BLOCK_CELLS = 1 << 15
+# from this size on, one binary ufunc call per factor beats numpy's
+# accumulate, which costs about 10 ns more per cell
+_STEP_MIN_SIZE = 512
+# factors between retirement checks of the large-array kernel
+_RETIRE_EVERY = 16
+# |cur| * 2^55 <= |s| retires: 2|cur| is at most 2^-54 |s|
+_RETIRE_SCALE = 2.0 ** 55
+
+
+def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
+    """The factor loop of log_qpoch_inf on a small 1-D array of finite c,
+    run B factors per pass."""
+    n = cur.size
+    rows_max = max(1, _QPROD_BLOCK_CELLS // n)
+    log_q = math.log(abs(q))
+    sums = np.zeros(n, dtype=complex)
+    top = float(np.abs(cur).max())
+    done = 0
+    while True:
+        # the loop stops after L factors with max|c| |q|^L < eps; one spare
+        # row saves a second block when rounding moves L by one
+        guess = 1 if top < _QPROD_EPS else int(math.log(_QPROD_EPS / top) / log_q) + 2
+        rows = min(rows_max, guess, _QPROD_MAX_FACTORS - done)
+        powers = np.empty((rows + 1, n), dtype=complex)
+        powers[0] = cur
+        powers[1:] = q
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        row_max = np.abs(powers[1:]).max(axis=1)
+        below = row_max < _QPROD_EPS
+        stop = bool(below.any())
+        used = int(below.argmax()) + 1 if stop else rows
+        block = np.empty((used + 1, n), dtype=complex)
+        block[0] = sums
+        np.negative(powers[:used], out=block[1:])
+        np.log1p(block[1:], out=block[1:])
+        np.add.accumulate(block, axis=0, out=block)
+        sums = block[used]
+        done += used
+        if stop or done >= _QPROD_MAX_FACTORS:
+            return sums
+        cur = powers[rows]
+        top = float(row_max[-1])
+
+
+def _log_qpoch_steps(cur: np.ndarray, q: complex) -> np.ndarray:
+    """The factor loop of log_qpoch_inf on a large 1-D array of finite c,
+    one factor per pass, with retirement; works in place on cur.  The
+    first `live` positions of the working order hold the unretired
+    elements, so each pass reads and writes them as slices, and no pass
+    allocates."""
+    n = cur.size
+    order = np.arange(n)
+    sums = np.zeros(n, dtype=complex)
+    spare = np.empty(n, dtype=complex)
+    mag = np.empty(n)
+    live = n
+    for done in range(1, _QPROD_MAX_FACTORS + 1):
+        t, s = spare[:live], sums[:live]
+        np.negative(cur[:live], out=t)
+        np.log1p(t, out=t)
+        np.add(s, t, out=s)
+        np.multiply(cur, q, out=cur)
+        if np.abs(cur, out=mag).max() < _QPROD_EPS:
+            break
+        if done % _RETIRE_EVERY:
+            continue
+        retire = _settled(cur[:live], s, mag[:live], q.imag == 0.0)
+        if retire.any():
+            # stable partition of the live prefix, survivors first; mag is
+            # free until the next pass, and its int64 view takes the order
+            keep, gone = np.flatnonzero(~retire), np.flatnonzero(retire)
+            for a, buf in ((cur, spare), (sums, spare), (order, mag.view(np.int64))):
+                # mode="clip" writes straight to out; "raise" would buffer
+                np.take(a[:live], keep, out=buf[:keep.size], mode="clip")
+                np.take(a[:live], gone, out=buf[keep.size:live], mode="clip")
+                a[:live] = buf[:live]
+            live = keep.size
+            if not live:
+                break
+    spare[order] = sums
+    return spare
+
+
+def _settled(cur: np.ndarray, sums: np.ndarray, mag: np.ndarray,
+             real_q: bool) -> np.ndarray:
+    """Elements whose later terms cannot change their sums, given the next
+    chain values cur and mag = |cur| (overwritten).  Its temporaries are
+    freed before the caller reorders, which keeps the kernel's peak low."""
+    scaled = np.multiply(mag, _RETIRE_SCALE, out=mag)
+    calm_im = scaled <= np.abs(sums.imag)
+    if real_q:
+        calm_im |= cur.imag == 0.0
+    return (scaled < _RETIRE_SCALE / 2) & (scaled <= np.abs(sums.real)) & calm_im
 
 
 def qpoch_inf(a: complex, q: complex) -> complex:
@@ -356,7 +484,10 @@ def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
         alpha, beta, z = p["alpha"], p["beta"], p["z"]
         if not 0 < abs(z) <= 1:
             raise ConstraintViolation("needs 0 < |z| <= 1")
-        return qpoch_inf(q ** alpha * z, q) / qpoch_inf(q ** beta * z, q)
+        # one log-space ratio: near q = 1 each product alone overflows or
+        # underflows while their ratio stays moderate
+        return cmath.exp(log_qpoch_inf(q ** alpha * z, q)
+                         - log_qpoch_inf(q ** beta * z, q))
     raise ValueError(f"unknown kind {kind}")
 
 

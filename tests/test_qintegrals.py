@@ -10,10 +10,12 @@ import pytest
 
 from conftest import compare
 from rbeta.core import Tolerance
-from rbeta.errors import AnnulusViolation, DomainError, StripViolation
+from rbeta.errors import (AnnulusViolation, DomainError, StripViolation,
+                          ToleranceNotReached)
 from rbeta.gammafns import gamma, gaussian_q_integral
 from rbeta.integrals import BetaKind, IntegrandSpec, beta_integral_closed, integrate
-from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, abel_poisson_psi,
+from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, _geometric_truncation,
+                              abel_poisson_psi,
                               abel_psi_target, h44_integral_value, h_of_q,
                               h_of_q_probe, h_of_q_target, limit_constant,
                               limit_constant_target, q_fourier_closed,
@@ -45,6 +47,13 @@ def test_q_fourier_strip_violation():
     base = QIntegrandSpec(0.4, [2.6], [0.3], [1.1], 0.0 + 4.0j)
     with pytest.raises(StripViolation):
         q_integrate(base)
+
+
+def test_truncation_raises_when_the_tail_never_decays():
+    # a flat log-magnitude keeps the tail estimate at 49 however far X goes
+    with pytest.raises(ToleranceNotReached):
+        _geometric_truncation(lambda x: 0.0, 0.5, 1e-12)
+    assert _geometric_truncation(lambda x: -x, 0.5, 1e-12) > 4.0
 
 
 def test_q_integrate_annulus_violation():

@@ -200,6 +200,29 @@ def test_q_binomial_ratio_limit():
     assert gaps[2] < 1e-2
 
 
+@pytest.mark.parametrize("alpha,beta,z", [
+    (0.205586533316266, 0.6088861308984697, 0.783234476007838 + 0.5168248558636896j),
+    (0.1852992078429019, 0.5361833040659535, -0.8683242269157302 - 0.039922147809282646j),
+    (0.3, 0.9, -0.5),
+])
+def test_q_binomial_ratio_limit_near_one(alpha, beta, z):
+    # each product alone reaches about 1e192 or nan here, and mp.qp raises
+    # NoConvergence; the reference is the 30-digit log-sum
+    # sum_k log(1 - c q^k) = -sum_m c^m / (m (1 - q^m)), |c| < 1
+    q = 0.999
+    with mp.workdps(30):
+        qm = mp.mpf(q)
+        c, d = qm ** alpha * mp.mpc(z), qm ** beta * mp.mpc(z)
+        log_ratio, m, cm, dm = mp.mpc(0), 1, c, d
+        while abs(cm) > mp.mpf("1e-40"):
+            log_ratio += (dm - cm) / (m * (1 - qm ** m))
+            m, cm, dm = m + 1, cm * c, dm * d
+        want = complex(mp.exp(log_ratio))
+    got = closed_form_q(QKind.Q_BINOMIAL_RATIO_LIMIT,
+                        dict(alpha=alpha, beta=beta, z=z), q)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_qpoch_asymptotic_trivial():
     out = qpoch_inf_asymptotic(0.0, 0.0, 0.05)
     assert out.value == 1.0
