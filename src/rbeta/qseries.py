@@ -199,9 +199,15 @@ def log_qpoch_inf(c, q: complex):
         if not cmath.isfinite(c0):
             return complex(math.nan, math.nan)
         lq = cmath.log(q)
-        k_need = int((math.log(_QPROD_EPS) - math.log(abs(c0))) / math.log(abs(q))) + 2
+        mag = math.hypot(c0.real, c0.imag)
+        # a finite c can have an infinite modulus
+        if mag < math.inf:
+            log_mag = math.log(mag)
+        else:
+            log_mag = math.log(abs(c0 / 2)) + math.log(2.0)
+        k_need = int((math.log(_QPROD_EPS) - log_mag) / math.log(abs(q))) + 2
         k_need = min(max(k_need, 1), _QPROD_MAX_FACTORS)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             vals = c0 * np.exp(np.arange(k_need) * lq)
             return complex(np.log1p(-vals).sum())
     c_arr = np.asarray(c, dtype=complex)
@@ -219,8 +225,8 @@ def log_qpoch_inf(c, q: complex):
 
 # complex cells per block of the small-array kernel
 _QPROD_BLOCK_CELLS = 1 << 15
-# from this size on, one binary ufunc call per factor beats numpy's
-# accumulate, which costs about 10 ns more per cell
+# array size from which the one-factor kernel with retirement is faster
+# than the block kernel (CHANGES.md has the timings on both sides)
 _STEP_MIN_SIZE = 512
 # factors between retirement checks of the large-array kernel
 _RETIRE_EVERY = 16
@@ -239,8 +245,14 @@ def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
     done = 0
     while True:
         # the loop stops after L factors with max|c| |q|^L < eps; one spare
-        # row saves a second block when rounding moves L by one
-        guess = 1 if top < _QPROD_EPS else int(math.log(_QPROD_EPS / top) / log_q) + 2
+        # row saves a second block when rounding moves L by one.  A finite
+        # c can have an infinite modulus.
+        if not math.isfinite(top):
+            guess = rows_max
+        elif top < _QPROD_EPS:
+            guess = 1
+        else:
+            guess = int((math.log(_QPROD_EPS) - math.log(top)) / log_q) + 2
         rows = min(rows_max, guess, _QPROD_MAX_FACTORS - done)
         powers = np.empty((rows + 1, n), dtype=complex)
         powers[0] = cur
@@ -265,49 +277,39 @@ def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
 
 def _log_qpoch_steps(cur: np.ndarray, q: complex) -> np.ndarray:
     """The factor loop of log_qpoch_inf on a large 1-D array of finite c,
-    one factor per pass, with retirement; works in place on cur.  The
-    first `live` positions of the working order hold the unretired
-    elements, so each pass reads and writes them as slices, and no pass
-    allocates."""
-    n = cur.size
-    order = np.arange(n)
-    sums = np.zeros(n, dtype=complex)
-    spare = np.empty(n, dtype=complex)
-    mag = np.empty(n)
-    live = n
+    one factor per pass, with retirement; works in place on cur.  The live
+    chains cur keep their sums and positions idx; retired chains move to
+    gone, which only the stop test reads."""
+    out = np.empty(cur.size, dtype=complex)
+    idx = np.arange(cur.size)
+    sums = np.zeros(cur.size, dtype=complex)
+    gone = np.empty(0, dtype=complex)
+    real_q = q.imag == 0.0
     for done in range(1, _QPROD_MAX_FACTORS + 1):
-        t, s = spare[:live], sums[:live]
-        np.negative(cur[:live], out=t)
-        np.log1p(t, out=t)
-        np.add(s, t, out=s)
-        np.multiply(cur, q, out=cur)
-        if np.abs(cur, out=mag).max() < _QPROD_EPS:
+        term = np.negative(cur)
+        sums += np.log1p(term, out=term)
+        cur *= q
+        gone *= q
+        if max(np.abs(cur).max(), np.abs(gone).max(initial=0.0)) < _QPROD_EPS:
             break
         if done % _RETIRE_EVERY:
             continue
-        retire = _settled(cur[:live], s, mag[:live], q.imag == 0.0)
+        retire = _settled(cur, sums, real_q)
         if retire.any():
-            # stable partition of the live prefix, survivors first; mag is
-            # free until the next pass, and its int64 view takes the order
-            keep, gone = np.flatnonzero(~retire), np.flatnonzero(retire)
-            for a, buf in ((cur, spare), (sums, spare), (order, mag.view(np.int64))):
-                # mode="clip" writes straight to out; "raise" would buffer
-                np.take(a[:live], keep, out=buf[:keep.size], mode="clip")
-                np.take(a[:live], gone, out=buf[keep.size:live], mode="clip")
-                a[:live] = buf[:live]
-            live = keep.size
-            if not live:
-                break
-    spare[order] = sums
-    return spare
+            out[idx[retire]] = sums[retire]
+            gone = np.concatenate((gone, cur[retire]))
+            keep = ~retire
+            cur, sums, idx = cur[keep], sums[keep], idx[keep]
+            if not idx.size:
+                return out
+    out[idx] = sums
+    return out
 
 
-def _settled(cur: np.ndarray, sums: np.ndarray, mag: np.ndarray,
-             real_q: bool) -> np.ndarray:
+def _settled(cur: np.ndarray, sums: np.ndarray, real_q: bool) -> np.ndarray:
     """Elements whose later terms cannot change their sums, given the next
-    chain values cur and mag = |cur| (overwritten).  Its temporaries are
-    freed before the caller reorders, which keeps the kernel's peak low."""
-    scaled = np.multiply(mag, _RETIRE_SCALE, out=mag)
+    chain values cur."""
+    scaled = np.abs(cur) * _RETIRE_SCALE
     calm_im = scaled <= np.abs(sums.imag)
     if real_q:
         calm_im |= cur.imag == 0.0

@@ -6,15 +6,16 @@ pass of five numpy calls per factor over the whole array, stopping after the
 first factor count at which every |c q^k| is below 1e-17.  The library now
 takes small arrays many factors per pass and retires elements of large ones
 once their sums can no longer move.  For real q it must reproduce the
-loop's bits exactly, signed zeros and nan positions included.  For complex
-q, numpy's ``multiply.accumulate`` does not use the binary product's complex
-multiply, so small arrays may differ in the last bits; they are held to
-1e-13 relative.
+loop's bits exactly, signed zeros and nan positions included.  So must
+large arrays for complex q.  For small arrays and complex q, numpy's
+``multiply.accumulate`` does not use the binary product's complex multiply,
+so they may differ in the last bits; they are held to 1e-13 relative.
 
 The loop reduces ``np.abs(cur).max()``, which raises on an empty array, so
 size 0 is checked on its own.
 """
 
+import cmath
 import math
 import time
 
@@ -103,6 +104,33 @@ def test_real_c_bit_identical(q):
                    log_qpoch_oracle(c.astype(complex).conj(), q))
 
 
+# finite c near the top of the float range: eps / |c| underflows, and the
+# modulus of the last one overflows although both parts are finite
+_HUGE_C = (1e307, -1e307, 1.7e308, 1e308 + 1e308j, 1.5e308 + 1.5e308j)
+
+
+@pytest.mark.parametrize("q", _REAL_Q)
+@pytest.mark.parametrize("c0", _HUGE_C)
+@pytest.mark.parametrize("n", [1, 7])
+def test_huge_finite_c_bit_identical(q, c0, n):
+    c = np.full(n, c0, dtype=complex)
+    c[1::2] *= 1e-5
+    with np.errstate(over="ignore"):
+        want = log_qpoch_oracle(c, q)
+    _same_bits(log_qpoch_inf(c, q), want)
+
+
+@pytest.mark.parametrize("c0", _HUGE_C)
+def test_huge_finite_c_large_array_and_scalar(c0):
+    c = np.full(600, c0, dtype=complex)
+    c[1::2] *= 1e-5
+    with np.errstate(over="ignore"):
+        want = log_qpoch_oracle(c, 0.31)
+    _same_bits(log_qpoch_inf(c, 0.31), want)
+    got = log_qpoch_inf(c0, 0.31)
+    assert got.real == want[0].real or abs(got - want[0]) <= 1e-12 * abs(want[0])
+
+
 @pytest.mark.parametrize("n", [3, 600])
 @pytest.mark.parametrize("cap", [1, 37, 100])
 def test_factor_cap_bit_identical(monkeypatch, n, cap):
@@ -118,10 +146,35 @@ def test_complex_q_close(q, shape):
     rng = np.random.default_rng(len(shape) + shape[0])
     c = _draw(rng, shape, 30)
     got, want = log_qpoch_inf(c, q), log_qpoch_oracle(c, q)
+    if c.size >= qs._STEP_MIN_SIZE:
+        # one factor per pass multiplies as the loop does
+        _same_bits(got, want)
     finite = np.isfinite(want)
     assert np.array_equal(finite, np.isfinite(got))
     err = np.abs(got[finite] - want[finite])
     assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+
+
+def test_retired_chain_keeps_the_loop_going():
+    # Large arrays multiply like the loop, so complex q gives the same bits
+    # there too.  The small c is turned until the imaginary part of its sum
+    # cancels to about 1e-19: its terms still move that part after c = 1e6
+    # has retired and the live chains are all below 1e-17, so the sums are
+    # right only if the retired chain keeps the loop going.
+    q = 0.9 * cmath.exp(0.4j)
+    im_sum = lambda t: log_qpoch_oracle([1e-3 * cmath.exp(1j * t)], q)[0].imag
+    lo = cmath.phase(1 - q) - 0.3
+    hi = lo + 0.6
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (im_sum(mid) < 0) == (im_sum(lo) < 0):
+            lo = mid
+        else:
+            hi = mid
+    c = np.full(600, 1e-3 * cmath.exp(1j * hi))
+    c[0] = 1e6
+    assert abs(im_sum(hi)) < 1e-17
+    _same_bits(log_qpoch_inf(c, q), log_qpoch_oracle(c, q))
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
