@@ -5,9 +5,10 @@
 Extracts REF's ``src`` with ``git archive`` into a temporary directory and
 runs every suite at seeds 0-3, draws 2, ``RB_THREADS=1`` on both trees
 (``rbeta verify --quiet``), with ``runtime_ms`` zeroed.  For each suite it
-prints the records whose inputs, lhs, rhs or verdict differ and the largest
-relative lhs and rhs change.  The exit code is 1 on any verdict change or
-any change in record ids or their order, else 0.
+prints the summaries and the records that differ in any field but
+``runtime_ms``, with the fields that differ, and the largest relative lhs
+and rhs change.  The exit code is 1 on any change of a verdict, of a
+record's tolerance, or of the record ids or their order, else 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _suites():
     return SUITE_NAMES
 
 
-def _records(src: Path, suite: str, seed: int):
+def _report(src: Path, suite: str, seed: int):
     env = {**os.environ, "PYTHONPATH": str(src), "RB_THREADS": "1"}
     out = subprocess.run(
         [sys.executable, "-m", "rbeta.cli", "verify", "--suite", suite,
@@ -42,10 +43,15 @@ def _records(src: Path, suite: str, seed: int):
     if out.returncode not in (0, 1):
         raise SystemExit(f"{src}: verify --suite {suite} --seed {seed} "
                          f"exited {out.returncode}\n{out.stderr}")
-    records = json.loads(out.stdout)["records"]
-    for rec in records:
+    report = json.loads(out.stdout)
+    for rec in report["records"]:
         rec["runtime_ms"] = 0.0
-    return records
+    return report
+
+
+def _same(old, new) -> bool:
+    # compared as JSON text, so that nan equals nan
+    return json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True)
 
 
 def _rel_change(old, new) -> float:
@@ -60,28 +66,39 @@ def _rel_change(old, new) -> float:
 
 
 def _diff_suite(suite: str, old_runs, new_runs) -> bool:
-    """Print one suite's differences; True when ids, order or a verdict
-    changed."""
+    """Print one suite's differences; True when ids, order, a verdict or a
+    tolerance changed."""
     changed = []
+    summaries = []
     broken = []
     lhs_max = rhs_max = 0.0
     total = 0
-    for seed, old, new in zip(SEEDS, old_runs, new_runs):
+    for seed, old_report, new_report in zip(SEEDS, old_runs, new_runs):
+        if not _same(old_report["summary"], new_report["summary"]):
+            summaries.append(seed)
+        old, new = old_report["records"], new_report["records"]
         if [r["identity_id"] for r in old] != [r["identity_id"] for r in new]:
             broken.append(f"seed {seed}: record ids or order differ")
             continue
         total += len(new)
         for i, (ro, rn) in enumerate(zip(old, new)):
-            if all(ro[k] == rn[k] for k in ("inputs", "lhs", "rhs", "pass")):
+            fields = [k for k in sorted(ro.keys() | rn.keys())
+                      if not _same(ro.get(k), rn.get(k))]
+            if not fields:
                 continue
             where = f"{rn['identity_id']} (seed {seed}, record {i})"
-            changed.append(where)
+            changed.append(f"{where}: {', '.join(fields)}")
             if ro["pass"] != rn["pass"]:
                 broken.append(f"verdict {ro['pass']} -> {rn['pass']}: {where}")
+            if not _same(ro["tol"], rn["tol"]):
+                broken.append(f"tol {ro['tol']} -> {rn['tol']}: {where}")
             lhs_max = max(lhs_max, _rel_change(ro["lhs"], rn["lhs"]))
             rhs_max = max(rhs_max, _rel_change(ro["rhs"], rn["rhs"]))
     print(f"{suite}: {total} records, {len(changed)} differ, "
+          f"{len(summaries)} of {len(old_runs)} summaries differ, "
           f"max rel lhs change {lhs_max:.3g}, max rel rhs change {rhs_max:.3g}")
+    for seed in summaries:
+        print(f"  differs: summary (seed {seed})")
     for where in changed:
         print(f"  differs: {where}")
     for what in broken:
@@ -103,7 +120,7 @@ def main(argv) -> int:
         jobs = [(tree, suite, seed) for tree in trees for suite in suites
                 for seed in SEEDS]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            runs = list(pool.map(lambda job: _records(*job), jobs))
+            runs = list(pool.map(lambda job: _report(*job), jobs))
     per_tree = len(suites) * len(SEEDS)
     bad = False
     for k, suite in enumerate(suites):

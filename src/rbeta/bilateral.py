@@ -338,8 +338,9 @@ def reduce_to_unilateral(spec: BilateralSeriesSpec) -> UnilateralSeriesSpec:
     raise NotReducible("no denominator parameter equals 1")
 
 
-def eval_F(spec: UnilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
-    """One-sided series sum_{n>=0} prod(a)_n/prod(b)_n * z^n/n!."""
+def eval_F(spec: UnilateralSeriesSpec) -> SeriesValue:
+    """One-sided series sum_{n>=0} prod(a)_n/prod(b)_n * z^n/n!, summed to
+    DEFAULT_TOL.abs."""
     a, b, z = spec.a, spec.b, spec.z
 
     def ratio(n: int) -> complex:
@@ -351,7 +352,7 @@ def eval_F(spec: UnilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVa
             den *= bj + n
         return num / den
 
-    res = sum_one_sided(ratio, 1.0 + 0j, max(tol.abs, 1e-15), max_terms=_F_MAX_TERMS)
+    res = sum_one_sided(ratio, 1.0 + 0j, DEFAULT_TOL.abs, max_terms=_F_MAX_TERMS)
     return SeriesValue(res.value, res.est_error, res.terms_used)
 
 

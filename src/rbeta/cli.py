@@ -19,8 +19,7 @@ from .bilateral import (BilateralSeriesSpec, HKind, classify, closed_form_H,
 from .qseries import QSeriesSpec, eval_psi
 from .integrals import IntegrandSpec, integrate, weight_gm
 from .qintegrals import QIntegrandSpec, q_integrate
-from .verify import (SuiteConfig, run_suite, report_to_json,
-                     write_report)
+from .verify import SuiteConfig, run_suite, report_to_text, write_report
 
 _USAGE_ERRORS = (ValueError, IllFormedSpec, DomainError)
 
@@ -170,12 +169,13 @@ def _cmd_verify(args) -> int:
               f"max abs gap {report.max_abs_gap:.3e} (zero targets)")
     if args.out:
         try:
-            write_report(report, args.out, args.format)
+            write_report(report, args.out)
         except OSError as exc:
             print(f"error writing report: {exc}", file=sys.stderr)
             return 4
     elif args.quiet:
-        print(report_to_json(report))
+        # a CSV report ends in a newline of its own
+        print(report_to_text(report).rstrip("\n"))
     return 0 if report.failed == 0 else 1
 
 

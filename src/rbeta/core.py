@@ -41,7 +41,7 @@ class VerificationRecord:
 
     @classmethod
     def compare(cls, identity_id: str, inputs: Dict[str, Any], lhs: complex,
-                rhs: complex, tol: Tolerance, runtime_ms: float = 0.0) -> "VerificationRecord":
+                rhs: complex, tol: Tolerance) -> "VerificationRecord":
         lhs = complex(lhs)
         rhs = complex(rhs)
         if all(math.isfinite(v) for v in (lhs.real, lhs.imag, rhs.real, rhs.imag)):
@@ -51,7 +51,7 @@ class VerificationRecord:
         else:
             abs_gap = rel_gap = math.inf
         passed = abs_gap <= tol.abs or rel_gap <= tol.rel
-        return cls(identity_id, inputs, lhs, rhs, abs_gap, rel_gap, tol, passed, runtime_ms)
+        return cls(identity_id, inputs, lhs, rhs, abs_gap, rel_gap, tol, passed)
 
 
 _COMPLEX_RE = re.compile(

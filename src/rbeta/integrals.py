@@ -274,10 +274,9 @@ def cauchy_cosine_integral(gamma_: complex, delta: complex
 
 # -- Poisson/grid-sum route ----------------------------------------------------
 
-def poisson_terms(spec: IntegrandSpec, p: int,
-                  tol: Tolerance = DEFAULT_TOL) -> List[complex]:
-    """The p grid-sum components S_0..S_{p-1}; their sum equals the integral
-    for |t| <= p pi."""
+def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
+    """The p grid-sum components S_0..S_{p-1}, each series summed to
+    DEFAULT_TOL; their sum equals the integral for |t| <= p pi."""
     _require_margin(spec)
     if p < spec.m:
         raise ConstraintViolation(f"p = {p} must be >= m = {spec.m}")
@@ -298,33 +297,23 @@ def poisson_terms(spec: IntegrandSpec, p: int,
             [-bj + kp for bj in spec.b],
             [aj + 1.0 + kp for aj in spec.a],
             (-1.0) ** spec.m * cmath.exp(-1j * spec.t))
-        hv = eval_H(hspec, tol)
+        hv = eval_H(hspec, DEFAULT_TOL)
         out.append(ck * cmath.exp(-1j * kp * spec.t) * hv.value / p)
     return out
 
 
-def poisson_sum_rhs(spec: IntegrandSpec, p: int,
-                    tol: Tolerance = DEFAULT_TOL) -> complex:
-    return sum(poisson_terms(spec, p, tol))
+def poisson_sum_rhs(spec: IntegrandSpec, p: int) -> complex:
+    return sum(poisson_terms(spec, p))
 
 
-def grid_sum_direct(spec: IntegrandSpec, k: int, p: int,
-                    n_terms: int = 100) -> complex:
-    """(1/p) sum over l of f(l + k/p) e^{-i(l + k/p)t}, Levin-accelerated on
-    both ends; internal cross-check for the series form of the grid sums."""
+def grid_sum_direct(spec: IntegrandSpec, k: int, p: int) -> complex:
+    """(1/p) sum over l of f(l + k/p) e^{-i(l + k/p)t}, 80 terms on each
+    end, Levin-accelerated; internal cross-check for the series form of the
+    grid sums."""
     kp = k / p
-    l_pos = np.arange(0, n_terms)
-    l_neg = np.arange(-1, -n_terms - 1, -1)
-
-    def fvals(ls: np.ndarray) -> np.ndarray:
-        x = ls + kp
-        base = _f_core(IntegrandSpec(spec.a, spec.b, spec.t), x)
-        return base
-
-    tp = fvals(l_pos)
-    tn = fvals(l_neg)
-    vp, _ = levin_u(tp[: 80])
-    vn, _ = levin_u(tn[: 80])
+    core = IntegrandSpec(spec.a, spec.b, spec.t)
+    vp, _ = levin_u(_f_core(core, np.arange(0, 80) + kp))
+    vn, _ = levin_u(_f_core(core, np.arange(-1, -81, -1) + kp))
     return (vp + vn) / p
 
 
@@ -389,10 +378,10 @@ def _pairs(vals: Sequence[complex]) -> List[complex]:
     return [vi + vj for vi, vj in itertools.combinations(vals, 2)]
 
 
-def beta_integral_closed(kind: BetaKind, params: Dict[str, complex],
-                         tol: Tolerance = DEFAULT_TOL) -> complex:
+def beta_integral_closed(kind: BetaKind, params: Dict[str, complex]) -> complex:
     """The printed closed-form value of each beta integral (gamma ratios, or
-    a bilateral-series value where no gamma form exists).  No quadrature.
+    a bilateral-series value, summed to DEFAULT_TOL, where no gamma form
+    exists).  No quadrature.
 
     Each value holds where its integral converges, so a nonpositive
     integrability margin of the matching integrand raises
@@ -428,7 +417,7 @@ def beta_integral_closed(kind: BetaKind, params: Dict[str, complex],
         C = 1.0 / _gamma_prod([cj + 1.25 for cj in cs]) / _gamma_prod([cj + 0.75 for cj in cs])
         hs = BilateralSeriesSpec([0.25 - cj for cj in cs],
                                  [1.25 + cj for cj in cs], (-1.0) ** n)
-        return C * eval_H(hs, tol).value
+        return C * eval_H(hs, DEFAULT_TOL).value
     if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
         a = p["a"]
         n = 3 if kind is BetaKind.M4_VWP else 4
@@ -448,7 +437,7 @@ def beta_integral_closed(kind: BetaKind, params: Dict[str, complex],
         return (-gamma(1 + sum(cs))
                 / (8 * math.pi ** 2 * _gamma_prod([1 + s for s in _pairs(cs)])))
     if kind is BetaKind.M6_RIEMANN:
-        s = poisson_terms(spec, 6, tol)
+        s = poisson_terms(spec, 6)
         return 2 * s[0] + 4 * s[2]
     raise ValueError(f"unknown kind {kind}")
 

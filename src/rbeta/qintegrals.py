@@ -61,18 +61,18 @@ class QIntegrandSpec:
     def m(self) -> int:
         return len(self.a)
 
+    def _abs_products(self) -> Tuple[float, float, float]:
+        """prod|a|, prod|b|, prod|w|."""
+        return tuple(float(np.prod(np.abs(v))) for v in (self.a, self.b, self.w))
+
     def check_annulus(self) -> None:
-        pb = float(np.prod(np.abs(self.b)))
-        pw = float(np.prod(np.abs(self.w)))
-        pa = float(np.prod(np.abs(self.a)))
+        pa, pb, pw = self._abs_products()
         if not pb < pw < pa:
             raise AnnulusViolation(
                 f"needs prod|b| < prod|w| < prod|a| (got {pb:.4g}, {pw:.4g}, {pa:.4g})")
 
     def check_strip(self) -> None:
-        pb = float(np.prod(np.abs(self.b)))
-        pw = float(np.prod(np.abs(self.w)))
-        pa = float(np.prod(np.abs(self.a)))
+        pa, pb, pw = self._abs_products()
         ti = self.t.imag
         if not (math.log(pb / pw) < ti < math.log(pa / pw)):
             raise StripViolation(
@@ -93,9 +93,7 @@ class QIntegrandSpec:
     def decay_ratios(self) -> Tuple[float, float]:
         # |f(x+1)/f(x)| limits: prod|w/a| e^{Im t} rightward,
         # prod|b/w| e^{-Im t} leftward
-        pa = float(np.prod(np.abs(self.a)))
-        pb = float(np.prod(np.abs(self.b)))
-        pw = float(np.prod(np.abs(self.w)))
+        pa, pb, pw = self._abs_products()
         ti = self.t.imag
         return pw / pa * math.exp(ti), pb / pw * math.exp(-ti)
 
@@ -127,10 +125,22 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
         f"integrand tail {tail:.3g} still above {tol_abs:.3g} at X = {X:.6g}")
 
 
+def _truncation_points(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
+                       rho_right: float, rho_left: float,
+                       tol_abs: float) -> Tuple[float, float]:
+    """(X_right, X_left) of `_geometric_truncation` for the log-magnitude of
+    exp(log_f(x) - i t x), probed one point at a time."""
+    def logmag_at(x: float) -> float:
+        lx = np.array([float(x)])
+        return float((log_f(lx) - 1j * complex(t) * lx)[0].real)
+
+    return (_geometric_truncation(logmag_at, rho_right, tol_abs),
+            _geometric_truncation(lambda x: logmag_at(-x), rho_left, tol_abs))
+
+
 def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
-                 rho_right: float, rho_left: float,
-                 tol: Tolerance = DEFAULT_TOL,
-                 freq_hint: float = 0.0) -> QuadratureResult:
+                 rho_right: float, rho_left: float, tol: Tolerance,
+                 freq_hint: float) -> QuadratureResult:
     """Gauss-panel integral of exp(log_f(x) - i t x) over the line, truncated
     where the geometric envelopes fall below tolerance."""
     tol_abs = max(tol.abs, 1e-15)
@@ -139,12 +149,7 @@ def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(log_f(x) - 1j * complex(t) * x)
 
-    def logmag_at(x: float) -> float:
-        lx = np.array([float(x)])
-        return float((log_f(lx) - 1j * complex(t) * lx)[0].real)
-
-    Xr = _geometric_truncation(logmag_at, rho_right, tol_abs)
-    Xl = _geometric_truncation(lambda x: logmag_at(-x), rho_left, tol_abs)
+    Xr, Xl = _truncation_points(log_f, t, rho_right, rho_left, tol_abs)
     omega = abs(complex(t).real) + freq_hint + 1.0
     width = min(0.5, math.pi / (2.0 * omega))
     value, err, n = gauss_panels(f, -Xl, Xr, width)
@@ -165,7 +170,7 @@ def q_integrate(spec: QIntegrandSpec,
     # the panel width through a conservative hint
     chirp = abs(cmath.log(spec.q).imag) * spec.m
     freq = chirp * 40.0 + sum(abs(cmath.log(w).imag) for w in spec.w)
-    return q_quadrature(spec.log_f, spec.t, rr, rl, tol, freq_hint=freq)
+    return q_quadrature(spec.log_f, spec.t, rr, rl, tol, freq)
 
 
 def q_fourier_closed(spec: QIntegrandSpec) -> complex:
@@ -189,9 +194,9 @@ def q_fourier_closed(spec: QIntegrandSpec) -> complex:
 
 # -- Abel/Poisson kernel route to the bilateral basic series -------------------
 
-def abel_psi_target(spec: QIntegrandSpec, tol: Tolerance = DEFAULT_TOL) -> complex:
+def abel_psi_target(spec: QIntegrandSpec) -> complex:
     """prod_j (b_j;q)_inf (q/a_j;q)_inf times the bilateral basic series at
-    z = (-1)^m e^{-it} prod(w_j/a_j)."""
+    z = (-1)^m e^{-it} prod(w_j/a_j), summed to DEFAULT_TOL."""
     spec.check_annulus()
     z = (-1.0) ** spec.m * cmath.exp(-1j * spec.t)
     for aj, wj in zip(spec.a, spec.w):
@@ -199,21 +204,16 @@ def abel_psi_target(spec: QIntegrandSpec, tol: Tolerance = DEFAULT_TOL) -> compl
     pref = 1.0 + 0j
     for aj, bj in zip(spec.a, spec.b):
         pref *= qpoch_inf(bj, spec.q) * qpoch_inf(spec.q / aj, spec.q)
-    psi = eval_psi(QSeriesSpec(spec.q, spec.a, spec.b, z), tol)
+    psi = eval_psi(QSeriesSpec(spec.q, spec.a, spec.b, z), DEFAULT_TOL)
     return pref * psi.value
 
 
-def abel_poisson_psi(spec: QIntegrandSpec, r_sequence: Sequence[float],
-                     tol: Tolerance = DEFAULT_TOL) -> List[Tuple[float, complex]]:
-    """Kernel-regularized integrals for each r < 1; they approach
-    abel_psi_target as r -> 1."""
+def abel_poisson_psi(spec: QIntegrandSpec,
+                     r_sequence: Sequence[float]) -> List[Tuple[float, complex]]:
+    """Kernel-regularized integrals for each r < 1, each tail truncated below
+    DEFAULT_TOL.abs; they approach abel_psi_target as r -> 1."""
     spec.check_annulus()
     rr, rl = spec.decay_ratios()
-    tol_abs = max(tol.abs, 1e-13)
-
-    def logmag_at(x: float) -> float:
-        lx = np.array([float(x)])
-        return float((spec.log_f(lx) - 1j * spec.t * lx)[0].real)
 
     out: List[Tuple[float, complex]] = []
     for r in r_sequence:
@@ -230,8 +230,8 @@ def abel_poisson_psi(spec: QIntegrandSpec, r_sequence: Sequence[float],
             return base * kern
 
         peak = (1.0 + r) / (1.0 - r)
-        Xr = _geometric_truncation(logmag_at, rr, tol_abs / peak)
-        Xl = _geometric_truncation(lambda x: logmag_at(-x), rl, tol_abs / peak)
+        Xr, Xl = _truncation_points(spec.log_f, spec.t, rr, rl,
+                                    DEFAULT_TOL.abs / peak)
         edges = _kernel_graded_edges(-Xl, Xr, r)
         value, err, _ = gauss_panels_graded(f, edges)
         out.append((r, value))
@@ -281,6 +281,29 @@ _QBETA_YS = {
     QBetaKind.I_2PSI6: "",
 }
 
+# accuracy of the q-beta quadratures
+QBETA_TOL = Tolerance(rel=1e-6, abs=1e-12)
+
+
+def _qbeta_params(kind: QBetaKind, params: Dict[str, complex]
+                  ) -> Tuple[QBetaKind, complex, List[complex]]:
+    """The kind, alpha and the kind's y's, in params order."""
+    kind = QBetaKind(kind)
+    p = {k: complex(v) for k, v in params.items()}
+    return kind, p["alpha"], [p[name] for name in _QBETA_YS[kind]]
+
+
+def _qbeta_quadrature(log_f: Callable[[np.ndarray], np.ndarray],
+                      freq_hint: float) -> complex:
+    """Integral of exp(log_f) over the line to QBETA_TOL.  The one-step decay
+    ratios are measured from x = 6 to 7 and from -6 to -7 and clamped to
+    [1e-6, 0.97], not taken from the analytic envelopes: the Gaussian factor
+    dominates whenever fewer than four product pairs remain."""
+    lf = log_f(np.array([6.0, 7.0, -6.0, -7.0]))
+    rr = min(max(math.exp(min(50.0, (lf[1] - lf[0]).real)), 1e-6), 0.97)
+    rl = min(max(math.exp(min(50.0, (lf[3] - lf[2]).real)), 1e-6), 0.97)
+    return q_quadrature(log_f, 0.0, rr, rl, QBETA_TOL, freq_hint).value
+
 
 def _qbeta_log_f(alpha: complex, ys: Sequence[complex], q: complex):
     """log of (1 + q^(2x) alpha^2) prod_y (-q^(x+1) alpha y, q^(1-x) y / alpha; q)_inf
@@ -323,10 +346,10 @@ def _qbeta_product(alpha: complex, ys: Sequence[complex], q: float) -> complex:
     return out
 
 
-def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex,
-                   tol: Tolerance) -> complex:
+def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex) -> complex:
     """Very-well-poised bilateral basic series representation shared by the
-    whole family; confluent entries appear as zero lower parameters."""
+    whole family, summed to DEFAULT_TOL; confluent entries appear as zero
+    lower parameters."""
     q14 = complex(q) ** 0.25
     q54 = complex(q) ** 1.25
     uppers = [q54, -q54] + [-1j * q14 / y for y in ys]
@@ -339,54 +362,34 @@ def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex,
     pref *= qpoch_inf_multi([1j * q54 * y for y in ys]
                             + [1j * complex(q) ** 0.75 * y for y in ys], q)
     pref /= qpoch_inf_multi([q, complex(q) ** 0.5, complex(q) ** 1.5], q)
-    psi = eval_psi(QSeriesSpec(q, uppers, lowers, z), tol)
+    psi = eval_psi(QSeriesSpec(q, uppers, lowers, z), DEFAULT_TOL)
     return pref * psi.value
 
 
-def qbeta_family(kind: QBetaKind, params: Dict[str, complex], q: float,
-                 tol: Tolerance = Tolerance(rel=1e-6, abs=1e-12)
-                 ) -> Tuple[complex, complex]:
-    """Quadrature of a q-beta integral, to accuracy ``tol``, and its printed
+def qbeta_family(kind: QBetaKind, params: Dict[str, complex],
+                 q: float) -> Tuple[complex, complex]:
+    """Quadrature of a q-beta integral, to QBETA_TOL, and its printed
     product form, as (quadrature, product).
 
     The q -> 1 behaviour of the prefactor is checked separately, against the
     exact finite-q form stated in `limit_constant`.
     """
-    kind = QBetaKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    alpha = p["alpha"]
-    yv = [p[name] for name in _QBETA_YS[kind]]
-    prod_y = 1.0 + 0j
-    for y in yv:
-        prod_y *= y
-    if kind is QBetaKind.I_FULL and not abs(prod_y) < 1.0 / abs(q):
+    kind, alpha, yv = _qbeta_params(kind, params)
+    if kind is QBetaKind.I_FULL and not abs(math.prod(yv)) < 1.0 / abs(q):
         raise ConstraintViolation("needs |abcd| < 1/|q|")
-
-    # quadrature side: measure the actual one-step decay ratio a few units
-    # out instead of the analytic envelopes (the Gaussian factor dominates
-    # whenever fewer than four product pairs remain)
-    log_f = _qbeta_log_f(alpha, yv, q)
-    probe = 6.0
-    lf = log_f(np.array([probe, probe + 1.0, -probe, -probe - 1.0]))
-    rr = math.exp(min(50.0, (lf[1] - lf[0]).real))
-    rl = math.exp(min(50.0, (lf[3] - lf[2]).real))
-    rr = min(max(rr, 1e-6), 0.97)
-    rl = min(max(rl, 1e-6), 0.97)
-    res = q_quadrature(log_f, 0.0, rr, rl, tol,
-                       freq_hint=abs(cmath.log(alpha).imag) * 4.0
-                       + sum(abs(cmath.log(complex(y)).imag) for y in yv))
-    return res.value, _qbeta_product(alpha, yv, q)
+    value = _qbeta_quadrature(
+        _qbeta_log_f(alpha, yv, q),
+        abs(cmath.log(alpha).imag) * 4.0
+        + sum(abs(cmath.log(complex(y)).imag) for y in yv))
+    return value, _qbeta_product(alpha, yv, q)
 
 
 def qbeta_psi_consistency(kind: QBetaKind, params: Dict[str, complex],
                           q: float) -> Tuple[complex, complex]:
     """Product form of a q-beta integral and its bilateral basic series
     representation, as (product, series); no quadrature on either side."""
-    kind = QBetaKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    alpha = p["alpha"]
-    yv = [p[name] for name in _QBETA_YS[kind]]
-    return _qbeta_product(alpha, yv, q), _qbeta_psi_rep(alpha, yv, q, DEFAULT_TOL)
+    _, alpha, yv = _qbeta_params(kind, params)
+    return _qbeta_product(alpha, yv, q), _qbeta_psi_rep(alpha, yv, q)
 
 
 def limit_constant(q: float, alpha: complex) -> complex:
@@ -418,18 +421,14 @@ def limit_constant_target(alpha: complex) -> complex:
     return -1j * cmath.exp(2j * math.pi * complex(alpha)) / (2.0 * math.pi)
 
 
-def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex], q: float,
-                     tol: Tolerance = Tolerance(rel=1e-6, abs=1e-12)
-                     ) -> Tuple[complex, complex]:
-    """Quadrature of the q-gamma rewritten integrand, to accuracy ``tol``,
-    and its q-gamma right side (the exponent-parameter form of the q-beta
+def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex],
+                     q: float) -> Tuple[complex, complex]:
+    """Quadrature of the q-gamma rewritten integrand, to QBETA_TOL, and its
+    q-gamma right side (the exponent-parameter form of the q-beta
     integrals), as (quadrature, q-gamma form)."""
-    kind = QBetaKind(kind)
+    kind, alpha, ys = _qbeta_params(kind, params)
     if kind not in (QBetaKind.I_FULL, QBetaKind.I_D0):
         raise ValueError(f"no q-gamma form for {kind.value}")
-    p = {k: complex(v) for k, v in params.items()}
-    alpha = p["alpha"]
-    ys = [p[n] for n in _QBETA_YS[kind]]
     lq = math.log(q)
     lqq = log_qpoch_inf(q, q)
     s_y = sum(ys)
@@ -445,18 +444,14 @@ def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex], q: float,
         out = out + 2.0 * s_y * math.log(1.0 - q) - 2.0 * n_y * lqq
         return out
 
-    lf = log_g(np.array([6.0, 7.0, -6.0, -7.0]))
-    rr = min(max(math.exp(min(50.0, (lf[1] - lf[0]).real)), 1e-6), 0.97)
-    rl = min(max(math.exp(min(50.0, (lf[3] - lf[2]).real)), 1e-6), 0.97)
-    res = q_quadrature(log_g, 0.0, rr, rl, tol,
-                       freq_hint=2.0 * math.pi + 2.0)
+    value = _qbeta_quadrature(log_g, 2.0 * math.pi + 2.0)
     pair_gammas = 1.0 + 0j
     for yi, yj in itertools.combinations(ys, 2):
         pair_gammas *= q_gamma(yi + yj + 1.0, q)
     rhs = limit_constant(q, alpha) / pair_gammas
     if kind is QBetaKind.I_FULL:
         rhs *= q_gamma(s_y + 1.0, q)
-    return res.value, rhs
+    return value, rhs
 
 
 def h44_integral_value(a: complex, b: complex, c: complex) -> complex:

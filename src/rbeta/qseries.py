@@ -605,17 +605,17 @@ class QtoOnePath:
         return sum(self.beta) - sum(self.alpha)
 
 
-def theorem21_limit_probe(path: QtoOnePath,
-                          tol: Tolerance = DEFAULT_TOL) -> List[Tuple[float, float]]:
+def theorem21_limit_probe(path: QtoOnePath) -> List[Tuple[float, float]]:
     """For each q on the path, the gap between the deformed basic series at
-    argument q^tau z and the classical bilateral series at z."""
-    target = eval_H(BilateralSeriesSpec(path.alpha, path.beta, path.z), tol)
+    argument q^tau z and the classical bilateral series at z, both summed to
+    DEFAULT_TOL."""
+    target = eval_H(BilateralSeriesSpec(path.alpha, path.beta, path.z), DEFAULT_TOL)
     out = []
     for q in path.q_sequence:
         spec = QSeriesSpec(q,
                            [q ** al for al in path.alpha],
                            [q ** be for be in path.beta],
                            (q ** path.tau) * path.z)
-        val = eval_psi(spec, tol)
+        val = eval_psi(spec, DEFAULT_TOL)
         out.append((q, abs(val.value - target.value)))
     return out

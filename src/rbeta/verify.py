@@ -673,6 +673,8 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; "
                              f"known: {', '.join(SUITE_NAMES)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.draws_per_identity < 1:
             raise ValueError("draws_per_identity must be >= 1")
         if self.format not in ("json", "csv"):
@@ -824,9 +826,15 @@ def report_to_csv(report: SuiteReport) -> str:
     return buf.getvalue()
 
 
-def write_report(report: SuiteReport, path: str, fmt: str = "json") -> None:
+def report_to_text(report: SuiteReport) -> str:
+    """The report serialized in its configured format."""
+    return (report_to_json(report) if report.config.format == "json"
+            else report_to_csv(report))
+
+
+def write_report(report: SuiteReport, path: str) -> None:
     """Atomic write (temp file + rename) of the serialized report."""
-    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    text = report_to_text(report)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -6,7 +6,7 @@ import pytest
 
 from rbeta.cli import main
 from rbeta.core import parse_complex, format_complex
-from rbeta.verify import SuiteConfig, run_suite, report_to_dict
+from rbeta.verify import IDENTITIES, SuiteConfig, run_suite, report_to_dict
 
 
 def run(args):
@@ -145,6 +145,25 @@ def test_verify_csv_format(tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("identity_id,inputs,lhs_re")
     assert len(lines) > 3
+
+
+def test_verify_quiet_follows_format():
+    code, out, _ = run(["verify", "--suite", "limits", "--seed", "5",
+                        "--draws", "1", "--format", "csv", "--quiet"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("identity_id,inputs,lhs_re")
+    # the header and one row per limits identity
+    assert len(lines) == 1 + sum(e.suite == "limits" for e in IDENTITIES)
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_verify_negative_seed_exit2():
+    code, out, err = run(["verify", "--suite", "limits", "--seed", "-1",
+                          "--quiet"])
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
 
 
 def test_verify_determinism():

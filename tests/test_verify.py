@@ -122,3 +122,9 @@ def test_records_independent_of_thread_count(monkeypatch):
             rec.pop("runtime_ms")
         runs.append(records)
     assert runs[0] == runs[1]
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        SuiteConfig(suite="limits", seed=-1)
+    assert SuiteConfig(suite="limits", seed=0).seed == 0
