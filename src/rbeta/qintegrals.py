@@ -98,41 +98,87 @@ class QIntegrandSpec:
         return pw / pa * math.exp(ti), pb / pw * math.exp(-ti)
 
 
-def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
-                          tol_abs: float) -> float:
-    """Smallest X >= 4 with boundary magnitude * geometric tail below tol.
+# probe offsets below a candidate X: three points at X and the same three one
+# unit back, so isolated zeros of the integrand cannot fake decay
+_PROBE_OFFSETS = (0.0, 0.372, 0.709, 1.0, 1.372, 1.709)
 
-    Probes several offset points per candidate X so isolated zeros of the
-    integrand cannot fake decay.  Raises ToleranceNotReached when 200
-    candidates leave the tail above tol.
+
+def _tail_bound(lm: Sequence[float], ratio: float) -> Tuple[float, float]:
+    """(tail, rho): the boundary magnitude at X times the geometric tail past
+    it, from the log-magnitudes `lm` at X - _PROBE_OFFSETS."""
+    lm_here, lm_prev = max(lm[:3]), max(lm[3:])
+    # in the transient the local one-step decay can be far slower than
+    # the asymptotic ratio; trust the worse of the two
+    local = math.exp(min(0.0, max(-700.0, lm_here - lm_prev)))
+    rho = min(max(ratio, local), 0.98)
+    mag = math.exp(min(700.0, lm_here))
+    return mag * rho / (1.0 - rho), rho
+
+
+class _Bracket(float):
+    """The first candidate X whose tail bound passed, as a float, carrying
+    the last candidate that failed as `lo` (X itself when X = 4 passed)."""
+
+    lo: float
+
+    def __new__(cls, lo: float, hi: float) -> "_Bracket":
+        out = super().__new__(cls, hi)
+        out.lo = lo
+        return out
+
+
+def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
+                          tol_abs: float) -> _Bracket:
+    """First X of the candidates 4, 4 + step, ... whose boundary magnitude
+    times geometric tail is below tol, bracketed below by the candidate
+    before it; bisecting that bracket (`_trim_truncation`) gives the smallest
+    such X >= 4 to unit resolution.
+
+    Each step covers half the log-distance to tol at the current decay ratio.
+    Raises ToleranceNotReached when 200 candidates leave the tail above tol.
     """
     if ratio >= 1.0:
         raise AnnulusViolation("integrand does not decay on this side")
-    X = 4.0
+    lo = X = 4.0
     for _ in range(200):
-        lm = max(log_mag(X), log_mag(X - 0.372), log_mag(X - 0.709))
-        lm_prev = max(log_mag(X - 1.0), log_mag(X - 1.372), log_mag(X - 1.709))
-        # in the transient the local one-step decay can be far slower than
-        # the asymptotic ratio; trust the worse of the two
-        local = math.exp(min(0.0, max(-700.0, lm - lm_prev)))
-        rho = min(max(ratio, local), 0.98)
-        mag = math.exp(min(700.0, lm))
-        tail = mag * rho / (1.0 - rho)
+        tail, rho = _tail_bound([log_mag(X - d) for d in _PROBE_OFFSETS], ratio)
         if tail < tol_abs:
-            return X
+            return _Bracket(lo, X)
+        lo = X
         X += max(1.0, math.log(max(tail / tol_abs, 2.0)) / -math.log(rho) * 0.5)
     raise ToleranceNotReached(
         f"integrand tail {tail:.3g} still above {tol_abs:.3g} at X = {X:.6g}")
 
 
-def _truncation_points(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
+def _trim_truncation(log_mag: Callable[[np.ndarray], np.ndarray],
+                     X: _Bracket, ratio: float, tol_abs: float) -> float:
+    """Bisect the bracket of `_geometric_truncation` down to unit width with
+    the same tail bound, probing each candidate's six points in one call of
+    the array log-magnitude `log_mag`; returns the passing end."""
+    lo, hi = X.lo, float(X)
+    offsets = np.array(_PROBE_OFFSETS)
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        if _tail_bound(log_mag(mid - offsets), ratio)[0] < tol_abs:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _log_magnitude(log_f: Callable[[np.ndarray], np.ndarray],
+                   t: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """Array log-magnitude of exp(log_f(x) - i t x)."""
+    return lambda x: (log_f(x) - 1j * complex(t) * x).real
+
+
+def _truncation_points(log_mag: Callable[[np.ndarray], np.ndarray],
                        rho_right: float, rho_left: float,
-                       tol_abs: float) -> Tuple[float, float]:
-    """(X_right, X_left) of `_geometric_truncation` for the log-magnitude of
-    exp(log_f(x) - i t x), probed one point at a time."""
+                       tol_abs: float) -> Tuple[_Bracket, _Bracket]:
+    """(X_right, X_left) of `_geometric_truncation` for the array
+    log-magnitude `log_mag`, probed one point at a time."""
     def logmag_at(x: float) -> float:
-        lx = np.array([float(x)])
-        return float((log_f(lx) - 1j * complex(t) * lx)[0].real)
+        return float(log_mag(np.array([float(x)]))[0])
 
     return (_geometric_truncation(logmag_at, rho_right, tol_abs),
             _geometric_truncation(lambda x: logmag_at(-x), rho_left, tol_abs))
@@ -142,14 +188,18 @@ def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
                  rho_right: float, rho_left: float, tol: Tolerance,
                  freq_hint: float) -> QuadratureResult:
     """Gauss-panel integral of exp(log_f(x) - i t x) over the line, truncated
-    where the geometric envelopes fall below tolerance."""
+    on each side at the smallest X >= 4, to unit resolution, where the
+    geometric tail bound falls below tolerance."""
     tol_abs = max(tol.abs, 1e-15)
 
     def f(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(log_f(x) - 1j * complex(t) * x)
 
-    Xr, Xl = _truncation_points(log_f, t, rho_right, rho_left, tol_abs)
+    log_mag = _log_magnitude(log_f, t)
+    Xr, Xl = _truncation_points(log_mag, rho_right, rho_left, tol_abs)
+    Xr = _trim_truncation(log_mag, Xr, rho_right, tol_abs)
+    Xl = _trim_truncation(lambda x: log_mag(-x), Xl, rho_left, tol_abs)
     omega = abs(complex(t).real) + freq_hint + 1.0
     width = min(0.5, math.pi / (2.0 * omega))
     value, err, n = gauss_panels(f, -Xl, Xr, width)
@@ -230,7 +280,10 @@ def abel_poisson_psi(spec: QIntegrandSpec,
             return base * kern
 
         peak = (1.0 + r) / (1.0 - r)
-        Xr, Xl = _truncation_points(spec.log_f, spec.t, rr, rl,
+        # the upper ends of the brackets, untrimmed: perfbench matches
+        # abel-poisson-kernel records on inputs that hold the gaps computed
+        # here (ROADMAP item 1), so this X must keep its bits until they move
+        Xr, Xl = _truncation_points(_log_magnitude(spec.log_f, spec.t), rr, rl,
                                     DEFAULT_TOL.abs / peak)
         edges = _kernel_graded_edges(-Xl, Xr, r)
         value, err, _ = gauss_panels_graded(f, edges)

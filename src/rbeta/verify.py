@@ -9,6 +9,7 @@ seeds the draws, times them and turns their results into records.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
 import io
 import json
@@ -836,6 +837,12 @@ def write_report(report: SuiteReport, path: str) -> None:
     """Atomic write (temp file + rename) of the serialized report."""
     text = report_to_text(report)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

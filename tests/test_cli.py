@@ -196,3 +196,14 @@ def test_verify_io_failure_exit4(tmp_path):
                         "--draws", "1", "--out", str(bad), "--quiet"])
     assert code == 4
     assert "error writing report" in err
+
+
+def test_verify_failed_rename_leaves_no_temp_file(tmp_path):
+    # the temp file is written, then renaming it onto a directory fails
+    out = tmp_path / "reports"
+    out.mkdir()
+    code, _, err = run(["verify", "--suite", "limits", "--seed", "1",
+                        "--draws", "1", "--out", str(out), "--quiet"])
+    assert code == 4
+    assert "error writing report" in err
+    assert list(tmp_path.glob("*.tmp.*")) == []

@@ -14,7 +14,9 @@ from rbeta.errors import (AnnulusViolation, DomainError, StripViolation,
                           ToleranceNotReached)
 from rbeta.gammafns import gamma, gaussian_q_integral
 from rbeta.integrals import BetaKind, IntegrandSpec, beta_integral_closed, integrate
+import rbeta.qintegrals as qintegrals
 from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, _geometric_truncation,
+                              _PROBE_OFFSETS, _tail_bound, _trim_truncation,
                               abel_poisson_psi,
                               abel_psi_target, h44_integral_value, h_of_q,
                               h_of_q_probe, h_of_q_target, limit_constant,
@@ -43,6 +45,17 @@ def test_q_fourier_complex_t_in_strip():
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
+def test_q_fourier_closed_near_q_one():
+    # the whole integrand lies below q_integrate's absolute tolerance of
+    # 1e-12 (it peaks near 1e-19 around x = -20), so its quadrature says
+    # nothing here; the reference is a 30-digit mpmath quadrature of the
+    # integrand over [-80, 80]
+    sp = QIntegrandSpec(0.98, [2.0], [0.3], [0.8], 0.3)
+    want = complex(-3.05208587553951200814677297363e-18,
+                   -9.11491608753882849204213590503e-19)
+    assert abs(q_fourier_closed(sp) - want) <= 1e-12 * abs(want)
+
+
 def test_q_fourier_strip_violation():
     base = QIntegrandSpec(0.4, [2.6], [0.3], [1.1], 0.0 + 4.0j)
     with pytest.raises(StripViolation):
@@ -54,6 +67,43 @@ def test_truncation_raises_when_the_tail_never_decays():
     with pytest.raises(ToleranceNotReached):
         _geometric_truncation(lambda x: 0.0, 0.5, 1e-12)
     assert _geometric_truncation(lambda x: -x, 0.5, 1e-12) > 4.0
+
+
+def test_qbeta_truncation_trimmed_to_where_the_integrand_ends(monkeypatch):
+    # suite seed 4's q-beta record: the stepping rule alone truncates the
+    # left tail at X = 869.9, where the log-magnitude is -48 by X = 20
+    params = dict(alpha=0.6664723990647077, a=0.4598527275084561,
+                  b=0.36919666068951484, c=0.3380431161592862,
+                  d=0.49901533708047435)
+    seen = []
+    quad = qintegrals.q_quadrature
+
+    def probe(*args):
+        res = quad(*args)
+        seen.append(res.truncation_X)
+        return res
+    monkeypatch.setattr(qintegrals, "q_quadrature", probe)
+    value, product = qbeta_family(QBetaKind.I_FULL, params, 0.7)
+    assert len(seen) == 1 and seen[0] <= 20.0
+    # the value integrated out to X = 869.9
+    assert abs(value - 80.62729676841414) <= 1e-12 * 80.62729676841414
+    assert compare((value, product), QBETA_TOL).passed
+
+
+@pytest.mark.parametrize("log_mag,ratio", [
+    (lambda x: -x * x, 0.5),
+    (lambda x: -x * math.log(2.0), 0.5),
+])
+@pytest.mark.parametrize("tol_abs", [1e-12, 1e-6])
+def test_trimmed_truncation_is_the_first_passing_unit(log_mag, ratio, tol_abs):
+    def passes(X):
+        lm = [log_mag(X - d) for d in _PROBE_OFFSETS]
+        return _tail_bound(lm, ratio)[0] < tol_abs
+
+    stepped = _geometric_truncation(log_mag, ratio, tol_abs)
+    X = _trim_truncation(log_mag, stepped, ratio, tol_abs)
+    assert 4.0 < X <= stepped
+    assert passes(X) and not passes(X - 1.0)
 
 
 def test_q_integrate_annulus_violation():
