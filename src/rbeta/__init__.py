@@ -11,14 +11,14 @@ from .errors import (RBetaError, PoleError, BranchCutError, DomainError,
                      NotReducible, ConstraintViolation, OutsideAnnulus,
                      MarginViolation, AnnulusViolation, StripViolation)
 from .gammafns import (gamma, log_gamma, recip_gamma, pochhammer, dilog,
-                       gaussian_q_integral)
+                       gaussian_q_integral, log_gaussian_q_integral)
 from .bilateral import (BilateralSeriesSpec, UnilateralSeriesSpec,
                         ConvergenceClass, ConvergenceKind, SeriesValue,
                         classify, eval_H, eval_F, symmetry_transform,
                         reduce_to_unilateral, HKind, closed_form_H,
                         series_spec_for, cancel_matching_parameters)
 from .qseries import (QSeriesSpec, QtoOnePath, qpoch, qpoch_inf,
-                      qpoch_inf_multi, q_gamma, eval_psi, QKind,
+                      log_qpoch_ratio, q_gamma, eval_psi, QKind,
                       closed_form_q, psi_spec_for, qpoch_inf_asymptotic,
                       theorem21_limit_probe)
 from .integrals import (IntegrandSpec, QuadratureResult, weight_gm, integrate,

@@ -8,11 +8,13 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["levin_u", "sum_one_sided", "SumResult"]
+__all__ = ["levin_u", "sum_one_sided", "SeriesValue"]
 
 
 @dataclass
-class SumResult:
+class SeriesValue:
+    """A series sum, its error estimate, terms summed and whether Levin ran."""
+
     value: complex
     est_error: float
     terms_used: int
@@ -105,7 +107,7 @@ def _walk(ests, zero_d, best: complex, best_d: float) -> Tuple[complex, float]:
 def sum_one_sided(term_ratios: Callable[[int], complex],
                   first_term: complex,
                   tol_abs: float,
-                  max_terms: int = 400) -> SumResult:
+                  max_terms: int = 400) -> SeriesValue:
     """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n).
 
     Direct summation while the terms decay geometrically (ratio <= 0.75);
@@ -114,7 +116,7 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
     """
     terms = [complex(first_term)]
     if first_term == 0:
-        return SumResult(0j, 0.0, 1, False)
+        return SeriesValue(0j, 0.0, 1, False)
     total = complex(first_term)
     n = 0
     geometric = True
@@ -129,14 +131,14 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
             # converged by raw decay
             rr = abs(r)
             tail = mag * rr / (1.0 - rr) if rr < 1 else mag
-            return SumResult(total, tail + 1e-16 * abs(total), n + 1, False)
+            return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False)
         if n >= 8 and abs(r) > 0.75:
             geometric = False
             break
     if geometric and n + 1 >= max_terms:
         r = abs(term_ratios(n))
         tail = abs(terms[-1]) * (r / (1.0 - r) if r < 1 else 1.0)
-        return SumResult(total, tail + 1e-16 * abs(total), n + 1, False)
+        return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False)
 
     # non-geometric regime: generate the full budget (cheap) and transform
     # windows of partial sums, preferring whichever window stabilizes best
@@ -154,4 +156,4 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
             best_val, best_err = val, err
         if best_err <= tol_abs:
             break
-    return SumResult(best_val, best_err, len(terms), True)
+    return SeriesValue(best_val, best_err, len(terms), True)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .acceleration import sum_one_sided
+from .acceleration import SeriesValue, sum_one_sided
 from .core import Tolerance, DEFAULT_TOL
 from .errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                      NotReducible, PoleError)
@@ -110,13 +110,6 @@ class ConvergenceClass:
                              ConvergenceKind.TERMINATES_BOTH,
                              ConvergenceKind.ABSOLUTELY_CONVERGENT,
                              ConvergenceKind.CONDITIONALLY_CONVERGENT)
-
-
-@dataclass
-class SeriesValue:
-    value: complex
-    est_error: float
-    terms_used: int
 
 
 def _termination_cuts(spec: BilateralSeriesSpec) -> Tuple[Optional[int], Optional[int]]:
@@ -286,6 +279,7 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
     value = 0j
     est = 0.0
     used = 0
+    accelerated = False
 
     # right side: n >= 0
     if cls.right_cut is not None:
@@ -298,6 +292,7 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
         value += res.value
         est += res.est_error
         used += res.terms_used
+        accelerated = res.accelerated
 
     # left side: n <= -1
     if cls.left_cut is not None:
@@ -312,7 +307,8 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
         value += res.value
         est += res.est_error
         used += res.terms_used
-    return SeriesValue(value, est, used)
+        accelerated = accelerated or res.accelerated
+    return SeriesValue(value, est, used, accelerated)
 
 
 def symmetry_transform(spec: BilateralSeriesSpec) -> BilateralSeriesSpec:
@@ -352,8 +348,7 @@ def eval_F(spec: UnilateralSeriesSpec) -> SeriesValue:
             den *= bj + n
         return num / den
 
-    res = sum_one_sided(ratio, 1.0 + 0j, DEFAULT_TOL.abs, max_terms=_F_MAX_TERMS)
-    return SeriesValue(res.value, res.est_error, res.terms_used)
+    return sum_one_sided(ratio, 1.0 + 0j, DEFAULT_TOL.abs, max_terms=_F_MAX_TERMS)
 
 
 def cancel_matching_parameters(spec: BilateralSeriesSpec) -> BilateralSeriesSpec:

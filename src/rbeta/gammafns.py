@@ -18,7 +18,7 @@ from .errors import BranchCutError, DomainError, PoleError
 
 __all__ = [
     "gamma", "log_gamma", "recip_gamma", "pochhammer", "dilog",
-    "gaussian_q_integral", "POLE_WINDOW",
+    "gaussian_q_integral", "log_gaussian_q_integral", "POLE_WINDOW",
 ]
 
 # Distance below which an argument counts as sitting on a nonpositive-integer
@@ -266,16 +266,22 @@ def dilog(z: complex) -> complex:
     return s
 
 
-def gaussian_q_integral(q: float, w: complex) -> complex:
-    """Closed form of the full-line integral of q^(x(x-1)/2) w^x.
+def log_gaussian_q_integral(q: complex, log_w: complex) -> complex:
+    """log of the full-line integral of q^(x(x-1)/2) w^x, 0 < |q| < 1, exact
+    under exp(): with u = -log q, sqrt(2 pi / u) w^(1/2) q^(-1/8)
+    e^((log w)^2 / (2u)), the branch of log w fixing that of w^x.  Passing
+    log w - i t gives the integral times e^(-ixt)."""
+    u = -cmath.log(q)
+    return (0.5 * math.log(2.0 * math.pi) + 0.5 * log_w + log_w ** 2 / (2.0 * u)
+            + 0.125 * u - 0.5 * cmath.log(u))
 
-    Principal logarithm/square root of w.
-    """
+
+def gaussian_q_integral(q: float, w: complex) -> complex:
+    """Closed form of the full-line integral of q^(x(x-1)/2) w^x, for real
+    q in (0, 1), with the principal logarithm of w."""
     if not (isinstance(q, (int, float)) and 0.0 < q < 1.0):
         raise DomainError(f"q must be real in (0,1), got {q!r}")
     w = complex(w)
     if w == 0:
         raise DomainError("w must be nonzero")
-    u = -math.log(q)
-    return (cmath.sqrt(2.0 * math.pi * w) * cmath.exp(cmath.log(w) ** 2 / (2.0 * u))
-            / (q ** 0.125 * math.sqrt(u)))
+    return cmath.exp(log_gaussian_q_integral(q, cmath.log(w)))

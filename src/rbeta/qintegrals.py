@@ -22,10 +22,10 @@ import numpy as np
 from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
-from .gammafns import gamma
+from .gammafns import gamma, log_gaussian_q_integral
 from .quadrature import QuadratureResult, gauss_panels, gauss_panels_graded
-from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, qpoch_inf,
-                      qpoch_inf_multi, q_gamma)
+from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_ratio,
+                      qpoch_inf, q_gamma)
 
 __all__ = [
     "QIntegrandSpec", "q_integrate", "q_fourier_closed", "abel_poisson_psi",
@@ -74,10 +74,10 @@ class QIntegrandSpec:
     def check_strip(self) -> None:
         pa, pb, pw = self._abs_products()
         ti = self.t.imag
-        if not (math.log(pb / pw) < ti < math.log(pa / pw)):
-            raise StripViolation(
-                f"Im t = {ti:.4g} outside ({math.log(pb / pw):.4g}, "
-                f"{math.log(pa / pw):.4g})")
+        lo = math.log(pb / pw) if pb > 0 else -math.inf
+        hi = math.log(pa / pw)
+        if not lo < ti < hi:
+            raise StripViolation(f"Im t = {ti:.4g} outside ({lo:.4g}, {hi:.4g})")
 
     def log_f(self, x: np.ndarray) -> np.ndarray:
         q = self.q
@@ -231,15 +231,18 @@ def q_fourier_closed(spec: QIntegrandSpec) -> complex:
     spec.check_annulus()
     if spec.t.imag != 0.0:
         spec.check_strip()
-    q, a, b, w, t = spec.q, spec.a[0], spec.b[0], spec.w[0], spec.t
-    u = -cmath.log(q)
+    return cmath.exp(_log_q_fourier(spec.q, spec.a[0], spec.b[0], spec.w[0],
+                                    spec.t))
+
+
+def _log_q_fourier(q: complex, a: complex, b: complex, w: complex,
+                   t: complex) -> complex:
+    """log of the single-factor q-Fourier closed form
+    (b/a;q)_inf / (-(w/a) e^(-it), -(b/w) e^(it);q)_inf times the Gaussian
+    q-integral at w e^(-it)."""
     eit = cmath.exp(-1j * t)
-    val = qpoch_inf(b / a, q)
-    val /= qpoch_inf(-(w / a) * eit, q) * qpoch_inf(-(b / w) / eit, q)
-    val *= (cmath.sqrt(2.0 * math.pi * w) * cmath.exp(-0.5j * t)
-            * cmath.exp((cmath.log(w) - 1j * t) ** 2 / (2.0 * u)))
-    val /= complex(q) ** 0.125 * cmath.sqrt(u)
-    return val
+    return (log_qpoch_ratio([b / a], [-(w / a) * eit, -(b / w) / eit], q)
+            + log_gaussian_q_integral(q, cmath.log(w) - 1j * t))
 
 
 # -- Abel/Poisson kernel route to the bilateral basic series -------------------
@@ -379,24 +382,14 @@ def _qbeta_log_f(alpha: complex, ys: Sequence[complex], q: complex):
     return log_f
 
 
-def _qbeta_prefactor(alpha: complex, q: complex) -> complex:
-    u = -cmath.log(q)
-    return (cmath.sqrt(2.0 * math.pi) * alpha
-            * cmath.exp(2.0 * cmath.log(alpha) ** 2 / u)
-            / (complex(q) ** 0.125 * cmath.sqrt(u)))
-
-
 def _qbeta_product(alpha: complex, ys: Sequence[complex], q: float) -> complex:
-    """The printed product form of a q-beta integral: one factor per pair of
-    y's, over (q abcd; q)_inf when all four are present."""
-    out = _qbeta_prefactor(alpha, q) * qpoch_inf_multi(
-        [-q * yi * yj for yi, yj in itertools.combinations(ys, 2)], q)
-    if len(ys) == 4:
-        qy = q
-        for y in ys:
-            qy *= y
-        out = out / qpoch_inf(qy, q)
-    return out
+    """The printed product form of a q-beta integral: the Gaussian q-integral
+    at w = alpha^2 times one factor per pair of y's, over (q abcd; q)_inf
+    when all four are present."""
+    num = [-q * yi * yj for yi, yj in itertools.combinations(ys, 2)]
+    den = [q * math.prod(ys)] if len(ys) == 4 else []
+    return cmath.exp(log_gaussian_q_integral(q, 2.0 * cmath.log(alpha))
+                     + log_qpoch_ratio(num, den, q))
 
 
 def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex) -> complex:
@@ -411,12 +404,11 @@ def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex) -> complex
     for y in ys:
         z *= y
     z *= (-1j * q14) ** (4 - len(ys))
-    pref = _qbeta_prefactor(alpha, q)
-    pref *= qpoch_inf_multi([1j * q54 * y for y in ys]
-                            + [1j * complex(q) ** 0.75 * y for y in ys], q)
-    pref /= qpoch_inf_multi([q, complex(q) ** 0.5, complex(q) ** 1.5], q)
+    num = [1j * p * y for p in (q54, complex(q) ** 0.75) for y in ys]
+    den = [q, complex(q) ** 0.5, complex(q) ** 1.5]
     psi = eval_psi(QSeriesSpec(q, uppers, lowers, z), DEFAULT_TOL)
-    return pref * psi.value
+    return cmath.exp(log_gaussian_q_integral(q, 2.0 * cmath.log(alpha))
+                     + log_qpoch_ratio(num, den, q)) * psi.value
 
 
 def qbeta_family(kind: QBetaKind, params: Dict[str, complex],
@@ -461,13 +453,10 @@ def limit_constant(q: float, alpha: complex) -> complex:
     """
     if not 0.0 < q < 1.0:
         raise DomainError("q must lie in (0,1)")
-    alpha = complex(alpha)
-    u = -math.log(q)
-    lg = (0.5 * math.log(2.0 * math.pi) + (alpha - 0.125) * math.log(q)
-          + 2.0 * cmath.log(-1j * q ** alpha) ** 2 / u
-          - math.log(1.0 - q) - 0.5 * math.log(u)
-          - 3.0 * log_qpoch_inf(q, q))
-    return -1j * cmath.exp(lg)
+    # the q-beta prefactor at alpha -> -i q^alpha, over (1 - q) (q;q)_inf^3
+    lw = 2.0 * cmath.log(-1j * q ** complex(alpha))
+    return cmath.exp(log_gaussian_q_integral(q, lw) - math.log(1.0 - q)
+                     + log_qpoch_ratio([], [q, q, q], q))
 
 
 def limit_constant_target(alpha: complex) -> complex:
@@ -523,15 +512,11 @@ def h_of_q(q: float, alpha: float, beta: float, t: float) -> complex:
         raise DomainError("q must lie in (0,1)")
     if not (alpha > 1.0 and beta > 2.0):
         raise DomainError("needs alpha > 1 and beta > 2")
-    u = -math.log(q)
-    lg = ((alpha + beta - 2.0) * math.log(1.0 - q)
-          - 2.0 * log_qpoch_inf(q, q)
-          + log_qpoch_inf(q ** (alpha + beta - 1.0), q)
-          - log_qpoch_inf(-q ** (beta - 1.0) * cmath.exp(-1j * t), q)
-          - log_qpoch_inf(-q ** alpha * cmath.exp(1j * t), q)
-          + 0.5 * math.log(2.0 * math.pi) - 0.5j * t - t * t / (2.0 * u)
-          - 0.125 * math.log(q) - 0.5 * math.log(u))
-    return cmath.exp(lg)
+    # the q-Fourier transform at a = q^(1-beta), b = q^alpha, w = 1, times
+    # (1 - q)^(alpha+beta-2) / (q;q)_inf^2
+    return cmath.exp(_log_q_fourier(q, q ** (1.0 - beta), q ** alpha, 1.0, t)
+                     + (alpha + beta - 2.0) * math.log(1.0 - q)
+                     + log_qpoch_ratio([], [q, q], q))
 
 
 def h_of_q_target(alpha: float, beta: float, t: float) -> complex:

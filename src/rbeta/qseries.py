@@ -20,12 +20,13 @@ from .core import Tolerance, DEFAULT_TOL
 from .errors import (BranchCutError, ConstraintViolation, DomainError,
                      IllFormedSpec, OutsideAnnulus, PoleError,
                      ToleranceNotReached)
-from .bilateral import BilateralSeriesSpec, SeriesValue, eval_H
+from .acceleration import SeriesValue
+from .bilateral import BilateralSeriesSpec, eval_H
 from .gammafns import dilog
 
 __all__ = [
-    "QSeriesSpec", "QtoOnePath", "qpoch", "qpoch_inf", "qpoch_inf_multi",
-    "log_qpoch_inf", "q_gamma", "eval_psi", "QKind", "closed_form_q",
+    "QSeriesSpec", "QtoOnePath", "qpoch", "qpoch_inf", "log_qpoch_inf",
+    "log_qpoch_ratio", "q_gamma", "eval_psi", "QKind", "closed_form_q",
     "q_binomial_ratio_target", "psi_spec_for", "qpoch_inf_asymptotic",
     "QPochAsymptotic", "lemma_qpoch_log_gap", "theorem21_limit_probe",
 ]
@@ -111,22 +112,30 @@ class QSeriesSpec:
                                     f"without protective termination")
 
     def annulus_violation(self) -> Optional[str]:
-        """The failed absolute-convergence condition, or None.  The argument
-        must be nonzero; with as many lower as upper parameters a
-        non-terminating right side needs |z| < 1 and a non-terminating left
-        side prod|b|/prod|a| < |z|."""
+        """The failed absolute-convergence condition, or None.  A
+        non-terminating right side needs more lower than upper parameters, or
+        as many and 0 < |z| < 1.  Far left, nonzero parameters grow like q^-n
+        and surplus lower slots shrink like q^n, so a non-terminating left
+        side needs more zero lower than zero upper parameters, or as many and
+        prod|b_j != 0| / prod|a_j != 0| < |z|."""
         if self.z == 0:
             return "argument must be nonzero"
-        if len(self.b) != len(self.a):
-            return None
         right_cut, left_cut = self.termination_cuts()
-        prod_b = float(np.prod(np.abs(self.b))) if self.b else 1.0
-        prod_a = float(np.prod(np.abs(self.a))) if self.a else 1.0
-        if right_cut is None and not abs(self.z) < 1.0:
+        d = len(self.b) - len(self.a)
+        if right_cut is None and d < 0:
+            return "more upper than lower parameters: the right side diverges"
+        if right_cut is None and d == 0 and not abs(self.z) < 1.0:
             return f"|z|={abs(self.z):.6g} not below 1"
-        if left_cut is None and prod_b > 0 and not prod_b / prod_a < abs(self.z):
-            return (f"|z|={abs(self.z):.6g} not above annulus bound "
-                    f"{prod_b / prod_a:.6g}")
+        if left_cut is None:
+            zeros = sum(bj == 0 for bj in self.b) - sum(aj == 0 for aj in self.a)
+            if zeros < 0:
+                return ("more zero upper than zero lower parameters: "
+                        "the left side diverges")
+            bound = (math.prod(abs(bj) for bj in self.b if bj != 0)
+                     / math.prod(abs(aj) for aj in self.a if aj != 0))
+            if zeros == 0 and not bound < abs(self.z):
+                return (f"|z|={abs(self.z):.6g} not above annulus bound "
+                        f"{bound:.6g}")
         return None
 
 
@@ -317,7 +326,9 @@ def _settled(cur: np.ndarray, sums: np.ndarray, real_q: bool) -> np.ndarray:
 
 
 def qpoch_inf(a: complex, q: complex) -> complex:
-    """(a;q)_infinity by truncated product."""
+    """(a;q)_infinity by truncated product.  Kept only for abel_psi_target:
+    the golden abel-poisson-kernel gaps hold its bits while they sit in the
+    records' inputs (ROADMAP item 1); every other product is log-space."""
     a = complex(a)
     q = _check_base(q)
     if a == 0:
@@ -332,12 +343,14 @@ def qpoch_inf(a: complex, q: complex) -> complex:
     return out
 
 
-def qpoch_inf_multi(values: Sequence[complex], q: complex) -> complex:
-    """(a1, ..., ar; q)_infinity = product of (a_j; q)_infinity."""
-    out = 1.0 + 0j
-    for a in values:
-        out *= qpoch_inf(a, q)
-    return out
+def log_qpoch_ratio(num: Sequence[complex], den: Sequence[complex],
+                    q: complex) -> complex:
+    """log of prod (c;q)_inf over num over the same product over den: one
+    signed sum of scalar log_qpoch_inf calls, exact under exp().  Near q = 1
+    each product alone leaves double range; the array kernel is 7.8e-11 off
+    at c = q = 0.999, so each c is summed on its own."""
+    return (sum(log_qpoch_inf(c, q) for c in num)
+            - sum(log_qpoch_inf(c, q) for c in den))
 
 
 def q_gamma(x: complex, q: float) -> complex:
@@ -351,8 +364,7 @@ def q_gamma(x: complex, q: float) -> complex:
     qx = cmath.exp(x * math.log(q))
     # log space: both infinite products underflow as q -> 1 while their
     # ratio stays moderate
-    lg = (log_qpoch_inf(q, q) - log_qpoch_inf(qx, q)
-          + (1.0 - x) * math.log(1.0 - q))
+    lg = log_qpoch_ratio([q], [qx], q) + (1.0 - x) * math.log(1.0 - q)
     return cmath.exp(lg)
 
 
@@ -444,7 +456,7 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
         total += part
         est += tail + 1e-16 * abs(part)
         used += n
-    return SeriesValue(total, est, used)
+    return SeriesValue(total, est, used, False)
 
 
 # -- closed forms --------------------------------------------------------------
@@ -456,10 +468,11 @@ class QKind(enum.Enum):
 
 
 def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
-    """Product-form values of the q-summation theorems.  Each holds where
-    its bilateral series converges absolutely, so the series' own annulus
-    test decides: outside it the value raises ConstraintViolation, as does
-    Q_BINOMIAL_RATIO_LIMIT outside 0 < |z| <= 1."""
+    """Product-form values of the q-summation theorems, each the exp of one
+    log_qpoch_ratio sum.  Each holds where its bilateral series converges
+    absolutely, so the series' own annulus test decides: outside it the
+    value raises ConstraintViolation, as does Q_BINOMIAL_RATIO_LIMIT outside
+    0 < |z| <= 1."""
     kind = QKind(kind)
     q = _check_base(q)
     p = {k: complex(v) for k, v in params.items()}
@@ -469,28 +482,21 @@ def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
             raise ConstraintViolation(f"{kind.value} series: {problem}")
     if kind is QKind.RAMANUJAN_1PSI1:
         a, b, z = p["a"], p["b"], p["z"]
-        qa = q ** a
-        qb = q ** b
-        num = [q, q ** (b - a), qa * z, q ** (1 - a) / z]
-        den = [qb, q ** (1 - a), z, q ** (b - a) / z]
-        return qpoch_inf_multi(num, q) / qpoch_inf_multi(den, q)
-    if kind is QKind.BAILEY_6PSI6:
+        num = [q, q ** (b - a), q ** a * z, q ** (1 - a) / z]
+        den = [q ** b, q ** (1 - a), z, q ** (b - a) / z]
+    elif kind is QKind.BAILEY_6PSI6:
         a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
         num = [q, q * a, q / a, q * a / (b * c), q * a / (b * d),
                q * a / (b * e), q * a / (c * d), q * a / (c * e),
                q * a / (d * e)]
         den = [q / b, q / c, q / d, q / e, q * a / b, q * a / c, q * a / d,
                q * a / e, q * a * a / (b * c * d * e)]
-        return qpoch_inf_multi(num, q) / qpoch_inf_multi(den, q)
-    if kind is QKind.Q_BINOMIAL_RATIO_LIMIT:
+    else:
         alpha, beta, z = p["alpha"], p["beta"], p["z"]
         if not 0 < abs(z) <= 1:
             raise ConstraintViolation("needs 0 < |z| <= 1")
-        # one log-space ratio: near q = 1 each product alone overflows or
-        # underflows while their ratio stays moderate
-        return cmath.exp(log_qpoch_inf(q ** alpha * z, q)
-                         - log_qpoch_inf(q ** beta * z, q))
-    raise ValueError(f"unknown kind {kind}")
+        num, den = [q ** alpha * z], [q ** beta * z]
+    return cmath.exp(log_qpoch_ratio(num, den, q))
 
 
 def q_binomial_ratio_target(alpha: complex, beta: complex, z: complex) -> complex:

@@ -284,6 +284,18 @@ def test_eval_at_zero_argument():
         eval_H(BilateralSeriesSpec([-2.0], [1.5], 0.0))
 
 
+def test_eval_h_reports_acceleration():
+    # a unit-circle series goes through Levin on both sides, a geometric one
+    # on neither; a terminating right side leaves the flag to the left side
+    unit = series_spec_for(HKind.ONE_H1_MINUS_EXP, dict(a=0.1, b=0.8, t=1.0))
+    assert eval_H(unit).accelerated
+    # d = 1 cuts the left side; the right side has ratio about z = 0.5
+    assert not eval_H(BilateralSeriesSpec([0.3, 0.4], [1.0, 1.5], 0.5)).accelerated
+    left_only = BilateralSeriesSpec([-3.0], [0.4], cmath.exp(0.5j))
+    assert classify(left_only).kind is ConvergenceKind.TERMINATES_RIGHT
+    assert eval_H(left_only).accelerated
+
+
 def test_conditionally_convergent_accuracy(rng):
     # slowly decaying unit-circle series: est_error stays honest and the
     # accelerated value matches the closed form

@@ -80,6 +80,25 @@ def test_eval_psi_command():
     assert out.startswith("value:")
 
 
+@pytest.mark.parametrize("a,b,z", [("0,0.6", "0.3,0.2", "0.5"),
+                                   ("0,0.6", "0,0.2", "0.2"),
+                                   ("0.6", "0.3,0.7", "0.1")])
+def test_eval_psi_left_side_outside_annulus_exit3(a, b, z):
+    code, _, err = run(["eval-psi", "--a", a, "--b", b, "--q", "0.5", "--z", z])
+    assert code == 3
+    assert "OutsideAnnulus" in err
+
+
+def test_integrate_complex_t_with_zero_b():
+    code, out, _ = run(["integrate", "--q", "0.5", "--a", "2", "--b", "0",
+                        "--w", "1", "--t", "0.3+0.2i"])
+    assert code == 0
+    from rbeta.qintegrals import QIntegrandSpec, q_fourier_closed
+    want = q_fourier_closed(QIntegrandSpec(0.5, [2.0], [0.0], [1.0], 0.3 + 0.2j))
+    val = parse_complex(out.splitlines()[0].split(": ")[1])
+    assert abs(val - want) <= 1e-8 * abs(want)
+
+
 def test_integrate_ramanujan_unit():
     code, out, _ = run(["integrate", "--m", "2", "--a", "0,0", "--b", "0,0",
                         "--t", "0"])

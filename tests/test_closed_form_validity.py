@@ -33,11 +33,10 @@ def _values_stubbed(monkeypatch):
     monkeypatch.setattr(integrals, "gamma", one)
     monkeypatch.setattr(integrals, "_gamma_prod", one)
     monkeypatch.setattr(integrals, "eval_H",
-                        lambda *args: SeriesValue(1.0 + 0j, 0.0, 1))
+                        lambda *args: SeriesValue(1.0 + 0j, 0.0, 1, False))
     monkeypatch.setattr(integrals, "poisson_terms",
                         lambda spec, p, tol=None: [1.0 + 0j] * p)
-    monkeypatch.setattr(qseries, "qpoch_inf", one)
-    monkeypatch.setattr(qseries, "qpoch_inf_multi", one)
+    monkeypatch.setattr(qseries, "log_qpoch_ratio", lambda *args: 0j)
 
 
 def _param(rng, is_complex, lo=-1.5, hi=1.5):

@@ -56,6 +56,16 @@ def test_q_fourier_closed_near_q_one():
     assert abs(q_fourier_closed(sp) - want) <= 1e-12 * abs(want)
 
 
+def test_q_fourier_complex_t_with_zero_b():
+    # b = 0 leaves the strip unbounded below
+    sp = QIntegrandSpec(0.5, [2.0], [0.0], [1.0], 0.3 + 0.2j)
+    got = q_integrate(sp).value
+    want = q_fourier_closed(sp)
+    assert abs(got - want) <= 1e-8 * abs(want)
+    with pytest.raises(StripViolation):
+        q_integrate(QIntegrandSpec(0.5, [2.0], [0.0], [1.0], 0.3 + 0.7j))
+
+
 def test_q_fourier_strip_violation():
     base = QIntegrandSpec(0.4, [2.6], [0.3], [1.1], 0.0 + 4.0j)
     with pytest.raises(StripViolation):
@@ -252,6 +262,19 @@ def test_h_of_q_targets():
         vals = [abs(h_of_q(q, alpha, beta, t)) for q in (0.9, 0.99, 0.999)]
         assert vals[0] >= vals[1] >= vals[2]
         assert vals[2] < 1e-4
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("alpha,beta,t", [(1.3, 2.4, 0.0), (1.7, 2.2, -2.1)])
+def test_h_of_q_is_q_fourier_times_prefactor(q, alpha, beta, t):
+    # h(q) is the q-Fourier transform at a = q^(1-beta), b = q^alpha, w = 1
+    # times (1 - q)^(alpha+beta-2) / (q;q)_inf^2
+    sp = QIntegrandSpec(q, [q ** (1.0 - beta)], [q ** alpha], [1.0], t)
+    with mp.workdps(30):
+        pref = complex((1 - mp.mpf(q)) ** (alpha + beta - 2)
+                       / mp.qp(mp.mpf(q), mp.mpf(q)) ** 2)
+    want = q_fourier_closed(sp) * pref
+    assert abs(h_of_q(q, alpha, beta, t) - want) <= 1e-13 * abs(want)
 
 
 def test_h_of_q_probe_shape():

@@ -70,10 +70,10 @@ def test_log_qpoch_inf_scalar_vs_array():
         assert abs(cmath.exp(got) - cmath.exp(want)) <= 1e-12 * abs(cmath.exp(want))
 
 
-def _mp_log_qpoch(c: complex, q: float) -> complex:
-    """Sum over k of the principal log(1 - c q^k), in mpmath: the leading
-    factors one at a time until |c q^K| <= 1/2, then the rest as
-    -sum_n (c q^K)^n / (n (1 - q^n))."""
+def _mp_log_qpoch(c, q):
+    """Sum over k of the principal log(1 - c q^k), as an mpmath number at
+    the working precision: the leading factors one at a time until
+    |c q^K| <= 1/2, then the rest as -sum_n (c q^K)^n / (n (1 - q^n))."""
     c, q = mp.mpc(c), mp.mpf(q)
     s = mp.mpc(0)
     while abs(c) > 0.5:
@@ -85,7 +85,7 @@ def _mp_log_qpoch(c: complex, q: float) -> complex:
         cn *= c
         qn *= q
         s -= cn / (n * (1 - qn))
-    return complex(s)
+    return s
 
 
 def test_log_qpoch_inf_scalar_vs_mpmath():
@@ -94,7 +94,7 @@ def test_log_qpoch_inf_scalar_vs_mpmath():
     # so scalar c must not be sent through it.
     for q in (0.9, 0.99, 0.999):
         for c in (q, 0.3 + 0.2j, -q ** 0.3, 0.95):
-            want = _mp_log_qpoch(c, q)
+            want = complex(_mp_log_qpoch(c, q))
             got = log_qpoch_inf(c, q)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (q, c)
 
@@ -134,6 +134,44 @@ def test_eval_psi_annulus():
         eval_psi(QSeriesSpec(0.5, [2.2], [0.3], 0.05))
 
 
+@pytest.mark.parametrize("a,b,z", [
+    ([0.0, 0.6], [0.3, 0.2], 0.5),   # more zero upper than zero lower
+    ([0.0, 0.6], [0.0, 0.2], 0.2),   # |z| below 0.2 / 0.6
+    ([0.6], [0.3, 0.7], 0.1),        # surplus lower slot, |z| below 0.21 / 0.6
+])
+def test_eval_psi_left_side_outside_annulus(a, b, z):
+    with pytest.raises(OutsideAnnulus):
+        eval_psi(QSeriesSpec(0.5, a, b, z))
+
+
+def _mp_psi(a, b, z, q, n_max):
+    """Direct sum of the basic series over |n| <= n_max in mpmath."""
+    q, z = mp.mpf(q), mp.mpc(z)
+    d = len(b) - len(a)
+
+    def qp(x, n):
+        x = mp.mpc(x)
+        if n >= 0:
+            return mp.fprod(1 - x * q ** k for k in range(n))
+        return 1 / mp.fprod(1 - x * q ** (-k) for k in range(1, -n + 1))
+
+    return complex(mp.fsum(
+        mp.fprod(qp(x, n) for x in a) / mp.fprod(qp(x, n) for x in b)
+        * z ** n * ((-1) ** n * q ** (n * (n - 1) / 2)) ** d
+        for n in range(-n_max, n_max + 1)))
+
+
+@pytest.mark.parametrize("a,b,z", [
+    ([0.0, 0.6], [0.0, 0.2], 0.5),   # |z| above 0.2 / 0.6
+    ([0.6], [0.3, 0.7], 0.5),        # |z| above 0.21 / 0.6
+    ([0.6], [0.0, 0.3], 0.05),       # more zero lower than zero upper
+])
+def test_eval_psi_left_side_inside_annulus(a, b, z):
+    got = eval_psi(QSeriesSpec(0.5, a, b, z)).value
+    want = _mp_psi(a, b, z, 0.5, 120)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
 def test_ramanujan_1psi1(rng):
     for _ in range(30):
         q = float(rng.choice([0.3, 0.5, 0.8]))
@@ -170,6 +208,26 @@ def test_bailey_6psi6(rng):
         want = closed_form_q(QKind.BAILEY_6PSI6, params, q)
         got = eval_psi(psi_spec_for(QKind.BAILEY_6PSI6, params, q)).value
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("q,rel", [(0.9, 1e-13), (0.995, 1e-11), (0.999, 1e-11)])
+def test_bailey_6psi6_near_q_one(q, rel):
+    # each of the 18 products alone leaves double range near q = 1 (their
+    # quotient was 0/0 at q = 0.995); the reference is the 40-digit sum of
+    # log (c;q)_inf over the same parameters
+    params = dict(a=0.3, b=1.4, c=1.5, d=1.3, e=1.35)
+    with mp.workdps(40):
+        qm = mp.mpf(q)
+        a, b, c, d, e = (mp.mpf(params[k]) for k in "abcde")
+        num = [qm, qm * a, qm / a, qm * a / (b * c), qm * a / (b * d),
+               qm * a / (b * e), qm * a / (c * d), qm * a / (c * e),
+               qm * a / (d * e)]
+        den = [qm / b, qm / c, qm / d, qm / e, qm * a / b, qm * a / c,
+               qm * a / d, qm * a / e, qm * a * a / (b * c * d * e)]
+        want = complex(mp.exp(mp.fsum(_mp_log_qpoch(x, qm) for x in num)
+                              - mp.fsum(_mp_log_qpoch(x, qm) for x in den)))
+    got = closed_form_q(QKind.BAILEY_6PSI6, params, q)
+    assert abs(got - want) <= rel * abs(want)
 
 
 def test_bailey_6psi6_specialization_structure():
