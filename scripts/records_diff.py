@@ -7,8 +7,11 @@ runs every suite at seeds 0-3, draws 2, ``RB_THREADS=1`` on both trees
 (``rbeta verify --quiet``), with ``runtime_ms`` zeroed.  For each suite it
 prints the summaries and the records that differ in any field but
 ``runtime_ms``, with the fields that differ, and the largest relative lhs
-and rhs change.  The exit code is 1 on any change of a verdict, of a
-record's tolerance, or of the record ids or their order, else 0.
+and rhs change.  Over the records with a nonzero ``rhs`` it prints how many
+lost more than half a digit of agreement, min(14, -log10 ``rel_gap``), and
+the worst change of those digits per identity that lost any.  The exit code
+is 1 on any change of a verdict, of a record's tolerance, or of the record
+ids or their order, else 0.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ def _rel_change(old, new) -> float:
     return d / abs(a) if a != 0 else d
 
 
+def _digits(rec) -> float:
+    """Agreement digits min(14, -log10 rel_gap) of a record."""
+    gap = rec["rel_gap"]
+    if not math.isfinite(gap):
+        return 0.0
+    return 14.0 if gap <= 0 else min(14.0, -math.log10(gap))
+
+
 def _diff_suite(suite: str, old_runs, new_runs) -> bool:
     """Print one suite's differences; True when ids, order, a verdict or a
     tolerance changed."""
@@ -73,6 +84,8 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
     broken = []
     lhs_max = rhs_max = 0.0
     total = 0
+    digit_change = {}
+    lost = 0
     for seed, old_report, new_report in zip(SEEDS, old_runs, new_runs):
         if not _same(old_report["summary"], new_report["summary"]):
             summaries.append(seed)
@@ -82,6 +95,11 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
             continue
         total += len(new)
         for i, (ro, rn) in enumerate(zip(old, new)):
+            if ro["rhs"] != {"re": 0.0, "im": 0.0}:
+                d = _digits(rn) - _digits(ro)
+                iid = rn["identity_id"]
+                digit_change[iid] = min(digit_change.get(iid, d), d)
+                lost += d < -0.5
             fields = [k for k in sorted(ro.keys() | rn.keys())
                       if not _same(ro.get(k), rn.get(k))]
             if not fields:
@@ -97,6 +115,11 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
     print(f"{suite}: {total} records, {len(changed)} differ, "
           f"{len(summaries)} of {len(old_runs)} summaries differ, "
           f"max rel lhs change {lhs_max:.3g}, max rel rhs change {rhs_max:.3g}")
+    print(f"  agreement digits min(14, -log10 rel_gap): {lost} records lost "
+          f"more than 0.5; worst change per identity that lost any:")
+    for iid, d in digit_change.items():
+        if d < 0:
+            print(f"    {iid}: {d:+.3f}")
     for seed in summaries:
         print(f"  differs: summary (seed {seed})")
     for where in changed:

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import BranchCutError, DomainError, PoleError
 
 __all__ = [
-    "gamma", "log_gamma", "recip_gamma", "pochhammer", "dilog",
+    "gamma", "log_gamma", "log_gamma_shift_ratio", "recip_gamma",
+    "pochhammer", "dilog",
     "gaussian_q_integral", "log_gaussian_q_integral", "POLE_WINDOW",
 ]
 
@@ -91,6 +92,15 @@ def _stirling_log(z: np.ndarray) -> np.ndarray:
     # array length, and an element must come out the same alone as in an
     # array.  log z as log|z| + i arg z: cheaper than the complex log and as
     # accurate this far from |z| = 1.
+    acc = _stirling_series(z)
+    logz = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z, out=logz.real), out=logz.real)
+    np.arctan2(z.imag, z.real, out=logz.imag)
+    return (z - 0.5) * logz - z + _HALF_LOG_2PI + acc
+
+
+def _stirling_series(z: np.ndarray) -> np.ndarray:
+    """The 1/z series of log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2)."""
     r = 1.0 / z
     r2 = r * r
     acc = r2 * _STIRLING_C[0]
@@ -98,12 +108,32 @@ def _stirling_log(z: np.ndarray) -> np.ndarray:
         acc += c
         acc = acc * r2
     acc += _STIRLING_C[-1]
-    acc = acc * r
-    del r, r2  # node-sized; freed before the next ones
-    logz = np.empty(z.shape, dtype=complex)
-    np.log(np.abs(z, out=logz.real), out=logz.real)
-    np.arctan2(z.imag, z.real, out=logz.imag)
-    return (z - 0.5) * logz - z + _HALF_LOG_2PI + acc
+    return acc * r
+
+
+def log_gamma_shift_ratio(x: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """log Gamma(x + a) - log Gamma(x + b) for real x > 0 with Re(x + a) and
+    Re(x + b) at least 8.
+
+    The difference of the two Stirling series, with log(x + c) split into
+    log x + log(1 + c/x) so that the large parts cancel before rounding:
+    the absolute error is a few ulps of |a| + |b|, where the difference of
+    two log_gamma values carries a few ulps of |x log x|.
+    """
+    x = np.asarray(x, dtype=float)
+    a = complex(a)
+    b = complex(b)
+
+    def log1p_over(c: complex) -> np.ndarray:
+        # log(1 + c/x) from |1 + c/x|^2 - 1 = u (2 + u) + v^2
+        u = c.real / x
+        v = c.imag / x
+        return (0.5 * np.log1p(u * (2.0 + u) + v * v)
+                + 1j * np.arctan2(c.imag, x + c.real))
+
+    return ((a - b) * (np.log(x) - 1.0) + (x + (a - 0.5)) * log1p_over(a)
+            - (x + (b - 0.5)) * log1p_over(b)
+            + _stirling_series(x + a) - _stirling_series(x + b))
 
 
 def _lanczos_sum_log(z: np.ndarray) -> np.ndarray:

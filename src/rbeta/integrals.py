@@ -11,6 +11,22 @@ Levin-accelerated oscillatory tails: on each side the integrand factors into
 a smooth algebraically-decaying part and a trigonometric polynomial, so the
 tail is a sum of single-signal interval series that accelerate extremely
 well.
+
+Both parts take their nodes on a unit lattice, node = k + cell with k an
+integer row and cell the Gauss nodes of one unit interval, because the
+gamma products have a rational unit step: the core's
+prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) is multiplied by
+prod_j (b_j - x)/(a_j + 1 + x) from x to x + 1, and the tails' smooth part
+R by prod_j (x - num_j)/(den_j + 1 + x).  Gamma functions are evaluated
+only on anchor rows, and every other row is carried from its neighbour by
+that product.  The core is carried outward from the two rows next to the
+peak of the product, where the direct values are the most accurate; each
+tail from its first row, whose R is a difference of Stirling series.  A
+row that a step with a denominator factor of modulus below 1 enters is an
+anchor too: that step leaves a zero of 1/Gamma, and dividing by the small
+factor would magnify the rounding of the anchor's arguments.  In the
+tails, X >= max|Re param| + 8 keeps every factor at least 8 away from
+zero, so the first row is their only anchor.
 """
 
 from __future__ import annotations
@@ -30,8 +46,9 @@ from .bilateral import (BilateralSeriesSpec, eval_H,
                         cancel_matching_parameters)
 from .core import Tolerance, DEFAULT_TOL
 from .errors import ConstraintViolation, MarginViolation
-from .gammafns import _lanczos_log, gamma, recip_gamma
-from .quadrature import QuadratureResult, gauss_panels, tanh_sinh
+from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
+from .quadrature import (QuadratureResult, gauss_panels, panel_nodes,
+                         panel_sums, tanh_sinh)
 
 __all__ = [
     "IntegrandSpec", "QuadratureResult", "weight_gm", "integrate",
@@ -108,17 +125,104 @@ def _require_margin(spec: IntegrandSpec) -> None:
             f"integrability margin {spec.margin():.3g} must be positive")
 
 
-def _f_core(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
+def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
+    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation."""
     # multiply factor pairs (one growing, one decaying) to keep partial
     # products in double range out to |x| ~ 160
     v = np.ones(x.shape, dtype=complex)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for aj, bj in zip(spec.a, spec.b):
             v = v * (recip_gamma(aj + 1.0 + x) * recip_gamma(bj + 1.0 - x))
+    return v
+
+
+def _weight_phase(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
     w = np.zeros(x.shape, dtype=complex)
     for cc, nu in spec.weight_terms():
         w += cc * np.exp(1j * nu * x)
-    return v * w * np.exp(-1j * spec.t * x)
+    return w * np.exp(-1j * spec.t * x)
+
+
+def _f_core(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
+    return _pair_product(spec, x) * _weight_phase(spec, x)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _unit_lattice(x: np.ndarray, direct, step) -> np.ndarray:
+    """A function v on the unit lattice x, whose row k + 1 is row k plus 1.
+
+    direct(nodes) evaluates v; step(nodes) yields one (num, den) pair per
+    factor of v(x + 1) = v(x) * prod(num / den).  Rows are evaluated
+    directly only at anchors and carried by the step product in between.
+    The first row is an anchor, and so is every row that a step with a
+    denominator factor of modulus below 1 enters: such a step leaves a zero
+    of v, and dividing by the small factor, rounded more finely than the
+    anchor's arguments, would magnify their rounding.  An element whose
+    anchor or carried value is not a finite, normal, nonzero float is
+    evaluated directly as well.
+    """
+    rows = len(x)
+    ratio = np.ones(x[:-1].shape, dtype=complex)
+    anchor = np.zeros(rows, dtype=bool)
+    anchor[0] = True
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        for num, den in step(x[:-1]):
+            anchor[1:] |= (np.abs(den) < 1.0).any(axis=1)
+            ratio = ratio * (num / den)
+        starts = np.flatnonzero(anchor)
+        v = np.empty(x.shape, dtype=complex)
+        v[starts] = direct(x[starts])
+        for lo, hi in zip(starts, list(starts[1:]) + [rows]):
+            v[lo + 1:hi] = v[lo] * np.multiply.accumulate(ratio[lo:hi - 1])
+        good = np.isfinite(v) & (np.abs(v) >= _TINY)
+        bad = ~(good & good[starts][np.cumsum(anchor) - 1])
+        if bad.any():
+            v[bad] = direct(x[bad])
+    return v
+
+
+def _core_lattice(spec: IntegrandSpec, X: int,
+                  sub: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The core nodes, one row per unit interval [k, k + 1], k = -X..X-1,
+    each row the 20- then the 10-point Gauss nodes of sub equal panels, and
+    the pair product on them.
+
+    The product is carried outward from the two rows around
+    x = Re sum_j (b_j - a_j) / 2m, near its peak, where the direct values are
+    the most accurate: upward in x, and downward as upward in y = -x, in
+    which the product has the same form with a and b swapped.
+    """
+    xs20, xs10, _ = panel_nodes(np.linspace(0.0, 1.0, sub + 1))
+    x = (np.arange(-X, X, dtype=float)[:, None]
+         + np.concatenate((xs20, xs10))[None, :])
+    peak = (sum(spec.b) - sum(spec.a)).real / (2 * spec.m)
+    mid = min(max(math.floor(peak) + X, 1), 2 * X - 1)
+
+    def up(y):
+        for aj, bj in zip(spec.a, spec.b):
+            yield bj - y, aj + 1.0 + y
+
+    def down(y):
+        for aj, bj in zip(spec.a, spec.b):
+            yield aj - y, bj + 1.0 + y
+
+    upper = _unit_lattice(x[mid:], lambda y: _pair_product(spec, y), up)
+    lower = _unit_lattice(-x[mid - 1::-1], lambda y: _pair_product(spec, -y),
+                          down)
+    return x, np.concatenate((lower[::-1], upper))
+
+
+def _core(spec: IntegrandSpec, X: int, sub: int) -> Tuple[complex, float, int]:
+    """Gauss panels on [-X, X], sub a unit interval, as (value, est_error,
+    panels)."""
+    x, G = _core_lattice(spec, X, sub)
+    f = G * _weight_phase(spec, x)
+    n = len(x) * sub
+    return panel_sums(f[:, :20 * sub].reshape(n, 20),
+                      f[:, 20 * sub:].reshape(n, 10), 0.5 / sub)
 
 
 def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
@@ -142,32 +246,52 @@ _TAIL_INTERVALS = 48
 _X16, _W16 = leggauss(16)
 
 
-def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
-                   tau_terms: Sequence[WeightTerm], X: float,
-                   omega: float) -> Tuple[complex, float]:
-    """integral from X to infinity of
-        R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
-    with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
-    as unit-interval series accelerated per harmonic signal.
-    """
-    m = len(num_params)
-    pn = np.asarray(num_params, dtype=complex)[:, None]
-    pd = np.asarray(den_params, dtype=complex)[:, None]
-    harmonics = _sin_product_harmonics(num_params)
-
-    # sub-panel layout inside each unit interval, sized for the fastest signal
-    sub = max(2, int(math.ceil(2.0 * omega / math.pi)))
+def _tail_cell(sub: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes of sub 16-point Gauss panels on [0, 1], panel by panel,
+    and the panel half-widths."""
     se = np.linspace(0.0, 1.0, sub + 1)
     mids = 0.5 * (se[:-1] + se[1:])
     halfs = 0.5 * (se[1:] - se[:-1])
+    return (mids[:, None] + halfs[:, None] * _X16[None, :]).ravel(), halfs
+
+
+def _tail_R(num_params: Sequence[complex], den_params: Sequence[complex],
+            X: int, cell: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The tail nodes X + n + cell, one row per unit interval n, and
+    R(x) = prod_j Gamma(x - num_j)/Gamma(den_j + 1 + x) on them.  With
+    X >= max|Re param| + 8 every factor of the carry is at least 8 away
+    from zero, so only the first row is evaluated, by differences of
+    Stirling series that keep R's relative error near that of the carry."""
+    x = X + np.arange(_TAIL_INTERVALS, dtype=float)[:, None] + cell[None, :]
+
+    def direct(y):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(sum(log_gamma_shift_ratio(y, -nj, dj + 1.0)
+                              for nj, dj in zip(num_params, den_params)))
+
+    def step(y):
+        for nj, dj in zip(num_params, den_params):
+            yield y - nj, dj + 1.0 + y
+
+    return x, _unit_lattice(x, direct, step)
+
+
+def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
+                   tau_terms: Sequence[WeightTerm], X: int,
+                   sub: int) -> Tuple[complex, float]:
+    """integral from X to infinity of
+        R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
+    with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
+    as unit-interval series accelerated per harmonic signal; each interval
+    is split into sub Gauss panels.
+    """
+    m = len(num_params)
+    harmonics = _sin_product_harmonics(num_params)
+    cell, halfs = _tail_cell(sub)
+    x, R = _tail_R(num_params, den_params, X, cell)
     # nodes: (_TAIL_INTERVALS, sub, 16)
-    xs = (X + np.arange(_TAIL_INTERVALS)[:, None, None] + mids[None, :, None]
-          + halfs[None, :, None] * _X16[None, None, :])
-    flat = xs.ravel()
-    with np.errstate(over="ignore", under="ignore"):
-        logR = (np.sum(_lanczos_log(flat[None, :] - pn), axis=0)
-                - np.sum(_lanczos_log(pd + 1.0 + flat[None, :]), axis=0))
-        R = np.exp(logR).reshape(xs.shape)
+    xs = x.reshape(_TAIL_INTERVALS, sub, 16)
+    R = R.reshape(xs.shape)
     # one 48-term sequence per (weight term, harmonic) signal, built one at a
     # time and accelerated together
     seqs = []
@@ -195,10 +319,10 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
     return value / math.pi ** m, err / math.pi ** m
 
 
-def _choose_X(spec: IntegrandSpec, tol_abs: float) -> float:
-    params = [abs(x.real) for x in spec.a + spec.b]
-    params += [abs(x.imag) for x in spec.a + spec.b]
-    X = max(16.0, 8.0 + 2.0 * max(params))
+def _choose_X(spec: IntegrandSpec, tol_abs: float) -> int:
+    re_max = max(abs(x.real) for x in spec.a + spec.b)
+    im_max = max(abs(x.imag) for x in spec.a + spec.b)
+    X = max(16.0, 8.0 + 2.0 * max(re_max, im_max))
     # empirical tail fit: |f| ~ C (1+x)^(m-1-s); extend X until the raw
     # algebraic bound falls below a loose target (the accelerated tail
     # integration then removes the rest)
@@ -214,32 +338,35 @@ def _choose_X(spec: IntegrandSpec, tol_abs: float) -> float:
         if bound <= target or X >= 96.0:
             break
         X += 10.0
-    return min(X, 96.0)
+    # the tails take log-gammas on Re z >= 1/2 and carry R by factors that
+    # must stay clear of zero: never start them inside the parameters
+    return math.ceil(max(min(X, 96.0), re_max + 8.0))
 
 
 def integrate(spec: IntegrandSpec,
               tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
     """Evaluate the integral by Gauss panels on [-X, X] plus reflected,
-    accelerated oscillatory tails on both sides."""
+    accelerated oscillatory tails on both sides.  Only tol.abs is read: it
+    sets how far the truncation point X may move out."""
     _require_margin(spec)
     tol_abs = max(tol.abs, 1e-14)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
     omega = spec.m * math.pi + abs(spec.t) + wmax
     X = _choose_X(spec, tol_abs)
-    width = min(0.5, math.pi / (2.0 * omega))
-    core, core_err, n_panels = gauss_panels(lambda x: _f_core(spec, x),
-                                            -X, X, width)
+    # Gauss panels a unit interval, sized for the fastest signal
+    sub = max(2, math.ceil(2.0 * omega / math.pi))
+    core, core_err, n_panels = _core(spec, X, sub)
     # right tail: reflect the b-gammas
     right, err_r = _tail_one_side(
         spec.b, spec.a,
-        [(cc, spec.t - nu) for cc, nu in spec.weight_terms()], X, omega)
+        [(cc, spec.t - nu) for cc, nu in spec.weight_terms()], X, sub)
     # left tail via x -> -y: reflect the a-gammas
     left, err_l = _tail_one_side(
         spec.a, spec.b,
-        [(cc, -(spec.t - nu)) for cc, nu in spec.weight_terms()], X, omega)
+        [(cc, -(spec.t - nu)) for cc, nu in spec.weight_terms()], X, sub)
     value = core + right + left
     est = core_err + 8.0 * (err_r + err_l) + 1e-16 * abs(value)
-    return QuadratureResult(value, est, n_panels, X)
+    return QuadratureResult(value, est, n_panels, float(X))
 
 
 def fourier_single_factor(a: complex, b: complex, t: float) -> complex:
@@ -343,7 +470,7 @@ def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
     else:
         raise ConstraintViolation("weight order must be m or m-1")
     spec = IntegrandSpec(a, b, t, weight_gm(weight_order) if weight_order >= 1 else ())
-    lhs = integrate(spec, Tolerance(abs=1e-12, rel=1e-12)).value
+    lhs = integrate(spec).value
     c0 = 1.0 + 0j
     for aj, bj in zip(a, b):
         c0 *= complex(recip_gamma(aj + 1.0)) * complex(recip_gamma(bj + 1.0))

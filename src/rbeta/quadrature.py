@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = ["QuadratureResult", "gauss_panels", "gauss_panels_graded",
-           "tanh_sinh"]
+           "panel_nodes", "panel_sums", "tanh_sinh"]
 
 _X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
@@ -53,18 +53,33 @@ def gauss_panels_graded(f: Callable[[np.ndarray], np.ndarray],
 
 
 def _panels_on_edges(f, edges: np.ndarray) -> Tuple[complex, float, int]:
-    n = len(edges) - 1
+    xs20, xs10, half = panel_nodes(edges)
+    n = len(half)
+    f20 = np.asarray(f(xs20), dtype=complex).reshape(n, 20)
+    f10 = np.asarray(f(xs10), dtype=complex).reshape(n, 10)
+    return panel_sums(f20, f10, half)
+
+
+def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 20- and 10-point Gauss nodes of the panels between edges, panel
+    by panel, and the panel half-widths."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs20 = (mid[:, None] + half[:, None] * _X20[None, :]).ravel()
     xs10 = (mid[:, None] + half[:, None] * _X10[None, :]).ravel()
-    f20 = np.asarray(f(xs20), dtype=complex).reshape(n, 20)
-    f10 = np.asarray(f(xs10), dtype=complex).reshape(n, 10)
+    return xs20, xs10, half
+
+
+def panel_sums(f20: np.ndarray, f10: np.ndarray,
+               half) -> Tuple[complex, float, int]:
+    """(value, est_error, panels) from integrand values at the nodes of
+    panel_nodes, one panel a row: the 20-point sums and their summed
+    discrepancy from the 10-point ones."""
     v20 = (f20 * _W20[None, :]).sum(axis=1) * half
     v10 = (f10 * _W10[None, :]).sum(axis=1) * half
     value = complex(v20.sum())
     err = float(np.abs(v20 - v10).sum())
-    return value, err, n
+    return value, err, len(f20)
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

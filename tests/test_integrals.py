@@ -3,13 +3,15 @@
 import cmath
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import compare
 from rbeta.bilateral import HKind, closed_form_H, eval_H
 from rbeta.core import Tolerance
 from rbeta.errors import ConstraintViolation, MarginViolation
-from rbeta.gammafns import gamma
+from rbeta.gammafns import gamma, recip_gamma
 from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              barnes_quadrature, beta_integral_closed,
                              cauchy_cosine_integral,
@@ -18,6 +20,9 @@ from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              integral_repr_H, integrand_spec_for, integrate,
                              m6_reduced_5h5, poisson_sum_rhs, poisson_terms,
                              weight_gm)
+from rbeta.integrals import (_choose_X, _core_lattice, _f_core, _tail_cell,
+                             _tail_R, _unit_lattice, _weight_phase)
+from rbeta.verify import draw_beta_params
 
 TWO12_OVER_G22 = 2.085125718094681715563  # (2 cos 0)^1.2 / Gamma(2.2), minted
 
@@ -284,3 +289,131 @@ def test_support_at_exact_edge():
     spec6 = integrand_spec_for(BetaKind.M6_RIEMANN, params)
     res = integrate(IntegrandSpec(spec6.a, spec6.b, 6 * math.pi))
     assert abs(res.value) < 1e-7
+
+
+# -- unit lattice: carried values against direct evaluation -------------------
+
+def _lattice_specs():
+    """Integrands over m = 1-6 with real and complex parameters, weights and
+    the shifted kinds' a_j = b_j = -1 factor."""
+    rng = np.random.default_rng(11)
+    specs = []
+    for m in range(1, 7):
+        a = rng.uniform(-0.4, 1.2, m)
+        b = rng.uniform(-0.4, 1.2, m)
+        specs.append(IntegrandSpec(a, b, rng.uniform(-1.0, 1.0)))
+        specs.append(IntegrandSpec(a + 1j * rng.uniform(-0.6, 0.6, m),
+                                   b + 1j * rng.uniform(-1.5, 1.5, m), 0.4,
+                                   weight_gm(m)))
+    for kind, params in [
+            (BetaKind.M4_VWP, dict(a=0.3, b1=0.2, b2=0.35, b3=0.5)),
+            (BetaKind.M4_VWP_SHIFTED, dict(a=0.3, c1=0.2, c2=0.35, c3=0.5)),
+            (BetaKind.M5_VWP_SHIFTED,
+             dict(a=0.4, c1=0.2, c2=0.35, c3=0.5, c4=0.1)),
+            (BetaKind.M5_VWP_THIRD, dict(c1=0.2, c2=0.35, c3=0.5, c4=0.1))]:
+        specs.append(integrand_spec_for(kind, params))
+    # no zero of 1/Gamma near the lattice: carried from the peak rows only
+    specs.append(IntegrandSpec([12.0 + 1.5j] * 6, [0.3] * 6, 0.2))
+    return specs
+
+
+def test_core_lattice_matches_direct_pair_product():
+    # every node of the core lattice, weight and phase included, against
+    # the integrand evaluated directly at that node
+    for spec in _lattice_specs():
+        X = _choose_X(spec, 1e-12)
+        for sub in (2, 5):
+            x, G = _core_lattice(spec, X, sub)
+            assert x.shape == (2 * X, 30 * sub)
+            got = G * _weight_phase(spec, x)
+            want = _f_core(spec, x)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 5e-14 * scale, (spec, sub)
+
+
+def test_unit_lattice_reanchors_after_a_small_denominator():
+    # v(x) = 1/Gamma(x + alpha), carried from 30 rows below its zero: the
+    # anchor's argument near -30 is rounded to ulps of 30, the divisor near
+    # the zero much more finely, so a value carried past the zero was 3e-14
+    # to 6e-14 off; re-anchored after it, within 7e-15
+    cells = np.random.default_rng(3).uniform(0.0, 1.0, 60)
+    x = np.arange(40.0)[:, None] + cells[None, :]
+    for alpha in (-30.3, -30.123456789, -29.87654321):
+
+        def direct(y):
+            return recip_gamma(y + alpha)
+
+        def step(y):
+            yield np.ones(y.shape, dtype=complex), y + alpha
+
+        v = _unit_lattice(x, direct, step)
+        want = direct(x)
+        assert (np.abs(v - want)[32:] <= 1.5e-14 * np.abs(want)[32:]).all()
+
+
+def test_beta_draws_on_the_lattice():
+    # draws whose lattice crosses the zeros of 1/Gamma(a_j+1+x) next to the
+    # peak; carried from the lattice's first row without re-anchoring, they
+    # were 4.6e-15 to 7.7e-14 off the closed forms
+    for kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M6_RIEMANN):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            params = draw_beta_params(rng, kind)
+            got = integrate(integrand_spec_for(kind, params)).value
+            want = beta_integral_closed(kind, params)
+            assert abs(got - want) <= 3e-15 * abs(want), (kind, params)
+
+
+def test_unit_lattice_recomputes_from_underflowed_anchor():
+    # v(x) = 10^(11(x - 30)) underflows to 0 on the first row; carried from
+    # there, every row would be 0
+    x = np.arange(40.0)[:, None] + np.array([[0.25, 0.5]])
+
+    def direct(y):
+        return (10.0 ** (11.0 * (y - 30.0))).astype(complex)
+
+    def step(y):
+        yield np.full(y.shape, 1e11 + 0j), np.ones(y.shape, dtype=complex)
+
+    v = _unit_lattice(x, direct, step)
+    want = direct(x)
+    assert np.all(np.abs(v - want) <= 1e-13 * np.abs(want))
+    assert v[-1, 0] != 0
+
+
+def _mp_tail_R(num, den, x) -> complex:
+    v = mp.mpf(1)
+    for nj, dj in zip(num, den):
+        v *= (mp.gamma(mp.mpf(x) - mp.mpc(nj.real, nj.imag))
+              / mp.gamma(mp.mpc(dj.real, dj.imag) + 1 + mp.mpf(x)))
+    return complex(v)
+
+
+def test_tail_R_carried_over_all_intervals():
+    # R carried across the 48 tail intervals from its first row, at the X
+    # that _choose_X picks, against mpmath on two nodes of every interval:
+    # each factor of each step adds its rounding, and exp that of log R
+    # (largest error 7.3e-14 at m = 6, |a_j| = 12; the log-gamma difference
+    # that R used to be evaluated with was up to 3e-13 off at X = 96)
+    for spec in _lattice_specs():
+        X = _choose_X(spec, 1e-12)
+        cell, _ = _tail_cell(3)
+        for num, den in ((spec.b, spec.a), (spec.a, spec.b)):
+            x, R = _tail_R(num, den, X, cell)
+            assert x.shape == (48, 48)
+            for k in range(48):
+                for c in (0, 47):
+                    want = _mp_tail_R(num, den, x[k, c])
+                    tol = 5e-15 * spec.m + 4e-16 * abs(cmath.log(want))
+                    assert abs(R[k, c] - want) <= tol * abs(want), (spec, k)
+
+
+def test_choose_X_clears_large_parameters():
+    # the tails need X >= max|Re param| + 8; capping X at 96 put their
+    # log-gammas outside Re z >= 1/2 and left the value 2.1e-10 off
+    spec = IntegrandSpec([120.0], [0.3], 0.5)
+    res = integrate(spec)
+    want = fourier_single_factor(120.0, 0.3, 0.5)
+    assert res.truncation_X >= 128
+    assert abs(res.value - want) <= 1e-13 * abs(want)
+    assert abs(res.value - want) <= res.est_error
