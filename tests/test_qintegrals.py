@@ -100,6 +100,14 @@ def test_qbeta_truncation_trimmed_to_where_the_integrand_ends(monkeypatch):
     assert compare((value, product), QBETA_TOL).passed
 
 
+def test_qbeta_near_q_one_truncates_beyond_the_peak():
+    # at q = 0.99 this integrand peaks near x = -70 with log-magnitude 32 and
+    # still grows at x = -4, so no truncation may be placed between
+    value, product = qbeta_family(
+        QBetaKind.I_C0, dict(alpha=0.7831, a=0.3492, b=0.6071), 0.99)
+    assert abs(value - product) <= 1e-10 * abs(product)
+
+
 @pytest.mark.parametrize("log_mag,ratio", [
     (lambda x: -x * x, 0.5),
     (lambda x: -x * math.log(2.0), 0.5),
