@@ -215,14 +215,16 @@ def _core_lattice(spec: IntegrandSpec, X: int,
     return x, np.concatenate((lower[::-1], upper))
 
 
-def _core(spec: IntegrandSpec, X: int, sub: int) -> Tuple[complex, float, int]:
+def _core(spec: IntegrandSpec, X: int,
+          sub: int) -> Tuple[complex, float, int, float]:
     """Gauss panels on [-X, X], sub a unit interval, as (value, est_error,
-    panels)."""
+    panels, largest |integrand| on the nodes)."""
     x, G = _core_lattice(spec, X, sub)
     f = G * _weight_phase(spec, x)
     n = len(x) * sub
-    return panel_sums(f[:, :20 * sub].reshape(n, 20),
-                      f[:, 20 * sub:].reshape(n, 10), 0.5 / sub)
+    return (*panel_sums(f[:, :20 * sub].reshape(n, 20),
+                        f[:, 20 * sub:].reshape(n, 10), 0.5 / sub),
+            float(np.abs(f).max()))
 
 
 def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
@@ -277,13 +279,14 @@ def _tail_R(num_params: Sequence[complex], den_params: Sequence[complex],
 
 
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
-                   tau_terms: Sequence[WeightTerm], X: int,
-                   sub: int) -> Tuple[complex, float]:
+                   tau_terms: Sequence[WeightTerm], X: int, sub: int,
+                   cutoff: float) -> Tuple[complex, float]:
     """integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
     as unit-interval series accelerated per harmonic signal; each interval
-    is split into sub Gauss panels.
+    is split into sub Gauss panels.  Signals whose summed interval integrals
+    stay below `cutoff` are dropped.
     """
     m = len(num_params)
     harmonics = _sin_product_harmonics(num_params)
@@ -305,7 +308,7 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
             iv = (R * phase * _W16[None, None, :]).sum(axis=2) * halfs[None, :]
             seq = iv.sum(axis=1)
             amp = abs(cc * gh)
-            if amp * np.abs(seq).sum() < 1e-18:
+            if amp * np.abs(seq).sum() < cutoff:
                 continue
             seqs.append(seq)
             coefs.append((cc * gh, amp))
@@ -355,15 +358,19 @@ def integrate(spec: IntegrandSpec,
     X = _choose_X(spec, tol_abs)
     # Gauss panels a unit interval, sized for the fastest signal
     sub = max(2, math.ceil(2.0 * omega / math.pi))
-    core, core_err, n_panels = _core(spec, X, sub)
+    core, core_err, n_panels, peak = _core(spec, X, sub)
+    # tail signals below 1e-18 are dropped, scaled down with an integrand
+    # that peaks below 1
+    cutoff = 1e-18 * min(1.0, peak)
     # right tail: reflect the b-gammas
     right, err_r = _tail_one_side(
         spec.b, spec.a,
-        [(cc, spec.t - nu) for cc, nu in spec.weight_terms()], X, sub)
+        [(cc, spec.t - nu) for cc, nu in spec.weight_terms()], X, sub, cutoff)
     # left tail via x -> -y: reflect the a-gammas
     left, err_l = _tail_one_side(
         spec.a, spec.b,
-        [(cc, -(spec.t - nu)) for cc, nu in spec.weight_terms()], X, sub)
+        [(cc, -(spec.t - nu)) for cc, nu in spec.weight_terms()], X, sub,
+        cutoff)
     value = core + right + left
     est = core_err + 8.0 * (err_r + err_l) + 1e-16 * abs(value)
     return QuadratureResult(value, est, n_panels, float(X))

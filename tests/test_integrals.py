@@ -417,3 +417,13 @@ def test_choose_X_clears_large_parameters():
     assert res.truncation_X >= 128
     assert abs(res.value - want) <= 1e-13 * abs(want)
     assert abs(res.value - want) <= res.est_error
+
+
+def test_tails_of_a_tiny_integral_are_kept():
+    # the integral is 2.3e-36 and its left tail 2.1e-40: an absolute cutoff
+    # of 1e-18 on the tail signals dropped both tails (9.2e-5 off)
+    spec = IntegrandSpec([40 + 30j], [0.3], 0.5)
+    res = integrate(spec)
+    want = fourier_single_factor(40 + 30j, 0.3, 0.5)
+    assert abs(res.value - want) <= 1e-8 * abs(want)
+    assert abs(res.value - want) <= res.est_error

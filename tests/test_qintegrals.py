@@ -16,8 +16,8 @@ from rbeta.gammafns import gamma, gaussian_q_integral
 from rbeta.integrals import BetaKind, IntegrandSpec, beta_integral_closed, integrate
 import rbeta.qintegrals as qintegrals
 from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, _geometric_truncation,
-                              _PROBE_OFFSETS, _tail_bound, _trim_truncation,
-                              abel_poisson_psi,
+                              _LATTICE_SHIFT, _first_passing_row,
+                              _lattice_rows, abel_poisson_psi,
                               abel_psi_target, h44_integral_value, h_of_q,
                               h_of_q_probe, h_of_q_target, limit_constant,
                               limit_constant_target, q_fourier_closed,
@@ -47,13 +47,14 @@ def test_q_fourier_complex_t_in_strip():
 
 def test_q_fourier_closed_near_q_one():
     # the whole integrand lies below q_integrate's absolute tolerance of
-    # 1e-12 (it peaks near 1e-19 around x = -20), so its quadrature says
-    # nothing here; the reference is a 30-digit mpmath quadrature of the
-    # integrand over [-80, 80]
+    # 1e-12 (it peaks near 1e-19 around x = -20), so the quadrature's tails
+    # are cut relative to its peak; the reference is a 30-digit mpmath
+    # quadrature of the integrand over [-80, 80]
     sp = QIntegrandSpec(0.98, [2.0], [0.3], [0.8], 0.3)
     want = complex(-3.05208587553951200814677297363e-18,
                    -9.11491608753882849204213590503e-19)
     assert abs(q_fourier_closed(sp) - want) <= 1e-12 * abs(want)
+    assert abs(q_integrate(sp).value - want) <= 1e-10 * abs(want)
 
 
 def test_q_fourier_complex_t_with_zero_b():
@@ -108,20 +109,102 @@ def test_qbeta_near_q_one_truncates_beyond_the_peak():
     assert abs(value - product) <= 1e-10 * abs(product)
 
 
-@pytest.mark.parametrize("log_mag,ratio", [
-    (lambda x: -x * x, 0.5),
-    (lambda x: -x * math.log(2.0), 0.5),
+def _passes(g, k, side, ratio, log_cut):
+    """The tail bound of unit row k on a decaying side, side = +1 or -1."""
+    here = g(np.array([_LATTICE_SHIFT + k]))[0].real
+    step = here - g(np.array([_LATTICE_SHIFT + k - side]))[0].real
+    rho = max(ratio, math.exp(min(step, 0.0)))
+    return step < 0.0 and here - math.log1p(-rho) < log_cut
+
+
+@pytest.mark.parametrize("g,ratio", [
+    (lambda x: -0.3 * (x - 2.5) ** 2 + 0j, 0.5),
+    (lambda x: -np.abs(x + 30.0) * math.log(2.0) + 0j, 0.5),
+    (lambda x: -np.abs(x) * 0.05 + 3.0 + 0j, 0.97),
 ])
 @pytest.mark.parametrize("tol_abs", [1e-12, 1e-6])
-def test_trimmed_truncation_is_the_first_passing_unit(log_mag, ratio, tol_abs):
-    def passes(X):
-        lm = [log_mag(X - d) for d in _PROBE_OFFSETS]
-        return _tail_bound(lm, ratio)[0] < tol_abs
+def test_lattice_rows_end_at_the_first_passing_row_from_the_peak(g, ratio,
+                                                                 tol_abs):
+    k0, rows, log_cut = _lattice_rows(g, ratio, ratio, tol_abs)
+    k1 = k0 + len(rows) - 1
+    lm = rows.real
+    peak = k0 + int(np.argmax(lm))
+    assert log_cut == min(math.log(tol_abs), lm.max() + math.log(1e-17))
+    assert np.array_equal(rows, g(_LATTICE_SHIFT + np.arange(k0, k1 + 1.0)))
+    assert _passes(g, k1, 1, ratio, log_cut)
+    assert _passes(g, k0, -1, ratio, log_cut)
+    assert not any(_passes(g, k, 1, ratio, log_cut) for k in range(peak + 1, k1))
+    assert not any(_passes(g, k, -1, ratio, log_cut) for k in range(k0 + 1, peak))
 
-    stepped = _geometric_truncation(log_mag, ratio, tol_abs)
-    X = _trim_truncation(log_mag, stepped, ratio, tol_abs)
-    assert 4.0 < X <= stepped
-    assert passes(X) and not passes(X - 1.0)
+
+def test_a_growing_side_is_never_accepted():
+    # far below any cut, but growing outward
+    assert _first_passing_row(np.linspace(-200.0, -100.0, 40), 0.5,
+                              math.log(1e-12)) is None
+    # the integrand still grows at x = -4 and peaks at x = -70; the scan
+    # widens past the peak before it ends the left side
+    k0, rows, _ = _lattice_rows(lambda x: -0.01 * (x + 70.0) ** 2 + 32.0 + 0j,
+                                0.97, 0.97, 1e-12)
+    assert k0 < -70 < k0 + len(rows) - 1
+    assert np.argmax(rows.real) == -70 - k0
+
+
+def test_a_zero_on_a_lattice_row_does_not_end_the_scan():
+    def smooth(x):
+        return -0.3 * x * x + 0j
+
+    def with_zero(x):
+        # a zero of the integrand on row 3, where it is still about e^-3.3
+        return np.where(np.abs(x - (_LATTICE_SHIFT + 3.0)) < 1e-9, -np.inf,
+                        smooth(x))
+
+    k0, rows, _ = _lattice_rows(smooth, 0.5, 0.5, 1e-12)
+    z0, zrows, _ = _lattice_rows(with_zero, 0.5, 0.5, 1e-12)
+    assert (z0, len(zrows)) == (k0, len(rows))
+    assert z0 + len(zrows) - 1 > 3
+
+
+def test_lattice_rows_raise_on_a_flat_integrand():
+    with pytest.raises(ToleranceNotReached):
+        _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex), 0.5, 0.5,
+                      1e-12)
+
+
+def test_q_quadrature_error_estimate_is_honest(monkeypatch):
+    seen = []
+    quad = qintegrals.q_quadrature
+
+    def probe(*args):
+        seen.append(quad(*args))
+        return seen[-1]
+    monkeypatch.setattr(qintegrals, "q_quadrature", probe)
+    rng = np.random.default_rng(11)
+    wants = []
+    for q in (0.31, 0.47, 0.73, 0.9):
+        for strip in (False, True):
+            a, b = rng.uniform(1.7, 3.2), rng.uniform(0.1, 0.5)
+            w = rng.uniform(0.8, 1.25)
+            lo, hi = math.log(b / w), math.log(a / w)
+            ti = rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
+            sp = QIntegrandSpec(q, [a], [b], [w], complex(
+                rng.uniform(-1.5, 1.5), ti if strip else 0.0))
+            q_integrate(sp)
+            wants.append(q_fourier_closed(sp))
+    for q in (0.4, 0.7):
+        for kind in QBetaKind:
+            ys = qintegrals._QBETA_YS[kind]
+            params = {"alpha": rng.uniform(0.6, 1.3),
+                      **{y: rng.uniform(0.2, (9 - len(ys)) / 10) for y in ys}}
+            wants.append(qbeta_family(kind, params, q)[1])
+    for kind in (QBetaKind.I_FULL, QBetaKind.I_D0):
+        params = {k: rng.uniform(0.1, 0.4)
+                  for k in ("alpha", *qintegrals._QBETA_YS[kind])}
+        wants.append(qbeta_gamma_form(kind, params, 0.5)[1])
+    assert len(seen) == len(wants)
+    for res, want in zip(seen, wants):
+        assert abs(res.value - want) <= res.est_error, (res, want)
+        # and the estimate still says something
+        assert res.est_error <= 1e-7 * abs(want), (res, want)
 
 
 def test_q_integrate_annulus_violation():
