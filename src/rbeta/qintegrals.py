@@ -4,8 +4,12 @@ to bilateral basic series, and the q-beta integral family with its q->1
 constants.
 
 Integrands are evaluated in log space (the infinite products overflow long
-before the integrand itself leaves double range) and integrated with Gauss
-panels; truncation comes from the geometric decay ratios of the factors.
+before the integrand itself leaves double range).  `q_quadrature` sums them
+on a trapezoid lattice s + k/p centred at the integrand's peak: they are
+entire and fall off like Gaussians, so by Poisson summation the lattice errs
+only by an alias sum that falls exponentially in p.  Its `panels` counts
+lattice nodes.  The Abel/Poisson-kernel route keeps Gauss panels graded
+toward the kernel's peaks and its own geometric truncation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
-from .quadrature import QuadratureResult, gauss_panels, gauss_panels_graded
+from .quadrature import QuadratureResult, gauss_panels_graded
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_ratio,
                       qpoch_inf, q_gamma)
 
@@ -159,7 +163,7 @@ def _truncation_points(log_mag: Callable[[np.ndarray], np.ndarray],
 # integers, where a q-Fourier lattice sum would be the psi series itself
 _LATTICE_SHIFT = 1.0 / 3.0
 # the unit-row scan starts at rows -8..8 and doubles a side's reach until a
-# row on it passes, up to this many rows
+# row on it passes, up to this reach
 _MAX_ROWS = 4096
 # alias exponent wanted of the half lattice: e^-18 = 1.5e-8 relative
 _ALIAS_LOG = 18.0

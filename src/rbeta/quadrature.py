@@ -24,7 +24,8 @@ _TS_CUTOFF = 3.8
 @dataclass
 class QuadratureResult:
     """An integral over the line: value, error estimate, Gauss panels used
-    and the truncation abscissa."""
+    (lattice nodes for the q-integrals of `qintegrals.q_quadrature`) and the
+    truncation abscissa."""
 
     value: complex
     est_error: float
