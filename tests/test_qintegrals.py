@@ -181,7 +181,7 @@ def test_q_quadrature_error_estimate_is_honest(monkeypatch):
     rng = np.random.default_rng(11)
     wants = []
     for q in (0.31, 0.47, 0.73, 0.9):
-        for strip in (False, True):
+        for strip in (False, True, False, True):
             a, b = rng.uniform(1.7, 3.2), rng.uniform(0.1, 0.5)
             w = rng.uniform(0.8, 1.25)
             lo, hi = math.log(b / w), math.log(a / w)
@@ -190,13 +190,15 @@ def test_q_quadrature_error_estimate_is_honest(monkeypatch):
                 rng.uniform(-1.5, 1.5), ti if strip else 0.0))
             q_integrate(sp)
             wants.append(q_fourier_closed(sp))
-    for q in (0.4, 0.7):
+    for q in (0.4, 0.7, 0.4, 0.7):
         for kind in QBetaKind:
             ys = qintegrals._QBETA_YS[kind]
             params = {"alpha": rng.uniform(0.6, 1.3),
                       **{y: rng.uniform(0.2, (9 - len(ys)) / 10) for y in ys}}
             wants.append(qbeta_family(kind, params, q)[1])
-    for kind in (QBetaKind.I_FULL, QBetaKind.I_D0):
+    wants.append(qbeta_family(
+        QBetaKind.I_C0, dict(alpha=0.7831, a=0.3492, b=0.6071), 0.99)[1])
+    for kind in (QBetaKind.I_FULL, QBetaKind.I_D0) * 2:
         params = {k: rng.uniform(0.1, 0.4)
                   for k in ("alpha", *qintegrals._QBETA_YS[kind])}
         wants.append(qbeta_gamma_form(kind, params, 0.5)[1])
