@@ -6,12 +6,14 @@ Extracts REF's ``src`` with ``git archive`` into a temporary directory and
 runs every suite at seeds 0-3, draws 2, ``RB_THREADS=1`` on both trees
 (``rbeta verify --quiet``), with ``runtime_ms`` zeroed.  For each suite it
 prints the summaries and the records that differ in any field but
-``runtime_ms``, with the fields that differ, and the largest relative lhs
-and rhs change.  Over the records with a nonzero ``rhs`` it prints how many
-lost more than half a digit of agreement, min(14, -log10 ``rel_gap``), and
-the worst change of those digits per identity that lost any.  The exit code
-is 1 on any change of a verdict, of a record's tolerance, or of the record
-ids or their order, else 0.
+``runtime_ms``, with the fields that differ, the largest relative lhs change
+over the records with a nonzero ``rhs`` and the largest relative rhs change.
+The lhs of a record whose ``rhs`` is 0 is roundoff, so its largest absolute
+lhs change is printed on a line of its own.  Over the records with a nonzero
+``rhs`` it prints how many lost more than half a digit of agreement,
+min(14, -log10 ``rel_gap``), and the worst change of those digits per
+identity that lost any.  The exit code is 1 on any change of a verdict, of a
+record's tolerance, or of the record ids or their order, else 0.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _same(old, new) -> bool:
     return json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True)
 
 
-def _rel_change(old, new) -> float:
+def _change(old, new, relative: bool = True) -> float:
     a = complex(old["re"], old["im"])
     b = complex(new["re"], new["im"])
     if a == b:
@@ -65,7 +67,7 @@ def _rel_change(old, new) -> float:
     d = abs(b - a)
     if not math.isfinite(d):
         return math.inf
-    return d / abs(a) if a != 0 else d
+    return d / abs(a) if relative and a != 0 else d
 
 
 def _digits(rec) -> float:
@@ -82,7 +84,7 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
     changed = []
     summaries = []
     broken = []
-    lhs_max = rhs_max = 0.0
+    lhs_max = rhs_max = zero_lhs_max = 0.0
     total = 0
     digit_change = {}
     lost = 0
@@ -95,7 +97,8 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
             continue
         total += len(new)
         for i, (ro, rn) in enumerate(zip(old, new)):
-            if ro["rhs"] != {"re": 0.0, "im": 0.0}:
+            zero_target = ro["rhs"] == {"re": 0.0, "im": 0.0}
+            if not zero_target:
                 d = _digits(rn) - _digits(ro)
                 iid = rn["identity_id"]
                 digit_change[iid] = min(digit_change.get(iid, d), d)
@@ -110,11 +113,17 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
                 broken.append(f"verdict {ro['pass']} -> {rn['pass']}: {where}")
             if not _same(ro["tol"], rn["tol"]):
                 broken.append(f"tol {ro['tol']} -> {rn['tol']}: {where}")
-            lhs_max = max(lhs_max, _rel_change(ro["lhs"], rn["lhs"]))
-            rhs_max = max(rhs_max, _rel_change(ro["rhs"], rn["rhs"]))
+            if zero_target:
+                zero_lhs_max = max(zero_lhs_max, _change(
+                    ro["lhs"], rn["lhs"], relative=False))
+            else:
+                lhs_max = max(lhs_max, _change(ro["lhs"], rn["lhs"]))
+            rhs_max = max(rhs_max, _change(ro["rhs"], rn["rhs"]))
     print(f"{suite}: {total} records, {len(changed)} differ, "
           f"{len(summaries)} of {len(old_runs)} summaries differ, "
-          f"max rel lhs change {lhs_max:.3g}, max rel rhs change {rhs_max:.3g}")
+          f"max rel lhs change {lhs_max:.3g} (nonzero rhs), "
+          f"max rel rhs change {rhs_max:.3g}")
+    print(f"  zero-rhs records: max abs lhs change {zero_lhs_max:.3g}")
     print(f"  agreement digits min(14, -log10 rel_gap): {lost} records lost "
           f"more than 0.5; worst change per identity that lost any:")
     for iid, d in digit_change.items():

@@ -37,6 +37,9 @@ def levin_u(terms: ArrayLike) -> Union[Tuple[complex, float],
     are then walked in turn: the first stabilized estimate is kept, and the
     walk stops once roundoff makes successive estimates diverge again.  The
     error estimate is the stabilization gap with a small safety factor.
+    The estimates read only the first 49 terms of a sequence (a table of
+    depth 48); later terms enter only through the plain partial sum, which
+    is kept where no estimate stabilizes.
     """
     t = np.asarray(terms, dtype=complex)
     rows = t.reshape(1, -1) if t.ndim == 1 else t
@@ -52,22 +55,40 @@ def levin_u(terms: ArrayLike) -> Union[Tuple[complex, float],
     return values, errs
 
 
+# roundoff dominates the table well before depth ~50; deeper columns would
+# also overflow the recursion coefficients
+_LEVIN_DEPTH = 48
+
+
+def _levin_coef(k: int) -> np.ndarray:
+    """The recursion coefficients m (m + k - 1)^(k - 2) / (m + k)^(k - 1),
+    m = 1, 2, ..., of table column k >= 2, as far as a full table reads."""
+    m = 1.0 + np.arange(_LEVIN_DEPTH + 1 - k)
+    return m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+
+
+_LEVIN_COEF = {k: _levin_coef(k) for k in range(2, _LEVIN_DEPTH + 1)}
+
+
 def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Levin estimates of each row of t, n >= 4 terms a row.
+
+    The depth-k estimate N_k[0] / D_k[0] depends only on the first k + 1
+    columns of the table, so a row's estimates read its first
+    _LEVIN_DEPTH + 1 = 49 terms; the others enter only through the plain
+    partial sum the walk starts from."""
     S, n = t.shape
     s = np.cumsum(t, axis=1)
-    w = (1.0 + np.arange(n)) * t
+    depth = min(n - 1, _LEVIN_DEPTH)
+    w = (1.0 + np.arange(depth + 1)) * t[:, :depth + 1]
     w[w == 0] = 1e-300
-    N = s / w
+    N = s[:, :depth + 1] / w
     D = 1.0 / w
-    # roundoff dominates the table well before depth ~50; deeper columns
-    # would also overflow the recursion coefficients
-    depth = min(n - 1, 48)
     N0 = np.empty((S, depth), dtype=complex)
     D0 = np.empty((S, depth), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, depth + 1):
-            m = 1.0 + np.arange(n - k)
-            b = 1.0 if k == 1 else m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+            b = 1.0 if k == 1 else _LEVIN_COEF[k][:depth + 1 - k]
             N = N[:, 1:] - b * N[:, :-1]
             D = D[:, 1:] - b * D[:, :-1]
             N0[:, k - 1] = N[:, 0]
@@ -111,8 +132,10 @@ def sum_one_sided(term_ratios: Callable[[int], complex],
     """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n).
 
     Direct summation while the terms decay geometrically (ratio <= 0.75);
-    otherwise partial sums are handed to the Levin u-transform in growing
-    blocks up to ``max_terms`` terms.
+    otherwise the full budget of ``max_terms`` terms is built and windows
+    starting at terms 0, 24, 96 and max_terms - 60 are handed to the Levin
+    u-transform.  Each window's Levin estimates read its first 49 terms; its
+    other terms enter only through the plain partial sum.
     """
     terms = [complex(first_term)]
     if first_term == 0:

@@ -27,6 +27,15 @@ anchor too: that step leaves a zero of 1/Gamma, and dividing by the small
 factor would magnify the rounding of the anchor's arguments.  In the
 tails, X >= max|Re param| + 8 keeps every factor at least 8 away from
 zero, so the first row is their only anchor.
+
+On the lattice the phases separate too: e^(i w (k + cell)) is a row factor
+e^(i w k) times a cell factor e^(i w cell).  The core's weight and phase
+sum_nu c_nu e^(i (nu - t) x) is then a sum of outer products of a row and a
+cell vector, one per weight term, and each tail's unit-interval integrals of
+R(x) e^(i w x), for all of its harmonic signals w at once, are one matrix
+product of R's rows with the cell-by-signal matrix of the phases times the
+Gauss weights, scaled by the row phases.  Exponentials are taken on rows
+and cells only, not on every node.
 """
 
 from __future__ import annotations
@@ -126,13 +135,18 @@ def _require_margin(spec: IntegrandSpec) -> None:
 
 
 def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
-    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation."""
-    # multiply factor pairs (one growing, one decaying) to keep partial
-    # products in double range out to |x| ~ 160
+    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation, with
+    one recip_gamma call on all 2m factors' arguments (an element of
+    recip_gamma comes out the same alone as in any array)."""
+    m = spec.m
     v = np.ones(x.shape, dtype=complex)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for aj, bj in zip(spec.a, spec.b):
-            v = v * (recip_gamma(aj + 1.0 + x) * recip_gamma(bj + 1.0 - x))
+        r = recip_gamma(np.stack([aj + 1.0 + x for aj in spec.a]
+                                 + [bj + 1.0 - x for bj in spec.b]))
+        # multiply factor pairs (one growing, one decaying) to keep partial
+        # products in double range out to |x| ~ 160
+        for j in range(m):
+            v = v * (r[j] * r[m + j])
     return v
 
 
@@ -145,6 +159,11 @@ def _weight_phase(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
 
 def _f_core(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
     return _pair_product(spec, x) * _weight_phase(spec, x)
+
+
+def _phases(freqs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """e^(i w y), one row per point y and one column per frequency w."""
+    return np.exp(1j * np.multiply.outer(y, freqs))
 
 
 _TINY = np.finfo(float).tiny
@@ -184,6 +203,12 @@ def _unit_lattice(x: np.ndarray, direct, step) -> np.ndarray:
     return v
 
 
+def _core_cell(sub: int) -> np.ndarray:
+    """The 20- then the 10-point Gauss nodes of sub equal panels of [0, 1]."""
+    xs20, xs10, _ = panel_nodes(np.linspace(0.0, 1.0, sub + 1))
+    return np.concatenate((xs20, xs10))
+
+
 def _core_lattice(spec: IntegrandSpec, X: int,
                   sub: int) -> Tuple[np.ndarray, np.ndarray]:
     """The core nodes, one row per unit interval [k, k + 1], k = -X..X-1,
@@ -195,9 +220,7 @@ def _core_lattice(spec: IntegrandSpec, X: int,
     the most accurate: upward in x, and downward as upward in y = -x, in
     which the product has the same form with a and b swapped.
     """
-    xs20, xs10, _ = panel_nodes(np.linspace(0.0, 1.0, sub + 1))
-    x = (np.arange(-X, X, dtype=float)[:, None]
-         + np.concatenate((xs20, xs10))[None, :])
+    x = np.arange(-X, X, dtype=float)[:, None] + _core_cell(sub)[None, :]
     peak = (sum(spec.b) - sum(spec.a)).real / (2 * spec.m)
     mid = min(max(math.floor(peak) + X, 1), 2 * X - 1)
 
@@ -218,9 +241,14 @@ def _core_lattice(spec: IntegrandSpec, X: int,
 def _core(spec: IntegrandSpec, X: int,
           sub: int) -> Tuple[complex, float, int, float]:
     """Gauss panels on [-X, X], sub a unit interval, as (value, est_error,
-    panels, largest |integrand| on the nodes)."""
+    panels, largest |integrand| on the nodes).  The weight and phase are
+    row factors times cell factors, summed over the weight terms."""
     x, G = _core_lattice(spec, X, sub)
-    f = G * _weight_phase(spec, x)
+    terms = spec.weight_terms()
+    freqs = np.array([nu - spec.t for _, nu in terms])
+    coefs = np.array([cc for cc, _ in terms])
+    f = G * ((_phases(freqs, np.arange(-X, X, dtype=float)) * coefs)
+             @ _phases(freqs, _core_cell(sub)).T)
     n = len(x) * sub
     return (*panel_sums(f[:, :20 * sub].reshape(n, 20),
                         f[:, 20 * sub:].reshape(n, 10), 0.5 / sub),
@@ -250,11 +278,12 @@ _X16, _W16 = leggauss(16)
 
 def _tail_cell(sub: int) -> Tuple[np.ndarray, np.ndarray]:
     """The nodes of sub 16-point Gauss panels on [0, 1], panel by panel,
-    and the panel half-widths."""
+    and their weights."""
     se = np.linspace(0.0, 1.0, sub + 1)
     mids = 0.5 * (se[:-1] + se[1:])
     halfs = 0.5 * (se[1:] - se[:-1])
-    return (mids[:, None] + halfs[:, None] * _X16[None, :]).ravel(), halfs
+    return ((mids[:, None] + halfs[:, None] * _X16[None, :]).ravel(),
+            (halfs[:, None] * _W16[None, :]).ravel())
 
 
 def _tail_R(num_params: Sequence[complex], den_params: Sequence[complex],
@@ -278,45 +307,47 @@ def _tail_R(num_params: Sequence[complex], den_params: Sequence[complex],
     return x, _unit_lattice(x, direct, step)
 
 
+def _interval_integrals(R: np.ndarray, cell: np.ndarray, weights: np.ndarray,
+                        start: int, freqs: np.ndarray) -> np.ndarray:
+    """The integrals of R(x) e^(i w x) over the unit intervals
+    [start + n, start + n + 1], one row per interval n and one column per
+    frequency w, from R on the nodes start + n + cell (one row per interval)
+    and the cell's quadrature weights.  The phase separates into a row and
+    a cell factor, e^(i w (start + n)) e^(i w cell), so every frequency's
+    intervals come from one matrix product."""
+    rows = start + np.arange(len(R), dtype=float)
+    return ((R @ (_phases(freqs, cell) * weights[:, None]))
+            * _phases(freqs, rows))
+
+
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
                    tau_terms: Sequence[WeightTerm], X: int, sub: int,
                    cutoff: float) -> Tuple[complex, float]:
     """integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
-    as unit-interval series accelerated per harmonic signal; each interval
-    is split into sub Gauss panels.  Signals whose summed interval integrals
-    stay below `cutoff` are dropped.
+    as unit-interval series accelerated per (weight term, harmonic) signal;
+    each interval is split into sub Gauss panels.  Signals whose summed
+    interval integrals stay below `cutoff` are dropped.
     """
     m = len(num_params)
     harmonics = _sin_product_harmonics(num_params)
-    cell, halfs = _tail_cell(sub)
-    x, R = _tail_R(num_params, den_params, X, cell)
-    # nodes: (_TAIL_INTERVALS, sub, 16)
-    xs = x.reshape(_TAIL_INTERVALS, sub, 16)
-    R = R.reshape(xs.shape)
-    # one 48-term sequence per (weight term, harmonic) signal, built one at a
-    # time and accelerated together
-    seqs = []
-    coefs = []
-    for cc, tau in tau_terms:
-        if cc == 0:
-            continue
-        for h, gh in harmonics.items():
-            wv = math.pi * h - tau
-            phase = np.exp(1j * wv * xs)
-            iv = (R * phase * _W16[None, None, :]).sum(axis=2) * halfs[None, :]
-            seq = iv.sum(axis=1)
-            amp = abs(cc * gh)
-            if amp * np.abs(seq).sum() < cutoff:
-                continue
-            seqs.append(seq)
-            coefs.append((cc * gh, amp))
+    signals = [(math.pi * h - tau, cc * gh) for cc, tau in tau_terms
+               if cc != 0 for h, gh in harmonics.items()]
+    if not signals:
+        return 0j, 0.0
+    freqs, coefs = (np.array(v) for v in zip(*signals))
+    cell, weights = _tail_cell(sub)
+    _, R = _tail_R(num_params, den_params, X, cell)
+    seqs = _interval_integrals(R, cell, weights, X, freqs)
+    amps = np.abs(coefs)
+    keep = ~(amps * np.abs(seqs).sum(axis=0) < cutoff)
     value = 0j
     err = 0.0
-    if seqs:
-        vs, es = levin_u(np.array(seqs))
-        for (c, amp), v, e in zip(coefs, vs.tolist(), es.tolist()):
+    if keep.any():
+        vs, es = levin_u(seqs.T[keep])
+        for c, amp, v, e in zip(coefs[keep].tolist(), amps[keep].tolist(),
+                                vs.tolist(), es.tolist()):
             value += c * v
             err += amp * e
     return value / math.pi ** m, err / math.pi ** m

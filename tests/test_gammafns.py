@@ -75,11 +75,34 @@ def test_recip_gamma_exact_zeros():
     assert abs(recip_gamma(2.0) - 1.0) < 1e-14
 
 
+def _branch_points(rng, branch, n):
+    """n points where recip_gamma takes the Lanczos sum (Re z >= 1/2,
+    |z| < 8), the Stirling series (Re z >= 1/2, |z| >= 8) or the
+    reflection (Re z < 1/2, on either side of |1 - z| = 8)."""
+    r = {"lanczos": (0.6, 7.9), "stirling": (8.0, 60.0),
+         "reflection": (0.6, 40.0)}[branch]
+    th = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05, n)
+    z = rng.uniform(*r, n) * np.exp(1j * th)
+    return 1.0 - z if branch == "reflection" else z
+
+
 def test_recip_gamma_vectorized_matches_scalar(rng):
+    # an element comes out the same alone as in an array of any length;
+    # integrals._pair_product batches its factors on this
     zs = rng.uniform(-30, 30, 16) + 1j * rng.uniform(-30, 30, 16)
     out = recip_gamma(zs)
     for z, v in zip(zs, out):
         assert v == recip_gamma(complex(z))
+    branches = ("lanczos", "stirling", "reflection")
+    for n in (1, 3, 17, 1000):
+        for shift in range(3):
+            zs = np.empty(n, dtype=complex)
+            for i, branch in enumerate(branches):
+                pick = (np.arange(n) + shift) % 3 == i
+                zs[pick] = _branch_points(rng, branch, int(pick.sum()))
+            out = recip_gamma(zs)
+            for z, v in zip(zs, out):
+                assert v == recip_gamma(complex(z)), (n, z)
 
 
 @pytest.mark.parametrize("z", [complex(-5, 1e-12), complex(-80, 1e-9),

@@ -13,6 +13,10 @@ arithmetic (mpmath) of the same double terms, so a 1e-13 match would be
 down to chance; they are held to 2e-13.  Where the oracle's error
 estimate is itself at the roundoff floor (below 1e-12 relative), the
 minimum gap it is taken from is roundoff and only that floor is checked.
+
+``levin_rows_full_table`` is the array transform before its table was cut
+to the 49 columns that its depth-48 estimates read; the library must match
+it bit for bit.
 """
 
 import math
@@ -21,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from rbeta.acceleration import levin_u
+from rbeta.acceleration import _levin_rows, _walk, levin_u
 
 
 def levin_u_oracle(terms: Sequence[complex]) -> Tuple[complex, float]:
@@ -159,3 +163,70 @@ def test_levin_stacked_rows_bit_identical(n):
     for row, v, e in zip(rows, values, errs):
         v1, e1 = levin_u(row)
         assert v1 == v and e1 == e
+
+
+# -- the table sized to what its estimates read ---------------------------------
+
+def levin_rows_full_table(t):
+    """The array Levin transform as it was before its table was cut to the
+    columns the estimates read: every column of the table is built for all
+    n terms, with the recursion coefficients computed per column."""
+    S, n = t.shape
+    s = np.cumsum(t, axis=1)
+    w = (1.0 + np.arange(n)) * t
+    w[w == 0] = 1e-300
+    N = s / w
+    D = 1.0 / w
+    depth = min(n - 1, 48)
+    N0 = np.empty((S, depth), dtype=complex)
+    D0 = np.empty((S, depth), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, depth + 1):
+            m = 1.0 + np.arange(n - k)
+            b = 1.0 if k == 1 else m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+            N = N[:, 1:] - b * N[:, :-1]
+            D = D[:, 1:] - b * D[:, :-1]
+            N0[:, k - 1] = N[:, 0]
+            D0[:, k - 1] = D[:, 0]
+        ests = N0 / D0
+    values = np.empty(S, dtype=complex)
+    errs = np.empty(S)
+    for i in range(S):
+        values[i], errs[i] = _walk(ests[i].tolist(), (D0[i] == 0).tolist(),
+                                   complex(s[i, -1]), abs(t[i, -1]))
+    return values, errs
+
+
+def _assert_same_bits(rows):
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    got = _levin_rows(rows)
+    want = levin_rows_full_table(rows)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(float), w.view(float)), (g, w)
+
+
+@pytest.mark.parametrize("name", [k for k, v in _signals().items()
+                                  if len(v) >= 4])
+def test_levin_window_bit_identical_on_signals(name):
+    _assert_same_bits(_signals()[name])
+
+
+@pytest.mark.parametrize("name,off", _WINDOWS)
+def test_levin_window_bit_identical_on_sum_windows(name, off):
+    _assert_same_bits(_from_ratio(1.0, _RATIOS[name], 400)[off:])
+
+
+@pytest.mark.parametrize("n", [4, 48, 49, 60, 304, 376, 400])
+def test_levin_window_bit_identical_stacked(n):
+    # stacked rows of every kind, one with zero terms (weighted as 1e-300)
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    rows = [_from_ratio(1.0, ratio, n) for ratio in _RATIOS.values()]
+    rows += [np.exp(1j * rng.uniform(0, 2 * math.pi) * k)
+             / (k + rng.uniform(1, 20)) ** rng.uniform(0.3, 2.5)
+             for _ in range(5)]
+    rows.append(np.where(k % 3 == 1, 0.0, rows[0]))
+    rows.append(np.where(k >= 2, 0.0, rows[1]))
+    _assert_same_bits(rows)
+    for row in rows:
+        _assert_same_bits(row)
