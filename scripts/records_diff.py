@@ -13,7 +13,10 @@ lhs change is printed on a line of its own.  Over the records with a nonzero
 ``rhs`` it prints how many lost more than half a digit of agreement,
 min(14, -log10 ``rel_gap``), and the worst change of those digits per
 identity that lost any.  The exit code is 1 on any change of a verdict, of a
-record's tolerance, or of the record ids or their order, else 0.
+record's tolerance or ``inputs``, or of the record ids or their order, else 0;
+each such record is printed as a ``CHANGED`` line.  A change of ``inputs``
+counts because perfbench matches records to its golden ones on ``inputs``,
+so such a record goes unmatched and the run is not ``correct``.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ def _digits(rec) -> float:
 
 
 def _diff_suite(suite: str, old_runs, new_runs) -> bool:
-    """Print one suite's differences; True when ids, order, a verdict or a
-    tolerance changed."""
+    """Print one suite's differences; True when ids, order, a verdict, a
+    tolerance or the inputs changed."""
     changed = []
     summaries = []
     broken = []
@@ -113,6 +116,8 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
                 broken.append(f"verdict {ro['pass']} -> {rn['pass']}: {where}")
             if not _same(ro["tol"], rn["tol"]):
                 broken.append(f"tol {ro['tol']} -> {rn['tol']}: {where}")
+            if not _same(ro["inputs"], rn["inputs"]):
+                broken.append(f"inputs: {where}")
             if zero_target:
                 zero_lhs_max = max(zero_lhs_max, _change(
                     ro["lhs"], rn["lhs"], relative=False))

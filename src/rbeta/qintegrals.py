@@ -9,7 +9,8 @@ on a trapezoid lattice s + k/p centred at the integrand's peak: they are
 entire and fall off like Gaussians, so by Poisson summation the lattice errs
 only by an alias sum that falls exponentially in p.  Its `panels` counts
 lattice nodes.  The Abel/Poisson-kernel route keeps Gauss panels graded
-toward the kernel's peaks and its own geometric truncation.
+toward the kernel's peaks, summed with the 20-point rule alone, and its own
+geometric truncation, whose one-point probes it evaluates once per abscissa.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
-from .quadrature import QuadratureResult, gauss_panels_graded
+from .quadrature import QuadratureResult, gauss20, panel_nodes
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_ratio,
                       qpoch_inf, q_gamma)
 
@@ -137,24 +138,6 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
         X += max(1.0, math.log(max(tail / tol_abs, 2.0)) / -math.log(rho) * 0.5)
     raise ToleranceNotReached(
         f"integrand tail {tail:.3g} still above {tol_abs:.3g} at X = {X:.6g}")
-
-
-def _log_magnitude(log_f: Callable[[np.ndarray], np.ndarray],
-                   t: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """Array log-magnitude of exp(log_f(x) - i t x)."""
-    return lambda x: (log_f(x) - 1j * complex(t) * x).real
-
-
-def _truncation_points(log_mag: Callable[[np.ndarray], np.ndarray],
-                       rho_right: float, rho_left: float,
-                       tol_abs: float) -> Tuple[float, float]:
-    """(X_right, X_left) of `_geometric_truncation` for the array
-    log-magnitude `log_mag`, probed one point at a time."""
-    def logmag_at(x: float) -> float:
-        return float(log_mag(np.array([float(x)]))[0])
-
-    return (_geometric_truncation(logmag_at, rho_right, tol_abs),
-            _geometric_truncation(lambda x: logmag_at(-x), rho_left, tol_abs))
 
 
 # -- the q-integral lattice rule -------------------------------------------------
@@ -341,35 +324,48 @@ def abel_psi_target(spec: QIntegrandSpec) -> complex:
 
 def abel_poisson_psi(spec: QIntegrandSpec,
                      r_sequence: Sequence[float]) -> List[Tuple[float, complex]]:
-    """Kernel-regularized integrals for each r < 1, each tail truncated below
-    DEFAULT_TOL.abs; they approach abel_psi_target as r -> 1."""
+    """Kernel-regularized integrals for each r < 1; they approach
+    abel_psi_target as r -> 1.  Each is a 20-point Gauss sum on panels graded
+    toward the kernel's peaks, between the `_geometric_truncation` points for
+    DEFAULT_TOL.abs over the kernel's peak; the truncation searches of all r
+    share one memo of the one-point log-magnitude probes."""
     spec.check_annulus()
     rr, rl = spec.decay_ratios()
+    probes: Dict[float, float] = {}
+
+    def log_mag(x: float) -> float:
+        if x not in probes:
+            xs = np.array([x])
+            probes[x] = float((spec.log_f(xs) - 1j * spec.t * xs).real[0])
+        return probes[x]
 
     out: List[Tuple[float, complex]] = []
     for r in r_sequence:
         r = float(r)
         if not 0.0 <= r < 1.0:
             raise DomainError("kernel parameter r must lie in [0, 1)")
-
-        def f(x: np.ndarray, r=r) -> np.ndarray:
-            with np.errstate(over="ignore", under="ignore"):
-                base = np.exp(spec.log_f(x) - 1j * spec.t * x)
-            if r == 0.0:
-                return base
-            kern = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(2.0 * math.pi * x) + r * r)
-            return base * kern
-
         peak = (1.0 + r) / (1.0 - r)
         # the upper ends of the brackets, untrimmed: perfbench matches
         # abel-poisson-kernel records on inputs that hold the gaps computed
         # here (ROADMAP item 1), so this X must keep its bits until they move
-        Xr, Xl = _truncation_points(_log_magnitude(spec.log_f, spec.t), rr, rl,
-                                    DEFAULT_TOL.abs / peak)
-        edges = _kernel_graded_edges(-Xl, Xr, r)
-        value, err, _ = gauss_panels_graded(f, edges)
-        out.append((r, value))
+        tol_abs = DEFAULT_TOL.abs / peak
+        Xr = _geometric_truncation(log_mag, rr, tol_abs)
+        Xl = _geometric_truncation(lambda x: log_mag(-x), rl, tol_abs)
+        out.append((r, _kernel_integral(spec, r, -Xl, Xr)))
     return out
+
+
+def _kernel_integral(spec: QIntegrandSpec, r: float, lo: float,
+                     hi: float) -> complex:
+    """20-point Gauss sum of the integrand times the Poisson kernel on the
+    panels of `_kernel_graded_edges(lo, hi, r)`."""
+    xs, _, half = panel_nodes(_kernel_graded_edges(lo, hi, r))
+    with np.errstate(over="ignore", under="ignore"):
+        f = np.exp(spec.log_f(xs) - 1j * spec.t * xs)
+    if r != 0.0:
+        f = f * ((1.0 - r * r)
+                 / (1.0 - 2.0 * r * np.cos(2.0 * math.pi * xs) + r * r))
+    return complex(gauss20(f.reshape(len(half), 20), half).sum())
 
 
 def _kernel_graded_edges(lo: float, hi: float, r: float) -> np.ndarray:

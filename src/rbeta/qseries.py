@@ -370,6 +370,7 @@ def q_gamma(x: complex, q: float) -> complex:
 
 # terms summed per non-terminating side before giving up
 _PSI_MAX_TERMS = 400_000
+_EPS = float(np.finfo(float).eps)
 
 
 def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
@@ -379,13 +380,15 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     convergence annulus prod|b|/prod|a| < |z| < 1; zero lower parameters
     (and surplus lower slots) make the tails super-geometric instead.
     Parameters of the form a_j = q^-k / b_j = q^k terminate the respective
-    side and are summed exactly.
+    side and are summed exactly.  est_error is each non-terminating side's
+    geometric tail bound plus the rounding the terms carry (see the loop).
     """
     spec.validate()
     right_cut, left_cut = spec.termination_cuts()
     q, z = spec.q, spec.z
-    a = np.asarray(spec.a, dtype=complex)
-    b = np.asarray(spec.b, dtype=complex)
+    # the factors are 1 - x_j q^n over the upper, then the lower parameters
+    x = np.asarray(spec.a + spec.b, dtype=complex)
+    na = len(spec.a)
     d = len(spec.b) - len(spec.a)
     if d < 0:
         raise IllFormedSpec("more upper than lower parameters unsupported")
@@ -394,51 +397,48 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
         raise OutsideAnnulus(problem)
 
     tol_abs = max(tol.abs, 1e-16)
+    # roundings per ratio that no factor amplifies: one per factor, the
+    # products, z, the divisions, q^m, its power d, the step t * r and the sum
+    ops = len(x) + abs(d) + 4
 
-    def ratio_up(n: int) -> complex:
-        qn = q ** n
-        r = z * complex(np.prod(1.0 - a * qn)) / complex(np.prod(1.0 - b * qn))
+    def step(m: int) -> Tuple[complex, float]:
+        # the ratio of the term at m + 1 to the one at m for m >= 0, and of
+        # the term at m to the one at m + 1 for m < 0; and by how much the
+        # factors amplify their rounding, sum_j |x_j q^m| / |1 - x_j q^m|
+        qm = q ** m
+        xq = x * qm
+        f = 1.0 - xq
+        upper, lower = complex(np.prod(f[:na])), complex(np.prod(f[na:]))
+        r = z * upper / lower if m >= 0 else lower / upper / z
         if d:
-            r *= (-(qn)) ** d
-        return r
-
-    def ratio_down(k: int) -> complex:
-        # step from index -k to -(k+1)
-        qn = q ** (-k - 1)
-        r = complex(np.prod(1.0 - b * qn)) / complex(np.prod(1.0 - a * qn)) / z
-        if d:
-            r *= (-(qn)) ** (-d)
-        return r
+            r *= (-qm) ** (d if m >= 0 else -d)
+        return r, float(np.abs(xq / f).sum())
 
     total = 1.0 + 0j
     used = 1
     est = 0.0
-
-    def finite_sum(ratio, count: int) -> complex:
-        out = 0j
-        t = 1.0 + 0j
-        for n in range(count):
-            t = t * ratio(n)
-            out += t
-        return out
-
-    for label, ratio, cut in (("up", ratio_up, right_cut),
-                              ("down", ratio_down,
+    # the left side steps from index -k to -(k + 1)
+    for label, ratio, cut in (("up", step, right_cut),
+                              ("down", lambda k: step(-k - 1),
                                None if left_cut is None else left_cut - 1)):
-        if cut is not None:
-            total += finite_sum(ratio, cut)
-            used += cut
-            continue
         t = 1.0 + 0j
         part = 0j
         n = 0
         rr = 1.0
         small = 0
-        while True:
-            r = ratio(n)
+        # rel bounds t's relative rounding error; noise sums rel |t|, which
+        # cancelling terms leave in the sum however small it is
+        rel = 0.0
+        noise = 0.0
+        while n != cut:
+            r, amp = ratio(n)
             t = t * r
             part += t
+            rel += _EPS * (amp + ops)
+            noise += rel * abs(t)
             n += 1
+            if cut is not None:
+                continue
             rr = abs(r)
             # two consecutive sub-threshold terms guard against accidental
             # near-zeros of single factors
@@ -452,10 +452,11 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
                 raise ToleranceNotReached(
                     f"{label} side of psi series did not reach tolerance "
                     f"in {_PSI_MAX_TERMS} terms (|ratio|={rr:.6f})")
-        tail = abs(t) * (rr / (1.0 - rr)) if rr < 1.0 else abs(t)
         total += part
-        est += tail + 1e-16 * abs(part)
         used += n
+        est += noise
+        if cut is None:
+            est += abs(t) * (rr / (1.0 - rr)) if rr < 1.0 else abs(t)
     return SeriesValue(total, est, used, False)
 
 

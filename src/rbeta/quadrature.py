@@ -1,6 +1,9 @@
 """Panel quadrature engines: composite Gauss-Legendre with order-doubling
 error estimates, and tanh-sinh for endpoint-singular finite-interval
 integrands.  All integrand callables are vectorized (ndarray -> ndarray).
+`panel_nodes` and `gauss20` serve callers that evaluate the integrand on
+explicit (possibly graded) edges themselves; `gauss20` is the 20-point sum
+of `panel_sums` alone, for callers that need no 10-point error estimate.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from typing import Callable, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureResult", "gauss_panels", "gauss_panels_graded",
-           "panel_nodes", "panel_sums", "tanh_sinh"]
+__all__ = ["QuadratureResult", "gauss20", "gauss_panels", "panel_nodes",
+           "panel_sums", "tanh_sinh"]
 
 _X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
@@ -43,19 +46,7 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     if hi <= lo:
         return 0j, 0.0, 0
     n = max(1, int(math.ceil((hi - lo) / max_width)))
-    edges = np.linspace(lo, hi, n + 1)
-    return _panels_on_edges(f, edges)
-
-
-def gauss_panels_graded(f: Callable[[np.ndarray], np.ndarray],
-                        edges: np.ndarray) -> Tuple[complex, float, int]:
-    """Composite Gauss on an explicit (possibly graded) panel edge array."""
-    return _panels_on_edges(f, np.asarray(edges, dtype=float))
-
-
-def _panels_on_edges(f, edges: np.ndarray) -> Tuple[complex, float, int]:
-    xs20, xs10, half = panel_nodes(edges)
-    n = len(half)
+    xs20, xs10, half = panel_nodes(np.linspace(lo, hi, n + 1))
     f20 = np.asarray(f(xs20), dtype=complex).reshape(n, 20)
     f10 = np.asarray(f(xs10), dtype=complex).reshape(n, 10)
     return panel_sums(f20, f10, half)
@@ -71,12 +62,18 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs20, xs10, half
 
 
+def gauss20(f20: np.ndarray, half) -> np.ndarray:
+    """The 20-point Gauss sum of each panel, from integrand values at the
+    20-point nodes of panel_nodes, one panel a row."""
+    return (f20 * _W20[None, :]).sum(axis=1) * half
+
+
 def panel_sums(f20: np.ndarray, f10: np.ndarray,
                half) -> Tuple[complex, float, int]:
     """(value, est_error, panels) from integrand values at the nodes of
     panel_nodes, one panel a row: the 20-point sums and their summed
     discrepancy from the 10-point ones."""
-    v20 = (f20 * _W20[None, :]).sum(axis=1) * half
+    v20 = gauss20(f20, half)
     v10 = (f10 * _W10[None, :]).sum(axis=1) * half
     value = complex(v20.sum())
     err = float(np.abs(v20 - v10).sum())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import compare
-from rbeta.core import Tolerance
+from rbeta.core import DEFAULT_TOL, Tolerance
 from rbeta.errors import (AnnulusViolation, DomainError, StripViolation,
                           ToleranceNotReached)
 from rbeta.gammafns import gamma, gaussian_q_integral
@@ -17,13 +17,15 @@ from rbeta.integrals import BetaKind, IntegrandSpec, beta_integral_closed, integ
 import rbeta.qintegrals as qintegrals
 from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, _geometric_truncation,
                               _LATTICE_SHIFT, _first_passing_row,
-                              _lattice_rows, abel_poisson_psi,
+                              _kernel_graded_edges, _lattice_rows,
+                              abel_poisson_psi,
                               abel_psi_target, h44_integral_value, h_of_q,
                               h_of_q_probe, h_of_q_target, limit_constant,
                               limit_constant_target, q_fourier_closed,
                               q_integrate, qbeta_family, qbeta_gamma_form,
                               qbeta_psi_consistency)
 from rbeta.qseries import QKind, closed_form_q
+from rbeta.quadrature import panel_nodes, panel_sums
 
 QBETA_TOL = Tolerance(rel=1e-6, abs=1e-12)
 
@@ -260,6 +262,63 @@ def test_abel_kernel_m1_limit_is_1psi1():
         prod /= qpoch_inf(x, q)
     closed = qpoch_inf(b, q) * qpoch_inf(q / a, q) * prod
     assert abs(target - closed) <= 1e-10 * abs(closed)
+
+
+def _abel_reference(spec, r_sequence):
+    """abel_poisson_psi from its parts: unmemoised one-point truncation
+    probes, and the value of `panel_sums` on the 20- and 10-point nodes."""
+    rr, rl = spec.decay_ratios()
+
+    def log_mag(x):
+        xs = np.array([x])
+        return float((spec.log_f(xs) - 1j * spec.t * xs).real[0])
+
+    out = []
+    for r in r_sequence:
+        tol_abs = DEFAULT_TOL.abs / ((1.0 + r) / (1.0 - r))
+        Xr = _geometric_truncation(log_mag, rr, tol_abs)
+        Xl = _geometric_truncation(lambda x: log_mag(-x), rl, tol_abs)
+        xs20, xs10, half = panel_nodes(_kernel_graded_edges(-Xl, Xr, r))
+
+        def f(x):
+            with np.errstate(over="ignore", under="ignore"):
+                base = np.exp(spec.log_f(x) - 1j * spec.t * x)
+            return base * ((1.0 - r * r)
+                           / (1.0 - 2.0 * r * np.cos(2.0 * math.pi * x) + r * r))
+        n = len(half)
+        value, _, _ = panel_sums(f(xs20).reshape(n, 20),
+                                 f(xs10).reshape(n, 10), half)
+        out.append((r, value))
+    return out
+
+
+# m = 1 and m = 2 draws in the ranges of the suite's abel-poisson-kernel
+_ABEL_DRAWS = [
+    QIntegrandSpec(0.59, [2.41], [0.37], [0.93], -0.62),
+    QIntegrandSpec(0.47, [1.93, 2.77], [0.14, 0.29], [1.16, 0.85], 0.81),
+]
+
+
+@pytest.mark.parametrize("spec", _ABEL_DRAWS, ids=["m1", "m2"])
+def test_abel_kernel_bits_match_its_reference(spec):
+    # the suite's golden records hold these values' gaps, so skipping the
+    # 10-point nodes and sharing the probes must keep every bit
+    rs = [0.9, 0.99, 0.999]
+    assert abel_poisson_psi(spec, rs) == _abel_reference(spec, rs)
+
+
+def test_abel_kernel_probes_each_abscissa_once(monkeypatch):
+    spec = _ABEL_DRAWS[1]
+    probes = []
+    log_f = QIntegrandSpec.log_f
+
+    def counting(self, x):
+        if x.size == 1:
+            probes.append(float(x[0]))
+        return log_f(self, x)
+    monkeypatch.setattr(QIntegrandSpec, "log_f", counting)
+    abel_poisson_psi(spec, [0.9, 0.99, 0.999])
+    assert probes and len(probes) == len(set(probes))
 
 
 @pytest.mark.parametrize("kind,params", [

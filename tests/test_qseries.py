@@ -161,6 +161,20 @@ def _mp_psi(a, b, z, q, n_max):
         for n in range(-n_max, n_max + 1)))
 
 
+def test_eval_psi_est_error_covers_cancelling_terms():
+    # Bailey's 6psi6 at q = 0.8 with sqrt(a) = 0.5108 close to q^3: the
+    # lower factor 1 - sqrt(a) q^-3 is 0.0023, so terms of some hundreds
+    # cancel to 0.009 and the sum keeps only about 9 digits
+    params = dict(a=0.26088155912261185, b=1.4129866170851222,
+                  c=1.6842075388761466, d=1.2374432667003943,
+                  e=1.341966524345083)
+    spec = psi_spec_for(QKind.BAILEY_6PSI6, params, 0.8)
+    got = eval_psi(spec)
+    with mp.workdps(50):
+        gap = abs(got.value - _mp_psi(spec.a, spec.b, spec.z, 0.8, 60))
+    assert gap <= got.est_error <= 100.0 * gap
+
+
 @pytest.mark.parametrize("a,b,z", [
     ([0.0, 0.6], [0.0, 0.2], 0.5),   # |z| above 0.2 / 0.6
     ([0.6], [0.3, 0.7], 0.5),        # |z| above 0.21 / 0.6
