@@ -31,11 +31,13 @@ def levin_u(terms: ArrayLike) -> Union[Tuple[complex, float],
     beta = 1 (the 1.0 + n in the weights and coefficients below).
 
     ``terms`` is one sequence, giving a scalar (value, estimated error), or
-    an (S, n) array of S sequences, giving arrays of S values and errors;
-    each row is transformed exactly as it would be alone.  The table's
-    columns are built for all rows at once; each row's k-diagonal estimates
-    are then walked in turn: the first stabilized estimate is kept, and the
-    walk stops once roundoff makes successive estimates diverge again.  The
+    an (S, n) array of S >= 0 sequences, giving arrays of S values and
+    errors; each row is transformed exactly as it would be alone, so a
+    caller with several sequences (both tails of an integral) hands them
+    to one call.  Each column of the table is one multiply and one subtract
+    for all rows at once; each row's k-diagonal estimates are then walked
+    in turn: the first stabilized estimate is kept, and the walk stops
+    once roundoff makes successive estimates diverge again.  The
     error estimate is the stabilization gap with a small safety factor.
     The estimates read only the first 49 terms of a sequence (a table of
     depth 48); later terms enter only through the plain partial sum, which
@@ -62,12 +64,14 @@ _LEVIN_DEPTH = 48
 
 def _levin_coef(k: int) -> np.ndarray:
     """The recursion coefficients m (m + k - 1)^(k - 2) / (m + k)^(k - 1),
-    m = 1, 2, ..., of table column k >= 2, as far as a full table reads."""
+    m = 1, 2, ..., of table column k >= 2 (all 1 for k = 1), as far as a
+    full table reads, as a column to scale the table's rows."""
     m = 1.0 + np.arange(_LEVIN_DEPTH + 1 - k)
-    return m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+    b = np.ones_like(m) if k == 1 else m * (m + k - 1) ** (k - 2) / (m + k) ** (k - 1)
+    return b[:, None]
 
 
-_LEVIN_COEF = {k: _levin_coef(k) for k in range(2, _LEVIN_DEPTH + 1)}
+_LEVIN_COEF = {k: _levin_coef(k) for k in range(1, _LEVIN_DEPTH + 1)}
 
 
 def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,28 +80,34 @@ def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     The depth-k estimate N_k[0] / D_k[0] depends only on the first k + 1
     columns of the table, so a row's estimates read its first
     _LEVIN_DEPTH + 1 = 49 terms; the others enter only through the plain
-    partial sum the walk starts from."""
+    partial sum the walk starts from.
+
+    The table is laid out term-major, with the N of all S sequences side by
+    side with their D in each row, and updated in place: column k keeps
+    X_k[j] in row j + k, so its step
+    X_k[j] = X_(k-1)[j + 1] - b_k[j] X_(k-1)[j] is one multiply into a
+    preallocated buffer and one subtract into rows k..depth, and leaves
+    X_k[0] in row k for the estimates."""
     S, n = t.shape
     s = np.cumsum(t, axis=1)
     depth = min(n - 1, _LEVIN_DEPTH)
     w = (1.0 + np.arange(depth + 1)) * t[:, :depth + 1]
     w[w == 0] = 1e-300
-    N = s[:, :depth + 1] / w
-    D = 1.0 / w
-    N0 = np.empty((S, depth), dtype=complex)
-    D0 = np.empty((S, depth), dtype=complex)
+    table = np.empty((depth + 1, 2 * S), dtype=complex)
+    table[:, :S] = (s[:, :depth + 1] / w).T
+    table[:, S:] = (1.0 / w).T
+    scaled = np.empty((depth, 2 * S), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, depth + 1):
-            b = 1.0 if k == 1 else _LEVIN_COEF[k][:depth + 1 - k]
-            N = N[:, 1:] - b * N[:, :-1]
-            D = D[:, 1:] - b * D[:, :-1]
-            N0[:, k - 1] = N[:, 0]
-            D0[:, k - 1] = D[:, 0]
-        ests = N0 / D0
+            b = _LEVIN_COEF[k][:depth + 1 - k]
+            prod = np.multiply(b, table[k - 1:depth], out=scaled[k - 1:])
+            np.subtract(table[k:], prod, out=table[k:])
+        ests = (table[1:, :S] / table[1:, S:]).T
+    zero_d = (table[1:, S:] == 0).T
     values = np.empty(S, dtype=complex)
     errs = np.empty(S)
     for i in range(S):
-        values[i], errs[i] = _walk(ests[i].tolist(), (D0[i] == 0).tolist(),
+        values[i], errs[i] = _walk(ests[i].tolist(), zero_d[i].tolist(),
                                    complex(s[i, -1]), abs(t[i, -1]))
     return values, errs
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .acceleration import SeriesValue, sum_one_sided
 from .core import Tolerance, DEFAULT_TOL
 from .errors import (ConstraintViolation, DivergentError, IllFormedSpec,
@@ -394,14 +396,13 @@ def _gamma_ratio(num: Sequence[complex], den: Sequence[complex]) -> complex:
     for x in num:
         if _as_nonpositive_int(complex(x)) is not None:
             raise PoleError(f"gamma argument {x} is a nonpositive integer")
+    # one gamma and one recip_gamma call, multiplied in order
+    recips = recip_gamma(np.array(den, dtype=complex)).tolist()
+    if 0 in recips:
+        return 0j
     out = 1.0 + 0j
-    for x in num:
-        out *= gamma(complex(x))
-    for x in den:
-        r = recip_gamma(complex(x))
-        if r == 0:
-            return 0j
-        out *= r
+    for g in gamma(np.array(num, dtype=complex)).tolist() + recips:
+        out *= g
     return out
 
 

@@ -36,6 +36,16 @@ R(x) e^(i w x), for all of its harmonic signals w at once, are one matrix
 product of R's rows with the cell-by-signal matrix of the phases times the
 Gauss weights, scaled by the row phases.  Exponentials are taken on rows
 and cells only, not on every node.
+
+Where a check needs a kernel at several points it makes one array call:
+both tails' signal series go to one Levin call, the truncation point's
+candidates are probed by one _f_core call, and each gamma product (the
+grid-sum prefactors, _gamma_prod) is one gamma or recip_gamma call, its
+factors multiplied in order.  An element of these kernels, and a row of
+the Levin transform, comes out the same alone as in any array, so every
+value keeps the bits of the per-point calls.  The double integral hands
+all inner integrals of an outer tanh-sinh level to one batched tanh_sinh
+call.
 """
 
 from __future__ import annotations
@@ -54,8 +64,8 @@ from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, eval_H,
                         cancel_matching_parameters)
 from .core import Tolerance, DEFAULT_TOL
-from .errors import ConstraintViolation, MarginViolation
-from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
+from .errors import ConstraintViolation, MarginViolation, PoleError
+from .gammafns import _near_pole, gamma, log_gamma_shift_ratio, recip_gamma
 from .quadrature import (QuadratureResult, gauss_panels, panel_nodes,
                          panel_sums, tanh_sinh)
 
@@ -322,56 +332,66 @@ def _interval_integrals(R: np.ndarray, cell: np.ndarray, weights: np.ndarray,
 
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
                    tau_terms: Sequence[WeightTerm], X: int, sub: int,
-                   cutoff: float) -> Tuple[complex, float]:
-    """integral from X to infinity of
+                   cutoff: float
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-interval series of the integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
-    with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), summed
-    as unit-interval series accelerated per (weight term, harmonic) signal;
-    each interval is split into sub Gauss panels.  Signals whose summed
-    interval integrals stay below `cutoff` are dropped.
+    with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), one
+    per (weight term, harmonic) signal, as (series, coefficients, their
+    moduli): one series a row, to be Levin-summed and combined by
+    _tail_sum.  Each interval is split into sub Gauss panels.  Signals
+    whose summed interval integrals stay below `cutoff` are dropped.
     """
-    m = len(num_params)
     harmonics = _sin_product_harmonics(num_params)
     signals = [(math.pi * h - tau, cc * gh) for cc, tau in tau_terms
                if cc != 0 for h, gh in harmonics.items()]
     if not signals:
-        return 0j, 0.0
+        return (np.empty((0, _TAIL_INTERVALS), dtype=complex),
+                np.empty(0, dtype=complex), np.empty(0))
     freqs, coefs = (np.array(v) for v in zip(*signals))
     cell, weights = _tail_cell(sub)
     _, R = _tail_R(num_params, den_params, X, cell)
     seqs = _interval_integrals(R, cell, weights, X, freqs)
     amps = np.abs(coefs)
     keep = ~(amps * np.abs(seqs).sum(axis=0) < cutoff)
+    return seqs.T[keep], coefs[keep], amps[keep]
+
+
+def _tail_sum(m: int, coefs: np.ndarray, amps: np.ndarray, values: np.ndarray,
+              errs: np.ndarray) -> Tuple[complex, float]:
+    """A tail's value and error from its signals' Levin sums."""
     value = 0j
     err = 0.0
-    if keep.any():
-        vs, es = levin_u(seqs.T[keep])
-        for c, amp, v, e in zip(coefs[keep].tolist(), amps[keep].tolist(),
-                                vs.tolist(), es.tolist()):
-            value += c * v
-            err += amp * e
+    for c, amp, v, e in zip(coefs.tolist(), amps.tolist(), values.tolist(),
+                            errs.tolist()):
+        value += c * v
+        err += amp * e
     return value / math.pi ** m, err / math.pi ** m
 
 
 def _choose_X(spec: IntegrandSpec, tol_abs: float) -> int:
     re_max = max(abs(x.real) for x in spec.a + spec.b)
     im_max = max(abs(x.imag) for x in spec.a + spec.b)
-    X = max(16.0, 8.0 + 2.0 * max(re_max, im_max))
-    # empirical tail fit: |f| ~ C (1+x)^(m-1-s); extend X until the raw
+    # candidate truncation points X, X + 10, ... up to the first at or past
+    # 96, each probed at X/2 and X, all by one _f_core call
+    Xs = [max(16.0, 8.0 + 2.0 * max(re_max, im_max))]
+    while Xs[-1] < 96.0:
+        Xs.append(Xs[-1] + 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = np.abs(_f_core(spec, np.array([(X / 2.0, X) for X in Xs])))
+    # empirical tail fit: |f| ~ C (1+x)^(m-1-s); take the first X whose raw
     # algebraic bound falls below a loose target (the accelerated tail
     # integration then removes the rest)
     s = spec.decay_exponent.real
     expo = s - (spec.m - 1)
     target = max(tol_abs, 1e-12) * 1e3
-    for _ in range(12):
-        probe = float(np.abs(_f_core(spec, np.array([X / 2.0, X]))).max())
+    for X, probe in zip(Xs, probes.max(axis=1).tolist()):
         if expo > 1.0:
             bound = probe * (1.0 + X) / (expo - 1.0)
         else:
             bound = probe * (1.0 + X)
-        if bound <= target or X >= 96.0:
+        if bound <= target:
             break
-        X += 10.0
     # the tails take log-gammas on Re z >= 1/2 and carry R by factors that
     # must stay clear of zero: never start them inside the parameters
     return math.ceil(max(min(X, 96.0), re_max + 8.0))
@@ -393,15 +413,16 @@ def integrate(spec: IntegrandSpec,
     # tail signals below 1e-18 are dropped, scaled down with an integrand
     # that peaks below 1
     cutoff = 1e-18 * min(1.0, peak)
-    # right tail: reflect the b-gammas
-    right, err_r = _tail_one_side(
-        spec.b, spec.a,
-        [(cc, spec.t - nu) for cc, nu in spec.weight_terms()], X, sub, cutoff)
-    # left tail via x -> -y: reflect the a-gammas
-    left, err_l = _tail_one_side(
-        spec.a, spec.b,
-        [(cc, -(spec.t - nu)) for cc, nu in spec.weight_terms()], X, sub,
-        cutoff)
+    # right tail: reflect the b-gammas; left tail via x -> -y: reflect the
+    # a-gammas.  Both tails' signals go to one Levin call.
+    tails = [_tail_one_side(num, den, [(cc, sign * (spec.t - nu))
+                                       for cc, nu in spec.weight_terms()],
+                            X, sub, cutoff)
+             for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0))]
+    values, errs = levin_u(np.concatenate([seqs for seqs, _, _ in tails]))
+    split = len(tails[0][0])
+    right, err_r = _tail_sum(spec.m, *tails[0][1:], values[:split], errs[:split])
+    left, err_l = _tail_sum(spec.m, *tails[1][1:], values[split:], errs[split:])
     value = core + right + left
     est = core_err + 8.0 * (err_r + err_l) + 1e-16 * abs(value)
     return QuadratureResult(value, est, n_panels, float(X))
@@ -439,6 +460,22 @@ def cauchy_cosine_integral(gamma_: complex, delta: complex
 
 # -- Poisson/grid-sum route ----------------------------------------------------
 
+def _recip_pair_products(a: Sequence[complex], b: Sequence[complex],
+                         shifts: Sequence[float]) -> List[complex]:
+    """prod_j 1/(Gamma(a_j + 1 + s) Gamma(b_j + 1 - s)) for each shift s,
+    multiplied pair by pair in order, from one recip_gamma call on all
+    2m len(shifts) arguments."""
+    r = recip_gamma(np.array([[(aj + 1.0 + s, bj + 1.0 - s)
+                               for aj, bj in zip(a, b)] for s in shifts]))
+    out = []
+    for pairs in r.tolist():
+        c = 1.0 + 0j
+        for ra, rb in pairs:
+            c *= ra * rb
+        out.append(c)
+    return out
+
+
 def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
     """The p grid-sum components S_0..S_{p-1}, each series summed to
     DEFAULT_TOL; their sum equals the integral for |t| <= p pi."""
@@ -450,11 +487,8 @@ def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
     if spec.weight:
         raise ConstraintViolation("grid-sum route applies to weight-free integrands")
     out: List[complex] = []
-    for k in range(p):
-        kp = k / p
-        ck = 1.0 + 0j
-        for aj, bj in zip(spec.a, spec.b):
-            ck *= complex(recip_gamma(aj + 1.0 + kp)) * complex(recip_gamma(bj + 1.0 - kp))
+    kps = [k / p for k in range(p)]
+    for kp, ck in zip(kps, _recip_pair_products(spec.a, spec.b, kps)):
         if ck == 0:
             out.append(0j)
             continue
@@ -509,9 +543,7 @@ def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
         raise ConstraintViolation("weight order must be m or m-1")
     spec = IntegrandSpec(a, b, t, weight_gm(weight_order) if weight_order >= 1 else ())
     lhs = integrate(spec).value
-    c0 = 1.0 + 0j
-    for aj, bj in zip(a, b):
-        c0 *= complex(recip_gamma(aj + 1.0)) * complex(recip_gamma(bj + 1.0))
+    c0, = _recip_pair_products(a, b, [0.0])
     hs = BilateralSeriesSpec([-bj for bj in b], [aj + 1.0 for aj in a], z)
     return lhs, c0 * eval_H(hs).value
 
@@ -533,9 +565,16 @@ class BetaKind(enum.Enum):
 
 
 def _gamma_prod(vals: Sequence[complex]) -> complex:
+    """prod Gamma(v), multiplied in order, from one gamma call on all the
+    arguments; an argument at a pole raises PoleError, as scalar gamma
+    does."""
+    z = np.array(vals, dtype=complex)
+    poles = _near_pole(z)
+    if poles.any():
+        raise PoleError(f"gamma pole at {complex(z[poles][0])}")
     out = 1.0 + 0j
-    for v in vals:
-        out *= gamma(complex(v))
+    for g in gamma(z).tolist():
+        out *= g
     return out
 
 
@@ -694,16 +733,18 @@ def double_integral_open_question(b1: float, b2: float, b3: float
     theorem)."""
     b1, b2, b3 = float(b1), float(b2), float(b3)
 
-    def inner(s1: float) -> complex:
-        def g(s2: np.ndarray) -> np.ndarray:
-            return ((2 * np.cos(0.5 * s1)) ** (2 * b1)
-                    * (2 * np.cos(0.5 * s2)) ** (2 * b2)
-                    * np.abs(2 * np.sin(0.5 * (s1 + s2))) ** (2 * b3))
-        v, _ = tanh_sinh(g, -s1, math.pi, max_level=9)
-        return v
-
     def outer(s1s: np.ndarray) -> np.ndarray:
-        return np.array([inner(s) for s in s1s])
+        """The inner integrals over s2 in (-s1, pi) for all s1 of an outer
+        level, as one batch."""
+        # each row's s1 factor in numpy scalar arithmetic, whose bits the
+        # records hold: the scalar and the array ** round differently
+        c1 = np.array([(2 * np.cos(0.5 * s1)) ** (2 * b1) for s1 in s1s])
+
+        def g(s2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return (c1[rows] * (2 * np.cos(0.5 * s2)) ** (2 * b2)
+                    * np.abs(2 * np.sin(0.5 * (s1s[rows] + s2))) ** (2 * b3))
+
+        return tanh_sinh(g, -s1s, math.pi, max_level=9)[0]
 
     lhs, _ = tanh_sinh(outer, -math.pi, math.pi, max_level=8)
     rhs = (2 * math.pi ** 2

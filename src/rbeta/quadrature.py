@@ -1,6 +1,7 @@
 """Panel quadrature engines: composite Gauss-Legendre with order-doubling
 error estimates, and tanh-sinh for endpoint-singular finite-interval
-integrands.  All integrand callables are vectorized (ndarray -> ndarray).
+integrands.  All integrand callables are vectorized (ndarray -> ndarray;
+tanh_sinh's batch form also passes each node's interval index).
 `panel_nodes` and `gauss20` serve callers that evaluate the integrand on
 explicit (possibly graded) edges themselves; `gauss20` is the 20-point sum
 of `panel_sums` alone, for callers that need no 10-point error estimate.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -80,37 +81,68 @@ def panel_sums(f20: np.ndarray, f10: np.ndarray,
     return value, err, len(f20)
 
 
-def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              max_level: int = 10) -> Tuple[complex, float]:
+def tanh_sinh(f: Callable[..., np.ndarray], lo, hi: float,
+              max_level: int = 10):
     """Tanh-sinh quadrature on (lo, hi); robust to algebraic endpoint
     singularities.  Halves the step per level, reusing prior nodes; the last
     refinement jump is the error estimate.
+
+    With one lower limit ``lo``, f(x) gets a 1-D array of nodes and the
+    result is (value, error).  With an array ``lo`` of B lower limits the
+    B intervals (lo_i, hi) are integrated as a batch: each level makes one
+    call f(x, rows), with rows the index of the interval of each node x, on
+    the nodes of every interval still refining, and the result is arrays of
+    B values and errors.  Each interval stops at its own level and sums
+    only its own nodes inside its limits, a contiguous run of x, so its
+    value and error are those of a call with its lo alone.
     """
+    scalar = np.ndim(lo) == 0
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
     r = 0.5 * (hi - lo)
 
-    def strip_sum(ks: np.ndarray) -> complex:
+    def strip_sums(ks: np.ndarray, rows: np.ndarray) -> List[complex]:
         u = 0.5 * math.pi * np.sinh(ks)
         w = 0.5 * math.pi * np.cosh(ks) / np.cosh(u) ** 2
         # express each node by its distance to the nearest endpoint:
         # 1 -+ tanh(u) = 2/(1 + exp(+-2u)), free of cancellation
         with np.errstate(over="ignore"):
             dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
-        pts = np.where(u < 0, lo + r * dist, hi - r * dist)
-        inside = (pts > lo) & (pts < hi) & (w > 1e-300)
-        if not inside.any():
-            return 0j
-        vals = np.asarray(f(pts[inside]), dtype=complex)
-        return complex((vals * w[inside]).sum() * r)
+        lo_r = lo[rows, None]
+        r_r = r[rows, None]
+        pts = np.where(u < 0, lo_r + r_r * dist, hi - r_r * dist)
+        inside = (pts > lo_r) & (pts < hi) & (w > 1e-300)
+        counts = inside.sum(axis=1).tolist()
+        if not any(counts):
+            return [0j] * len(rows)
+        x = pts[inside]
+        vals = np.asarray(f(x) if scalar else f(x, np.repeat(rows, counts)),
+                          dtype=complex)
+        terms = vals * np.broadcast_to(w, pts.shape)[inside]
+        sums = []
+        end = 0
+        for i, n in zip(rows.tolist(), counts):
+            start, end = end, end + n
+            sums.append(complex(terms[start:end].sum() * r[i]) if n else 0j)
+        return sums
 
     h = 1.0
-    value = h * strip_sum(np.arange(-_TS_CUTOFF, _TS_CUTOFF + 1e-12, h))
-    err = abs(value)
+    rows = np.arange(len(lo))
+    values = [h * v for v in
+              strip_sums(np.arange(-_TS_CUTOFF, _TS_CUTOFF + 1e-12, h), rows)]
+    errs = [abs(v) for v in values]
     for _ in range(max_level):
-        mids = np.arange(-_TS_CUTOFF + h / 2, _TS_CUTOFF, h)
-        value_new = 0.5 * value + (h / 2) * strip_sum(mids)
-        err = abs(value_new - value)
-        value = value_new
-        h /= 2
-        if err < 1e-15 * max(1.0, abs(value)):
+        if not len(rows):
             break
-    return value, err
+        mids = np.arange(-_TS_CUTOFF + h / 2, _TS_CUTOFF, h)
+        refining = []
+        for i, strip in zip(rows.tolist(), strip_sums(mids, rows)):
+            value_new = 0.5 * values[i] + (h / 2) * strip
+            errs[i] = abs(value_new - values[i])
+            values[i] = value_new
+            if not errs[i] < 1e-15 * max(1.0, abs(value_new)):
+                refining.append(i)
+        rows = np.array(refining, dtype=int)
+        h /= 2
+    if scalar:
+        return values[0], errs[0]
+    return np.array(values, dtype=complex), np.array(errs)

@@ -12,10 +12,11 @@ from rbeta.bilateral import (BilateralSeriesSpec, ConvergenceKind, HKind,
                              closed_form_H, eval_F, eval_H,
                              reduce_to_unilateral, series_spec_for,
                              symmetry_transform)
+from rbeta.bilateral import _gamma_ratio
 from rbeta.core import Tolerance, VerificationRecord
 from rbeta.errors import (ConstraintViolation, DivergentError, IllFormedSpec,
-                          NotReducible)
-from rbeta.gammafns import gamma
+                          NotReducible, PoleError)
+from rbeta.gammafns import gamma, recip_gamma
 
 # minted with an mpmath brute-force sum before the main build
 H_1H1_M2_07_3 = 7.592248305592305555941
@@ -311,3 +312,38 @@ def test_conditionally_convergent_accuracy(rng):
         assert abs(sv.value - want) <= max(1e-13 * abs(want),
                                            4.0 * sv.est_error)
         assert abs(sv.value - want) <= 1e-9 * abs(want)
+
+
+def gamma_ratio_scalar(num, den):
+    """_gamma_ratio with one scalar gamma or recip_gamma call per factor."""
+    out = 1.0 + 0j
+    for x in num:
+        out *= gamma(complex(x))
+    for x in den:
+        r = recip_gamma(complex(x))
+        if r == 0:
+            return 0j
+        out *= r
+    return out
+
+
+def test_gamma_ratio_bit_identical_to_scalar_calls(rng):
+    for _ in range(200):
+        n, d = rng.integers(1, 8, 2)
+        num = rng.uniform(-4, 6, n) + 1j * rng.uniform(-2, 2, n) * (rng.random() < 0.5)
+        den = rng.uniform(-4, 6, d) + 1j * rng.uniform(-2, 2, d) * (rng.random() < 0.5)
+        got, want = _gamma_ratio(num, den), gamma_ratio_scalar(num, den)
+        assert (got.real, got.imag) == (want.real, want.imag) or (
+            cmath.isnan(got) and cmath.isnan(want)), (num, den)
+
+
+def test_gamma_ratio_poles():
+    # a numerator pole raises, also when a denominator factor is a pole
+    with pytest.raises(PoleError):
+        _gamma_ratio([1.5, -2.0], [0.5])
+    with pytest.raises(PoleError):
+        _gamma_ratio([0.5, -1.0 + 1e-13j], [-3.0])
+    # a denominator pole gives 0j, also where Gamma(200.5) overflows
+    for num in ([200.5, 1.5], [1.5, 200.5 + 1j]):
+        got = _gamma_ratio(num, [2.5, -3.0])
+        assert got == 0j and not math.copysign(1.0, got.real) < 0

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import compare
-from rbeta.bilateral import HKind, closed_form_H, eval_H
-from rbeta.core import Tolerance
-from rbeta.errors import ConstraintViolation, MarginViolation
+from rbeta.acceleration import levin_u
+from rbeta.bilateral import BilateralSeriesSpec, HKind, closed_form_H, eval_H
+from rbeta.core import DEFAULT_TOL, Tolerance
+from rbeta.errors import ConstraintViolation, MarginViolation, PoleError
 from rbeta.gammafns import gamma, recip_gamma
 from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              barnes_quadrature, beta_integral_closed,
@@ -20,10 +21,12 @@ from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              integral_repr_H, integrand_spec_for, integrate,
                              m6_reduced_5h5, poisson_sum_rhs, poisson_terms,
                              weight_gm)
-from rbeta.integrals import (_choose_X, _core_lattice, _f_core,
-                             _interval_integrals, _pair_product,
-                             _sin_product_harmonics, _tail_cell, _tail_R,
-                             _unit_lattice, _weight_phase)
+from rbeta.integrals import (_choose_X, _core, _core_lattice, _f_core,
+                             _gamma_prod, _interval_integrals, _pair_product,
+                             _sin_product_harmonics, _tail_cell,
+                             _tail_one_side, _tail_R, _unit_lattice,
+                             _weight_phase)
+from rbeta.quadrature import tanh_sinh
 from rbeta.verify import draw_beta_params
 
 TWO12_OVER_G22 = 2.085125718094681715563  # (2 cos 0)^1.2 / Gamma(2.2), minted
@@ -495,3 +498,177 @@ def test_tail_intervals_match_per_node_phases():
             normal = np.abs(R).min(axis=1) >= 1e-290
             assert normal.all() or spec.b[0] == 0.3
             assert (np.abs(got - want) <= bound)[normal].all(), spec
+
+
+# -- array calls against the scalar forms they replaced ------------------------
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(float).tolist()
+
+
+def poisson_terms_scalar(spec, p):
+    """poisson_terms with its prefactors from one scalar recip_gamma call
+    per factor, as it was before they became one array call."""
+    out = []
+    for k in range(p):
+        kp = k / p
+        ck = 1.0 + 0j
+        for aj, bj in zip(spec.a, spec.b):
+            ck *= (complex(recip_gamma(aj + 1.0 + kp))
+                   * complex(recip_gamma(bj + 1.0 - kp)))
+        if ck == 0:
+            out.append(0j)
+            continue
+        hspec = BilateralSeriesSpec(
+            [-bj + kp for bj in spec.b], [aj + 1.0 + kp for aj in spec.a],
+            (-1.0) ** spec.m * cmath.exp(-1j * spec.t))
+        out.append(ck * cmath.exp(-1j * kp * spec.t) * eval_H(hspec).value / p)
+    return out
+
+
+def test_poisson_terms_prefactors_bit_identical_to_scalar_loop(rng):
+    specs = [integrand_spec_for(BetaKind.M6_RIEMANN,
+                                {f"a{j}": rng.uniform(-0.1, 0.6)
+                                 for j in range(1, 7)}),
+             # a_1 = -1 makes the k = 0 prefactor exactly 0
+             IntegrandSpec([-1.0, 0.4 + 0.3j], [0.7, 0.2 - 0.1j], 0.4)]
+    for _ in range(4):
+        m = int(rng.integers(1, 4))
+        specs.append(IntegrandSpec(
+            rng.uniform(-0.2, 1.2, m) + 1j * rng.uniform(-1, 1, m),
+            rng.uniform(-0.2, 1.2, m) + 1j * rng.uniform(-1, 1, m),
+            rng.uniform(-1.0, 1.0)))
+    for spec in specs:
+        for p in (spec.m, spec.m + 2):
+            got = poisson_terms(spec, p)
+            assert _bits(got) == _bits(poisson_terms_scalar(spec, p)), (spec, p)
+    assert poisson_terms(specs[1], 2)[0] == 0
+
+
+def test_integral_repr_prefactor_bit_identical_to_scalar_loop():
+    for a, b, t in (([0.6], [0.6], 0.3), ([0.3, 0.45 + 0.2j], [0.2, 0.55], 1.0),
+                    ([-1.0 + 0.3j, 0.4, 0.1], [0.2, 0.3 - 0.1j, 0.7], -2.0)):
+        _, series = integral_repr_H(a, b, t)
+        c0 = 1.0 + 0j
+        for aj, bj in zip(a, b):
+            c0 *= (complex(recip_gamma(complex(aj) + 1.0))
+                   * complex(recip_gamma(complex(bj) + 1.0)))
+        hs = BilateralSeriesSpec([-complex(bj) for bj in b],
+                                 [complex(aj) + 1.0 for aj in a],
+                                 -cmath.exp(-1j * t))
+        assert _bits(series) == _bits(c0 * eval_H(hs).value), (a, b, t)
+
+
+def choose_X_stepping(spec, tol_abs):
+    """_choose_X as a loop that probes one truncation point per step."""
+    re_max = max(abs(x.real) for x in spec.a + spec.b)
+    im_max = max(abs(x.imag) for x in spec.a + spec.b)
+    X = max(16.0, 8.0 + 2.0 * max(re_max, im_max))
+    expo = spec.decay_exponent.real - (spec.m - 1)
+    target = max(tol_abs, 1e-12) * 1e3
+    for _ in range(12):
+        probe = float(np.abs(_f_core(spec, np.array([X / 2.0, X]))).max())
+        bound = probe * (1.0 + X) / (expo - 1.0) if expo > 1.0 else probe * (1.0 + X)
+        if bound <= target or X >= 96.0:
+            break
+        X += 10.0
+    return math.ceil(max(min(X, 96.0), re_max + 8.0))
+
+
+@pytest.mark.parametrize("spec,X", [
+    (IntegrandSpec([2.0, 2.0], [2.0, 2.0], 0.0), 16),          # first
+    (IntegrandSpec([1.2, 0.8], [0.9, 1.1], 0.0), 46),          # a middle one
+    (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0), 96),       # the 96 cap
+    (IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5), 96),
+    (IntegrandSpec([40.0], [0.3], 0.5), 88),                   # starts at 88
+    (IntegrandSpec([120.0], [0.3], 0.5), 128),                 # starts past 96
+])
+def test_choose_X_matches_stepping_loop(spec, X):
+    for tol in (1e-12, 1e-8):
+        assert _choose_X(spec, tol) == choose_X_stepping(spec, tol)
+    assert _choose_X(spec, 1e-12) == X
+
+
+def integrate_per_side(spec):
+    """integrate with one levin_u call per tail."""
+    tol_abs = max(DEFAULT_TOL.abs, 1e-14)
+    wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
+    omega = spec.m * math.pi + abs(spec.t) + wmax
+    X = _choose_X(spec, tol_abs)
+    sub = max(2, math.ceil(2.0 * omega / math.pi))
+    core, core_err, _, peak = _core(spec, X, sub)
+    cutoff = 1e-18 * min(1.0, peak)
+    tails = []
+    for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0)):
+        seqs, coefs, amps = _tail_one_side(
+            num, den, [(cc, sign * (spec.t - nu)) for cc, nu in spec.weight_terms()],
+            X, sub, cutoff)
+        value, err = 0j, 0.0
+        for row, c, amp in zip(seqs, coefs.tolist(), amps.tolist()):
+            v, e = levin_u(row)
+            value += c * v
+            err += amp * e
+        tails.append((value / math.pi ** spec.m, err / math.pi ** spec.m))
+    (right, err_r), (left, err_l) = tails
+    value = core + right + left
+    return value, core_err + 8.0 * (err_r + err_l) + 1e-16 * abs(value)
+
+
+def test_integrate_bit_identical_to_per_side_levin_calls(rng):
+    specs = [integrand_spec_for(BetaKind.M4_VWP,
+                                dict(a=0.3, b1=0.2, b2=0.35, b3=0.5)),
+             integrand_spec_for(BetaKind.RAMANUJAN_M2_COS,
+                                dict(a1=0.3, a2=0.5, b1=0.2, b2=0.4)),
+             IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0),
+             # the right, the left or neither tail keeps a signal
+             IntegrandSpec([40 + 30j], [0.3], 0.5),
+             IntegrandSpec([0.3], [40 + 30j], -0.5),
+             IntegrandSpec([150.0], [0.3], 0.5)]
+    for _ in range(3):
+        m = int(rng.integers(1, 4))
+        specs.append(IntegrandSpec(
+            rng.uniform(-0.2, 1.2, m) + 1j * rng.uniform(-1, 1, m),
+            rng.uniform(-0.2, 1.2, m) + 1j * rng.uniform(-1, 1, m),
+            rng.uniform(-1.0, 1.0), weight_gm(m)))
+    for spec in specs:
+        res = integrate(spec)
+        value, est = integrate_per_side(spec)
+        assert _bits(res.value) == _bits(value), spec
+        assert res.est_error == est, spec
+
+
+def double_integral_nested(b1, b2, b3):
+    """The double integral's quadrature with one tanh_sinh call per inner
+    integral."""
+    def inner(s1):
+        def g(s2):
+            return ((2 * np.cos(0.5 * s1)) ** (2 * b1)
+                    * (2 * np.cos(0.5 * s2)) ** (2 * b2)
+                    * np.abs(2 * np.sin(0.5 * (s1 + s2))) ** (2 * b3))
+        return tanh_sinh(g, -s1, math.pi, max_level=9)[0]
+
+    return tanh_sinh(lambda s1s: np.array([inner(s) for s in s1s]),
+                     -math.pi, math.pi, max_level=8)[0]
+
+
+@pytest.mark.parametrize("b", [(0.3, 0.25, 0.4), (-0.3, 0.6, -0.2),
+                               (0.9, -0.35, 0.05)])
+def test_double_integral_bit_identical_to_nested_calls(b):
+    lhs, _ = double_integral_open_question(*b)
+    assert _bits(lhs) == _bits(double_integral_nested(*b))
+
+
+# -- the batched gamma products keep their poles -------------------------------
+
+def test_gamma_products_raise_at_a_pole():
+    # a1 + b1 + 1 = 0 with a positive margin
+    with pytest.raises(PoleError):
+        beta_integral_closed(BetaKind.RAMANUJAN_M2,
+                             dict(a1=-0.5, b1=-0.5, a2=0.5, b2=0.5))
+    # a + c = 2e-15 is within the pole window of 0
+    with pytest.raises(PoleError):
+        barnes_closed(1e-15, 1.0, 1e-15, 1.0)
+    with pytest.raises(PoleError):
+        _gamma_prod([1.5, -2.0, 0.5])
+    assert _gamma_prod([1.5, 2.5 + 1j, 3.0]) == (
+        gamma(1.5) * gamma(2.5 + 1j) * gamma(3.0))
