@@ -23,6 +23,8 @@ class SeriesValue:
 
 # terms in the last Levin window of a full budget
 _LEVIN_BLOCK = 60
+# terms sum_one_sided builds at a time before it checks its stopping rules
+_BLOCK = 32
 
 
 def levin_u(terms: ArrayLike) -> Union[Tuple[complex, float],
@@ -135,49 +137,59 @@ def _walk(ests, zero_d, best: complex, best_d: float) -> Tuple[complex, float]:
     return best, 4.0 * best_d + 1e-15 * abs(best)
 
 
-def sum_one_sided(term_ratios: Callable[[int], complex],
+def sum_one_sided(term_ratios: Callable[[np.ndarray], np.ndarray],
                   first_term: complex,
                   tol_abs: float,
                   max_terms: int = 400) -> SeriesValue:
-    """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n).
+    """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n), and
+    ``term_ratios`` maps an integer array of n to the array of ratios.
 
-    Direct summation while the terms decay geometrically (ratio <= 0.75);
-    otherwise the full budget of ``max_terms`` terms is built and windows
-    starting at terms 0, 24, 96 and max_terms - 60 are handed to the Levin
-    u-transform.  Each window's Levin estimates read its first 49 terms; its
-    other terms enter only through the plain partial sum.
+    Terms are built _BLOCK at a time, each block one running product and
+    one running sum from where the last stopped, so every term and partial
+    sum is rounded as in a term-by-term loop.  At the first term t_n, n >= 6,
+    below 1e-17 of the partial sum (and 1e-30) the sum stops by raw decay;
+    failing that, at the first n >= 8 whose ratio exceeds 0.75 in modulus
+    the full budget of ``max_terms`` terms is built and windows starting at
+    terms 0, 24, 96 and max_terms - 60 are handed to the Levin
+    u-transform.  Each window's Levin estimates read its first 49 terms;
+    its other terms enter only through the plain partial sum.
     """
-    terms = [complex(first_term)]
-    if first_term == 0:
+    first = complex(first_term)
+    if first == 0:
         return SeriesValue(0j, 0.0, 1, False)
-    total = complex(first_term)
-    n = 0
-    geometric = True
-    while n + 1 < max_terms:
-        r = term_ratios(n)
-        t = terms[-1] * r
+    terms = [np.array([first])]
+    total = first
+    for lo in range(0, max_terms - 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, max_terms - 1))
+        r = np.asarray(term_ratios(n), dtype=complex)
+        t = np.multiply.accumulate(np.concatenate((terms[-1][-1:], r)))[1:]
+        s = np.cumsum(np.concatenate(([total], t)))[1:]
         terms.append(t)
-        total += t
-        n += 1
-        mag = abs(t)
-        if mag < max(1e-30, 1e-17 * max(1.0, abs(total))) and n >= 6:
-            # converged by raw decay
-            rr = abs(r)
-            tail = mag * rr / (1.0 - rr) if rr < 1 else mag
-            return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False)
-        if n >= 8 and abs(r) > 0.75:
-            geometric = False
+        # t[i] is term n[i] + 1
+        mag = np.abs(t)
+        floor = np.maximum(1e-30, 1e-17 * np.maximum(1.0, np.abs(s)))
+        decayed = (mag < floor) & (n >= 5)
+        slow = (n >= 7) & (np.abs(r) > 0.75)
+        hit = np.flatnonzero(decayed | slow)
+        if hit.size and decayed[hit[0]]:
+            i = hit[0]
+            rr = abs(r[i])
+            tail = mag[i] * rr / (1.0 - rr) if rr < 1 else mag[i]
+            total = complex(s[i])
+            return SeriesValue(total, tail + 1e-16 * abs(total), int(n[i]) + 2, False)
+        if hit.size:
             break
-    if geometric and n + 1 >= max_terms:
-        r = abs(term_ratios(n))
-        tail = abs(terms[-1]) * (r / (1.0 - r) if r < 1 else 1.0)
-        return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False)
+        total = complex(s[-1])
+    else:
+        r = abs(complex(term_ratios(np.array([max_terms - 1]))[0]))
+        tail = abs(terms[-1][-1]) * (r / (1.0 - r) if r < 1 else 1.0)
+        return SeriesValue(total, tail + 1e-16 * abs(total), max_terms, False)
 
     # non-geometric regime: generate the full budget (cheap) and transform
     # windows of partial sums, preferring whichever window stabilizes best
-    while len(terms) < max_terms:
-        m = len(terms) - 1
-        terms.append(terms[-1] * term_ratios(m))
+    rest = term_ratios(np.arange(n[-1] + 1, max_terms - 1))
+    terms.append(np.multiply.accumulate(np.concatenate((t[-1:], rest)))[1:])
+    terms = np.concatenate(terms)
     best_val = complex(np.sum(terms))
     best_err = float("inf")
     for off in (0, 24, 96, max_terms - _LEVIN_BLOCK):

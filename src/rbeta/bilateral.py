@@ -3,7 +3,16 @@ one-sided reduction, and the closed-form summation theorems.
 
 A series here is sum over all integers n of
     prod_j (c_j)_n / prod_j (d_j)_n * z^n,
-with (x)_n the shifted factorial extended to negative n.
+with (x)_n the shifted factorial extended to negative n by
+(x)_{-k} = (-1)^k / (1-x)_k.  It is two one-sided series, its sides, each
+described as (num, den, w, cut): the right side (c; d; z) summed from n = 0,
+and the left side (1-d; 1-c; eps/z), eps = (-1)^(p-q), whose term k is the
+term n = -k, summed from k = 1.  One side rule gives a side's cut (the
+smallest -num_j in N0, past which its terms vanish), rejects a den_j in -N0
+that the side reaches, classifies the side where it does not terminate, and
+sums it: a terminating side is one running product of its ratios, an
+infinite one goes to ``sum_one_sided``.  ``classify`` and ``eval_H``
+combine the two sides; ``eval_F`` is the single side (a; b, 1; z).
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,13 +49,6 @@ _MATCH_TOL = 1e-13
 def _as_nonpositive_int(x: complex) -> Optional[int]:
     k = round(x.real)
     if k <= 0 and abs(x - k) <= _INT_EPS:
-        return int(k)
-    return None
-
-
-def _as_positive_int(x: complex) -> Optional[int]:
-    k = round(x.real)
-    if k >= 1 and abs(x - k) <= _INT_EPS:
         return int(k)
     return None
 
@@ -87,6 +89,11 @@ class UnilateralSeriesSpec:
     b: Tuple[complex, ...]
     z: complex
 
+    def __init__(self, a: Sequence[complex], b: Sequence[complex], z: complex):
+        object.__setattr__(self, "a", tuple(complex(x) for x in a))
+        object.__setattr__(self, "b", tuple(complex(x) for x in b))
+        object.__setattr__(self, "z", complex(z))
+
 
 class ConvergenceKind(enum.Enum):
     TERMINATES_RIGHT = "TerminatesRight"
@@ -114,42 +121,33 @@ class ConvergenceClass:
                              ConvergenceKind.CONDITIONALLY_CONVERGENT)
 
 
-def _termination_cuts(spec: BilateralSeriesSpec) -> Tuple[Optional[int], Optional[int]]:
-    """Right cut M (terms vanish for n > M) and left cut N (terms vanish for
-    n < -N), or None where the series does not terminate on that side."""
-    right = None
-    for cj in spec.c:
-        k = _as_nonpositive_int(cj)
-        if k is not None:
-            m = -k
-            right = m if right is None else min(right, m)
-    left = None
-    for dj in spec.d:
-        k = _as_positive_int(dj)
-        if k is not None:
-            n = k - 1
-            left = n if left is None else min(left, n)
-    return right, left
+class _Side(NamedTuple):
+    """One side of a series, sum_k prod(num)_k / prod(den)_k w^k: its terms
+    vanish past k = cut (None where they do not), and kind is the class of
+    the side when it does not terminate."""
+
+    num: Tuple[complex, ...]
+    den: Tuple[complex, ...]
+    w: complex
+    cut: Optional[int]
+    kind: Optional[ConvergenceKind]
 
 
-def _check_well_defined(spec: BilateralSeriesSpec, right: Optional[int],
-                        left: Optional[int]) -> None:
-    for dj in spec.d:
-        k = _as_nonpositive_int(dj)
-        if k is not None:
-            # (d)_n hits a zero denominator at n = 1 - k; allowed only when the
-            # series stops before that term
-            if right is None or 1 - k <= right:
-                raise IllFormedSpec(f"denominator parameter {dj} in -N0 "
-                                    f"without protective right termination")
-    for cj in spec.c:
-        k = _as_positive_int(cj)
-        if k is not None:
-            # (c)_{-n} is infinite for n >= k; allowed only when the left side
-            # stops before reaching it
-            if left is None or k <= left:
-                raise IllFormedSpec(f"numerator parameter {cj} in N "
-                                    f"without protective left termination")
+def _side(num: Sequence[complex], den: Sequence[complex], w: complex,
+          sigma: complex) -> _Side:
+    """The side rule: the cut is the smallest -num_j in N0.  A den_j = -m in
+    -N0 zeroes the denominator of term m + 1 and later ones, so the side must
+    stop before that term (IllFormedSpec otherwise)."""
+    cut = min((-k for k in map(_as_nonpositive_int, num) if k is not None),
+              default=None)
+    for x in den:
+        k = _as_nonpositive_int(x)
+        if k is not None and (cut is None or 1 - k <= cut):
+            raise IllFormedSpec(f"series side with denominator parameter {x} "
+                                f"in -N0 (1 - c for the left side's) "
+                                f"without protective termination")
+    kind = None if cut is not None else _side_kind(len(num), len(den), w, sigma)
+    return _Side(tuple(num), tuple(den), w, cut, kind)
 
 
 def _side_kind(n_num: int, n_den: int, w: complex,
@@ -171,103 +169,68 @@ def _side_kind(n_num: int, n_den: int, w: complex,
     return ConvergenceKind.DIVERGENT
 
 
-def classify(spec: BilateralSeriesSpec) -> ConvergenceClass:
-    """Termination indices and convergence class of the series.
-
-    Every side that does not terminate must converge: the right side with
-    argument z, and the left side, which reads
-    sum_k prod(1-d)_k/prod(1-c)_k (eps/z)^k with eps = (-1)^(p-q)."""
-    right, left = _termination_cuts(spec)
-    _check_well_defined(spec, right, left)
+def _sides(spec: BilateralSeriesSpec) -> Tuple[_Side, _Side]:
+    """The right side (c; d; z), summed from n = 0, and the left side
+    (1-d; 1-c; eps/z) with eps = (-1)^(p-q), summed from its k = 1 term:
+    (c)_{-k} = (-1)^k / (1-c)_k makes term n = -k its k-th term.  Both
+    sides have the series' sigma."""
+    w = (-1.0) ** (spec.p - spec.q) / spec.z if spec.z != 0 else math.inf
     sigma = spec.sigma
-    z = spec.z
-    sides = []
-    if right is None:
-        sides.append(_side_kind(spec.p, spec.q, z, sigma))
-    if left is None:
-        w = (-1.0) ** (spec.p - spec.q) / z if z != 0 else math.inf
-        sides.append(_side_kind(spec.q, spec.p, w, sigma))
+    return (_side(spec.c, spec.d, spec.z, sigma),
+            _side([1.0 - x for x in spec.d], [1.0 - x for x in spec.c], w,
+                  sigma))
+
+
+def classify(spec: BilateralSeriesSpec) -> ConvergenceClass:
+    """Termination indices and convergence class of the series: every side
+    that does not terminate must converge (see _sides)."""
+    right, left = _sides(spec)
+    sides = [s.kind for s in (right, left) if s.cut is None]
     kind = next((k for k in (ConvergenceKind.DIVERGENT,
                              ConvergenceKind.NOT_ON_DOMAIN,
                              ConvergenceKind.CONDITIONALLY_CONVERGENT)
                  if k in sides), ConvergenceKind.ABSOLUTELY_CONVERGENT)
     divergent = kind in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN)
-    if not divergent and right is not None:
-        kind = (ConvergenceKind.TERMINATES_BOTH if left is not None
+    if not divergent and right.cut is not None:
+        kind = (ConvergenceKind.TERMINATES_BOTH if left.cut is not None
                 else ConvergenceKind.TERMINATES_RIGHT)
-    elif not divergent and left is not None:
+    elif not divergent and left.cut is not None:
         kind = ConvergenceKind.TERMINATES_LEFT
-    return ConvergenceClass(kind, sigma, right, left)
+    return ConvergenceClass(kind, spec.sigma, right.cut, left.cut)
 
 
-def _up_ratio(spec: BilateralSeriesSpec):
-    c, d, z = spec.c, spec.d, spec.z
+def _sum_side(side: _Side, start: int, tol_abs: float,
+              max_terms: int) -> SeriesValue:
+    """Sum of a side's terms from k = start on: a terminating side is one
+    running product of its ratios, an infinite one goes to sum_one_sided."""
+    num = np.array(side.num, dtype=complex)[:, None]
+    den = np.array(side.den, dtype=complex)[:, None]
 
-    def ratio(n: int) -> complex:
-        num = z
-        for cj in c:
-            num *= cj + n
-        den = 1.0 + 0j
-        for dj in d:
-            den *= dj + n
-        return num / den
-    return ratio
+    def ratio(k: np.ndarray) -> np.ndarray:
+        # term k + 1 over term k
+        return side.w * np.prod(num + k, axis=0) / np.prod(den + k, axis=0)
 
-
-def _down_ratio(spec: BilateralSeriesSpec):
-    c, d, z = spec.c, spec.d, spec.z
-
-    def ratio(k: int) -> complex:
-        # step from index -k to -(k+1)
-        n = -k
-        num = 1.0 + 0j
-        for dj in d:
-            num *= dj + n - 1
-        den = z
-        for cj in c:
-            den *= cj + n - 1
-        return num / den
-    return ratio
-
-
-def _first_left_term(spec: BilateralSeriesSpec) -> complex:
-    t = 1.0 + 0j
-    for dj in spec.d:
-        t *= dj - 1
-    for cj in spec.c:
-        t /= cj - 1
-    return t / spec.z
-
-
-def _sum_terminating_right(spec: BilateralSeriesSpec, m_cut: int) -> Tuple[complex, int]:
-    # terms n = 0..m_cut upward
-    total = 1.0 + 0j
-    t = 1.0 + 0j
-    ratio = _up_ratio(spec)
-    for n in range(m_cut):
-        t *= ratio(n)
-        total += t
-    return total, m_cut + 1
-
-
-def _sum_terminating_left(spec: BilateralSeriesSpec, n_cut: int) -> Tuple[complex, int]:
-    total = 0j
-    if n_cut >= 1:
-        t = _first_left_term(spec)
-        total += t
-        ratio = _down_ratio(spec)
-        for k in range(1, n_cut):
-            t *= ratio(k)
-            total += t
-    return total, n_cut
+    if side.cut is not None:
+        terms = np.multiply.accumulate(
+            np.concatenate(([1.0 + 0j], ratio(np.arange(side.cut)))))[start:]
+        return SeriesValue(complex(terms.sum()), 0.0, len(terms), False)
+    # term `start`, with term 0 equal to 1
+    first = complex(np.prod(ratio(np.arange(start))))
+    return sum_one_sided(lambda n: ratio(n + start), first, tol_abs,
+                         max_terms=max_terms)
 
 
 def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
-    """Evaluate the bilateral series by summing both one-sided subseries.
+    """Evaluate the bilateral series as the sum of its two sides (_sides).
 
     Terminating sides are summed exactly; convergent infinite sides are
     summed directly in the geometric regime and Levin-accelerated on the
-    unit circle.  ``est_error`` is honest (acceleration residual + tails).
+    unit circle.  ``est_error`` adds the sides' estimates: for a geometric
+    side its tail bound plus 1e-16 of its sum, for a Levin side the
+    transform's stabilization gap.  Neither covers the rounding of terms
+    that cancel, and the Levin gap misses how much the transform amplifies
+    term rounding: at z = 1 the error can be many times the estimate
+    (ROADMAP item 6).
     """
     cls = classify(spec)
     if not cls.is_summable:
@@ -278,39 +241,11 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
     if spec.z == 0 and cls.left_cut != 0:
         raise DivergentError("negative-index terms undefined at z = 0")
     tol_abs = max(tol.abs, tol.rel, 1e-15)
-    value = 0j
-    est = 0.0
-    used = 0
-    accelerated = False
-
-    # right side: n >= 0
-    if cls.right_cut is not None:
-        v, n = _sum_terminating_right(spec, cls.right_cut)
-        value += v
-        used += n
-    else:
-        res = sum_one_sided(_up_ratio(spec), 1.0 + 0j, tol_abs,
-                            max_terms=_H_MAX_TERMS)
-        value += res.value
-        est += res.est_error
-        used += res.terms_used
-        accelerated = res.accelerated
-
-    # left side: n <= -1
-    if cls.left_cut is not None:
-        v, n = _sum_terminating_left(spec, cls.left_cut)
-        value += v
-        used += n
-    else:
-        first = _first_left_term(spec)
-        down = _down_ratio(spec)
-        res = sum_one_sided(lambda k: down(k + 1), first, tol_abs,
-                            max_terms=_H_MAX_TERMS)
-        value += res.value
-        est += res.est_error
-        used += res.terms_used
-        accelerated = accelerated or res.accelerated
-    return SeriesValue(value, est, used, accelerated)
+    right, left = (_sum_side(side, start, tol_abs, _H_MAX_TERMS)
+                   for side, start in zip(_sides(spec), (0, 1)))
+    return SeriesValue(right.value + left.value, right.est_error + left.est_error,
+                       right.terms_used + left.terms_used,
+                       right.accelerated or left.accelerated)
 
 
 def symmetry_transform(spec: BilateralSeriesSpec) -> BilateralSeriesSpec:
@@ -338,19 +273,13 @@ def reduce_to_unilateral(spec: BilateralSeriesSpec) -> UnilateralSeriesSpec:
 
 def eval_F(spec: UnilateralSeriesSpec) -> SeriesValue:
     """One-sided series sum_{n>=0} prod(a)_n/prod(b)_n * z^n/n!, summed to
-    DEFAULT_TOL.abs."""
-    a, b, z = spec.a, spec.b, spec.z
-
-    def ratio(n: int) -> complex:
-        num = z
-        for aj in a:
-            num *= aj + n
-        den = n + 1.0
-        for bj in b:
-            den *= bj + n
-        return num / den
-
-    return sum_one_sided(ratio, 1.0 + 0j, DEFAULT_TOL.abs, max_terms=_F_MAX_TERMS)
+    DEFAULT_TOL.abs: the side (a; b, 1; z) of the side rule."""
+    den = spec.b + (1.0 + 0j,)
+    side = _side(spec.a, den, spec.z, sum(spec.a) - sum(den))
+    if side.kind in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN):
+        raise DivergentError(f"one-sided series classified {side.kind.value} "
+                             f"at z={spec.z}")
+    return _sum_side(side, 0, DEFAULT_TOL.abs, _F_MAX_TERMS)
 
 
 def cancel_matching_parameters(spec: BilateralSeriesSpec) -> BilateralSeriesSpec:

@@ -4,16 +4,18 @@ theorems."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from rbeta.bilateral import (BilateralSeriesSpec, ConvergenceKind, HKind,
-                             cancel_matching_parameters, classify,
-                             closed_form_H, eval_F, eval_H,
+                             UnilateralSeriesSpec, cancel_matching_parameters,
+                             classify, closed_form_H, eval_F, eval_H,
                              reduce_to_unilateral, series_spec_for,
                              symmetry_transform)
-from rbeta.bilateral import _gamma_ratio
-from rbeta.core import Tolerance, VerificationRecord
+from rbeta.acceleration import SeriesValue, levin_u
+from rbeta.bilateral import _gamma_ratio, _side_kind
+from rbeta.core import DEFAULT_TOL, Tolerance, VerificationRecord
 from rbeta.errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                           NotReducible, PoleError)
 from rbeta.gammafns import gamma, recip_gamma
@@ -242,6 +244,32 @@ def test_reduce_to_unilateral_binomial():
     assert abs(fv.value - BINOM_057_M037) < 1e-12 * BINOM_057_M037
 
 
+def test_unilateral_spec_is_hashable_and_sums_from_lists():
+    u = UnilateralSeriesSpec([0.3], [1.5], 0.5)
+    assert u == UnilateralSeriesSpec((0.3 + 0j,), (1.5 + 0j,), 0.5 + 0j)
+    assert hash(u) == hash(UnilateralSeriesSpec((0.3,), (1.5,), 0.5))
+    for a, b, z in ((0.3, 1.5, 0.5), (-0.7 + 0.2j, 2.25, -3.0 + 1.0j)):
+        want = complex(mp.hyp1f1(mp.mpc(a), mp.mpc(b), mp.mpc(z)))
+        got = eval_F(UnilateralSeriesSpec([a], [b], z))
+        assert abs(got.value - want) <= 1e-14 * abs(want), (a, b, z)
+
+
+def test_eval_f_follows_the_side_rule():
+    # a = -3 ends the series at n = 3: (1 - 3x + 3x^2 - x^3 at x = 0.4)
+    got = eval_F(UnilateralSeriesSpec([-3.0], [], 0.4))
+    assert (got.terms_used, got.accelerated) == (4, False)
+    assert abs(got.value - 0.6 ** 3) < 1e-15
+    # b = -2 zeroes the denominator of term 3 unless the series stops first
+    with pytest.raises(IllFormedSpec):
+        eval_F(UnilateralSeriesSpec([0.5], [-2.0], 0.3))
+    assert eval_F(UnilateralSeriesSpec([-2.0], [-2.0], 0.3)).terms_used == 3
+    # 2F1 at z = 1 needs Re(c - a - b) > 0, and 2F0 diverges everywhere
+    with pytest.raises(DivergentError):
+        eval_F(UnilateralSeriesSpec([0.5, 0.6], [1.05], 1.0))
+    with pytest.raises(DivergentError):
+        eval_F(UnilateralSeriesSpec([0.5, 0.6], [], 0.1))
+
+
 def test_reduce_not_reducible():
     with pytest.raises(NotReducible):
         reduce_to_unilateral(BilateralSeriesSpec([0.3], [1.5], 0.5))
@@ -347,3 +375,238 @@ def test_gamma_ratio_poles():
     for num in ([200.5, 1.5], [1.5, 200.5 + 1j]):
         got = _gamma_ratio(num, [2.5, -3.0])
         assert got == 0j and not math.copysign(1.0, got.real) < 0
+
+
+# -- the side rule against the former per-side scalar code -------------------
+#
+# classify_oracle and eval_h_oracle are the former classification and
+# evaluation: cuts and validity per parameter list, and one Python loop per
+# side and per term.  The library now describes each side once, as
+# (num, den, w, cut), and builds a side's terms with numpy, whose complex
+# arithmetic rounds differently from Python's in the last bit.
+
+_INT_EPS = 1e-12
+
+
+def _int_le0(x):
+    k = round(x.real)
+    return int(k) if k <= 0 and abs(x - k) <= _INT_EPS else None
+
+
+def _int_ge1(x):
+    k = round(x.real)
+    return int(k) if k >= 1 and abs(x - k) <= _INT_EPS else None
+
+
+def classify_oracle(spec):
+    """(kind, right_cut, left_cut) of the former classify."""
+    right = min((-k for k in map(_int_le0, spec.c) if k is not None), default=None)
+    left = min((k - 1 for k in map(_int_ge1, spec.d) if k is not None), default=None)
+    for dj in spec.d:
+        k = _int_le0(dj)
+        if k is not None and (right is None or 1 - k <= right):
+            raise IllFormedSpec(dj)
+    for cj in spec.c:
+        k = _int_ge1(cj)
+        if k is not None and (left is None or k <= left):
+            raise IllFormedSpec(cj)
+    sides = []
+    if right is None:
+        sides.append(_side_kind(spec.p, spec.q, spec.z, spec.sigma))
+    if left is None:
+        w = (-1.0) ** (spec.p - spec.q) / spec.z if spec.z != 0 else math.inf
+        sides.append(_side_kind(spec.q, spec.p, w, spec.sigma))
+    kind = next((k for k in (ConvergenceKind.DIVERGENT,
+                             ConvergenceKind.NOT_ON_DOMAIN,
+                             ConvergenceKind.CONDITIONALLY_CONVERGENT)
+                 if k in sides), ConvergenceKind.ABSOLUTELY_CONVERGENT)
+    if kind not in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN):
+        if right is not None:
+            kind = (ConvergenceKind.TERMINATES_BOTH if left is not None
+                    else ConvergenceKind.TERMINATES_RIGHT)
+        elif left is not None:
+            kind = ConvergenceKind.TERMINATES_LEFT
+    return kind, right, left
+
+
+def sum_one_sided_oracle(ratio, first, tol_abs, max_terms):
+    """The former sum_one_sided: one scalar ratio call per term.  Also
+    returns the terms it built."""
+    terms = [complex(first)]
+    if first == 0:
+        return SeriesValue(0j, 0.0, 1, False), terms
+    total = complex(first)
+    n = 0
+    while n + 1 < max_terms:
+        r = ratio(n)
+        t = terms[-1] * r
+        terms.append(t)
+        total += t
+        n += 1
+        if abs(t) < max(1e-30, 1e-17 * max(1.0, abs(total))) and n >= 6:
+            rr = abs(r)
+            tail = abs(t) * rr / (1.0 - rr) if rr < 1 else abs(t)
+            return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False), terms
+        if n >= 8 and abs(r) > 0.75:
+            break
+    else:
+        r = abs(ratio(n))
+        tail = abs(terms[-1]) * (r / (1.0 - r) if r < 1 else 1.0)
+        return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False), terms
+    while len(terms) < max_terms:
+        terms.append(terms[-1] * ratio(len(terms) - 1))
+    best_val, best_err = complex(np.sum(terms)), math.inf
+    for off in (0, 24, 96, max_terms - 60):
+        if off < 0 or len(terms) - off < 16:
+            continue
+        val, err = levin_u(terms[off:])
+        val += complex(np.sum(terms[:off])) if off else 0.0
+        if err < best_err:
+            best_val, best_err = val, err
+        if best_err <= tol_abs:
+            break
+    return SeriesValue(best_val, best_err, len(terms), True), terms
+
+
+def eval_h_oracle(spec, tol=DEFAULT_TOL):
+    """The former eval_H: right terms by ratios up from n = 0, left terms
+    by ratios down from n = -1, each side its own scalar loop.  Also returns
+    the sum of the moduli of the terms it built, the scale of its rounding."""
+    kind, right, left = classify_oracle(spec)
+    c, d, z = spec.c, spec.d, spec.z
+    if kind in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN):
+        raise DivergentError(kind.value)
+    if z == 0 and left != 0:
+        raise DivergentError("negative-index terms undefined at z = 0")
+
+    def up(n):
+        num, den = z, 1.0 + 0j
+        for cj in c:
+            num *= cj + n
+        for dj in d:
+            den *= dj + n
+        return num / den
+
+    def down(k):
+        # from index -k to -(k + 1)
+        num, den = 1.0 + 0j, z
+        for dj in d:
+            num *= dj - k - 1
+        for cj in c:
+            den *= cj - k - 1
+        return num / den
+
+    def first_left():
+        t = 1.0 + 0j
+        for dj in d:
+            t *= dj - 1
+        for cj in c:
+            t /= cj - 1
+        return t / z
+
+    tol_abs = max(tol.abs, tol.rel, 1e-15)
+    parts, terms = [], []
+    if right is not None:
+        total = t = 1.0 + 0j
+        terms.append(t)
+        for n in range(right):
+            t *= up(n)
+            total += t
+            terms.append(t)
+        parts.append(SeriesValue(total, 0.0, right + 1, False))
+    else:
+        sv, built = sum_one_sided_oracle(up, 1.0 + 0j, tol_abs, 400)
+        parts.append(sv)
+        terms += built
+    if left is not None:
+        total = 0j
+        if left >= 1:
+            total = t = first_left()
+            terms.append(t)
+            for k in range(1, left):
+                t *= down(k)
+                total += t
+                terms.append(t)
+        parts.append(SeriesValue(total, 0.0, left, False))
+    else:
+        sv, built = sum_one_sided_oracle(lambda k: down(k + 1), first_left(),
+                                         tol_abs, 400)
+        parts.append(sv)
+        terms += built
+    value = SeriesValue(sum(s.value for s in parts), sum(s.est_error for s in parts),
+                        sum(s.terms_used for s in parts),
+                        any(s.accelerated for s in parts))
+    return value, sum(map(abs, terms))
+
+
+def _draw_param(rng):
+    """A parameter: near an integer in [-4, 4] (within 1e-13) a fifth of
+    the time, else a real or complex number in the unit-ish box."""
+    if rng.random() < 0.2:
+        return complex(int(rng.integers(-4, 5)) + rng.uniform(-1e-13, 1e-13),
+                       rng.uniform(-1e-13, 1e-13) * (rng.random() < 0.5))
+    return complex(rng.uniform(-1.5, 2.5), rng.uniform(-0.5, 0.5) * (rng.random() < 0.5))
+
+
+def _draw_spec(rng):
+    p = int(rng.integers(1, 4))
+    q = p if rng.random() < 0.8 else int(rng.integers(1, 4))
+    u = rng.random()
+    if u < 0.4:
+        z = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    elif u < 0.5:
+        z = complex(rng.choice([1.0, -1.0]))
+    elif u < 0.75:
+        z = cmath.rect(rng.uniform(0.1, 0.8), rng.uniform(-math.pi, math.pi))
+    else:
+        z = cmath.rect(rng.uniform(1.25, 5.0), rng.uniform(-math.pi, math.pi))
+    return BilateralSeriesSpec([_draw_param(rng) for _ in range(p)],
+                               [_draw_param(rng) for _ in range(q)], z)
+
+
+def test_classify_matches_oracle(rng):
+    kinds = set()
+    for _ in range(3000):
+        spec = _draw_spec(rng)
+        try:
+            want = classify_oracle(spec)
+        except IllFormedSpec:
+            with pytest.raises(IllFormedSpec):
+                classify(spec)
+            kinds.add("ill-formed")
+            continue
+        cls = classify(spec)
+        assert (cls.kind, cls.right_cut, cls.left_cut) == want, spec
+        kinds.add(cls.kind)
+    assert kinds == set(ConvergenceKind) | {"ill-formed"}
+
+
+def test_eval_h_matches_oracle(rng):
+    # values are compared relative to the sum of the terms' moduli, the
+    # scale of their rounding: terminating and geometric sides to 1e-14.
+    # Near z = 1 the Levin transform is ill-conditioned: last-bit changes in
+    # its terms move its value by about its own estimate, which there is
+    # itself too small (ROADMAP item 6); so a Levin value is held to 1e-9
+    # where the oracle's estimate is below 1e-10 of that scale.
+    counts = {"exact": 0, "levin": 0, "levin-unresolved": 0}
+    for _ in range(1500):
+        spec = _draw_spec(rng)
+        try:
+            want, scale = eval_h_oracle(spec)
+        except (IllFormedSpec, DivergentError) as exc:
+            with pytest.raises(type(exc)):
+                eval_H(spec)
+            continue
+        got = eval_H(spec)
+        assert (got.terms_used, got.accelerated) == (
+            want.terms_used, want.accelerated), spec
+        if not want.accelerated:
+            counts["exact"] += 1
+            assert abs(got.value - want.value) <= 1e-14 * scale, spec
+            assert got.est_error == pytest.approx(want.est_error, rel=1e-6, abs=1e-300)
+        elif want.est_error <= 1e-10 * scale:
+            counts["levin"] += 1
+            assert abs(got.value - want.value) <= 1e-9 * scale, spec
+        else:
+            counts["levin-unresolved"] += 1
+    assert counts["exact"] >= 100 and counts["levin"] >= 100, counts
