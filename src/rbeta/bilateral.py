@@ -25,7 +25,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .acceleration import SeriesValue, sum_one_sided
+from .acceleration import _ROUNDING, SeriesValue, sum_one_sided
 from .core import Tolerance, DEFAULT_TOL
 from .errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                      NotReducible, PoleError)
@@ -213,7 +213,8 @@ def _sum_side(side: _Side, start: int, tol_abs: float,
     if side.cut is not None:
         terms = np.multiply.accumulate(
             np.concatenate(([1.0 + 0j], ratio(np.arange(side.cut)))))[start:]
-        return SeriesValue(complex(terms.sum()), 0.0, len(terms), False)
+        err = _ROUNDING * float(np.abs(terms).sum())
+        return SeriesValue(complex(terms.sum()), err, len(terms), False)
     # term `start`, with term 0 equal to 1
     first = complex(np.prod(ratio(np.arange(start))))
     return sum_one_sided(lambda n: ratio(n + start), first, tol_abs,
@@ -225,12 +226,12 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
 
     Terminating sides are summed exactly; convergent infinite sides are
     summed directly in the geometric regime and Levin-accelerated on the
-    unit circle.  ``est_error`` adds the sides' estimates: for a geometric
-    side its tail bound plus 1e-16 of its sum, for a Levin side the
-    transform's stabilization gap.  Neither covers the rounding of terms
-    that cancel, and the Levin gap misses how much the transform amplifies
-    term rounding: at z = 1 the error can be many times the estimate
-    (ROADMAP item 6).
+    unit circle.  ``est_error`` adds the sides' estimates: the rounding of
+    each side's terms, a few ulps of the sum of their moduli, which covers
+    terms that cancel, plus for a geometric side its tail bound and for a
+    Levin side the transform's stabilization gap.  The Levin gap misses how
+    much the transform amplifies term rounding: at z = 1 the error can be
+    many times the estimate (ROADMAP item 6).
     """
     cls = classify(spec)
     if not cls.is_summable:

@@ -1,10 +1,10 @@
 """Panel quadrature engines: composite Gauss-Legendre with order-doubling
 error estimates, and tanh-sinh for endpoint-singular finite-interval
-integrands.  All integrand callables are vectorized (ndarray -> ndarray;
-tanh_sinh's batch form also passes each node's interval index).
-`panel_nodes` and `gauss20` serve callers that evaluate the integrand on
-explicit (possibly graded) edges themselves; `gauss20` is the 20-point sum
-of `panel_sums` alone, for callers that need no 10-point error estimate.
+integrands.  Callers of the Gauss panels evaluate the integrand themselves
+on the nodes of `panel_nodes` (uniform or graded edges) and hand the values
+to `panel_sums`, or to `gauss20`, its 20-point sum alone, when they need no
+10-point error estimate.  tanh_sinh's integrand callables are vectorized
+(ndarray -> ndarray; its batch form also passes each node's interval index).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureResult", "gauss20", "gauss_panels", "panel_nodes",
-           "panel_sums", "tanh_sinh"]
+__all__ = ["QuadratureResult", "gauss20", "panel_nodes", "panel_sums",
+           "tanh_sinh"]
 
 _X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
@@ -35,22 +35,6 @@ class QuadratureResult:
     est_error: float
     panels: int
     truncation_X: float
-
-
-def gauss_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 max_width: float) -> Tuple[complex, float, int]:
-    """Integrate f over [lo, hi] with uniform panels of width <= max_width.
-
-    Each panel is evaluated with 20- and 10-point Gauss rules; the error
-    estimate is the summed discrepancy.  Returns (value, est_error, panels).
-    """
-    if hi <= lo:
-        return 0j, 0.0, 0
-    n = max(1, int(math.ceil((hi - lo) / max_width)))
-    xs20, xs10, half = panel_nodes(np.linspace(lo, hi, n + 1))
-    f20 = np.asarray(f(xs20), dtype=complex).reshape(n, 20)
-    f10 = np.asarray(f(xs10), dtype=complex).reshape(n, 10)
-    return panel_sums(f20, f10, half)
 
 
 def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -66,7 +66,8 @@ def test_sum_one_sided_stops_by_decay_at_a_block_edge(stop):
     res = sum_one_sided(ratio, 1.0, 1e-14)
     assert (res.terms_used, res.accelerated) == (stop + 1, False)
     assert res.value == 2.0 - 2.0 ** (1 - stop)
-    assert res.est_error == 1e-16 * res.value
+    assert res.est_error == pytest.approx(
+        acceleration._ROUNDING * res.value, rel=1e-15)
 
 
 @pytest.mark.parametrize("slow", [_BLOCK, _BLOCK + 1])

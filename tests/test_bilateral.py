@@ -13,7 +13,7 @@ from rbeta.bilateral import (BilateralSeriesSpec, ConvergenceKind, HKind,
                              classify, closed_form_H, eval_F, eval_H,
                              reduce_to_unilateral, series_spec_for,
                              symmetry_transform)
-from rbeta.acceleration import SeriesValue, levin_u
+from rbeta.acceleration import _ROUNDING, SeriesValue, levin_u
 from rbeta.bilateral import _gamma_ratio, _side_kind
 from rbeta.core import DEFAULT_TOL, Tolerance, VerificationRecord
 from rbeta.errors import (ConstraintViolation, DivergentError, IllFormedSpec,
@@ -325,6 +325,28 @@ def test_eval_h_reports_acceleration():
     assert eval_H(left_only).accelerated
 
 
+def test_eval_h_est_error_covers_cancelling_terms():
+    # c_1 ~ 0 cuts the right side to its first term; the left side's terms
+    # reach 1.1e8 and cancel to -36.4, so the sum keeps about 9 digits (the
+    # estimate was 3.7e-14 with the error 2.1e-8)
+    c = (-4.458460298587766e-15, 2.0789005553818343 + 0.053010765505170365j,
+         0.16030995244008217)
+    d = (-2.999999999999996, -3.9999999999999325,
+         0.030238038716215332 + 0.3628644150690603j)
+    z = -1.0983951383747612 - 0.9455850431453033j
+    got = eval_H(BilateralSeriesSpec(c, d, z))
+    with mp.workdps(50):
+        # 1 + sum over k >= 1 of the left side's terms (1 - d)_k/(1 - c)_k z^-k
+        t = s = mp.mpc(1)
+        for k in range(400):
+            t /= mp.mpc(z)
+            for dj, cj in zip(d, c):
+                t *= (1 - mp.mpc(dj) + k) / (1 - mp.mpc(cj) + k)
+            s += t
+        gap = abs(got.value - complex(s))
+    assert gap <= got.est_error <= 200.0 * gap
+
+
 def test_conditionally_convergent_accuracy(rng):
     # slowly decaying unit-circle series: est_error stays honest and the
     # accelerated value matches the closed form
@@ -446,13 +468,15 @@ def sum_one_sided_oracle(ratio, first, tol_abs, max_terms):
         if abs(t) < max(1e-30, 1e-17 * max(1.0, abs(total))) and n >= 6:
             rr = abs(r)
             tail = abs(t) * rr / (1.0 - rr) if rr < 1 else abs(t)
-            return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False), terms
+            return SeriesValue(total, tail + _ROUNDING * sum(map(abs, terms)),
+                               n + 1, False), terms
         if n >= 8 and abs(r) > 0.75:
             break
     else:
         r = abs(ratio(n))
         tail = abs(terms[-1]) * (r / (1.0 - r) if r < 1 else 1.0)
-        return SeriesValue(total, tail + 1e-16 * abs(total), n + 1, False), terms
+        return SeriesValue(total, tail + _ROUNDING * sum(map(abs, terms)),
+                           n + 1, False), terms
     while len(terms) < max_terms:
         terms.append(terms[-1] * ratio(len(terms) - 1))
     best_val, best_err = complex(np.sum(terms)), math.inf
@@ -465,7 +489,8 @@ def sum_one_sided_oracle(ratio, first, tol_abs, max_terms):
             best_val, best_err = val, err
         if best_err <= tol_abs:
             break
-    return SeriesValue(best_val, best_err, len(terms), True), terms
+    return SeriesValue(best_val, best_err + _ROUNDING * sum(map(abs, terms)),
+                       len(terms), True), terms
 
 
 def eval_h_oracle(spec, tol=DEFAULT_TOL):
@@ -513,21 +538,25 @@ def eval_h_oracle(spec, tol=DEFAULT_TOL):
             t *= up(n)
             total += t
             terms.append(t)
-        parts.append(SeriesValue(total, 0.0, right + 1, False))
+        parts.append(SeriesValue(total, _ROUNDING * sum(map(abs, terms)),
+                                 right + 1, False))
     else:
         sv, built = sum_one_sided_oracle(up, 1.0 + 0j, tol_abs, 400)
         parts.append(sv)
         terms += built
     if left is not None:
         total = 0j
+        built = []
         if left >= 1:
             total = t = first_left()
-            terms.append(t)
+            built.append(t)
             for k in range(1, left):
                 t *= down(k)
                 total += t
-                terms.append(t)
-        parts.append(SeriesValue(total, 0.0, left, False))
+                built.append(t)
+        parts.append(SeriesValue(total, _ROUNDING * sum(map(abs, built)), left,
+                                 False))
+        terms += built
     else:
         sv, built = sum_one_sided_oracle(lambda k: down(k + 1), first_left(),
                                          tol_abs, 400)

@@ -23,9 +23,9 @@ from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              weight_gm)
 from rbeta.integrals import (_choose_X, _core, _core_lattice, _f_core,
                              _gamma_prod, _interval_integrals, _pair_product,
-                             _sin_product_harmonics, _tail_cell,
-                             _tail_one_side, _tail_R, _unit_lattice,
-                             _weight_phase)
+                             _panels_per_unit, _sin_product_harmonics,
+                             _tail_cell, _tail_one_side, _tail_R,
+                             _unit_lattice, _weight_phase)
 from rbeta.quadrature import tanh_sinh
 from rbeta.verify import draw_beta_params
 
@@ -435,6 +435,43 @@ def test_tails_of_a_tiny_integral_are_kept():
     assert abs(res.value - want) <= res.est_error
 
 
+# -- Gauss panels a unit interval ----------------------------------------------
+
+def _gauss_gap(n, omega, width):
+    """|n-point Gauss sum - exact| of e^(i omega x) over [0, width]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * width
+    got = half * np.sum(w * np.exp(1j * omega * half * (1.0 + x)))
+    return abs(got - (cmath.exp(1j * omega * width) - 1.0) / (1j * omega))
+
+
+def test_panel_rule_resolves_the_fastest_signal():
+    # over the suites' frequencies w = m pi + |t| + max|nu|, both core rules
+    # integrate e^(i w x) over one panel to 1e-15 of its width h (the
+    # 20-point rule to 3e-15: numpy's 20 nodes and weights are themselves
+    # 1.5e-15 off at w h = pi); at three times the width the 10-point
+    # estimate is off by more than 1e-14 of it
+    for omega in np.linspace(math.pi, 12 * math.pi, 45):
+        h = 1.0 / _panels_per_unit(omega)
+        assert _gauss_gap(20, omega, h) <= 3e-15 * h, omega
+        assert _gauss_gap(10, omega, h) <= 1e-15 * h, omega
+        assert _gauss_gap(10, omega, 3 * h) > 1e-14 * 3 * h, omega
+
+
+@pytest.mark.parametrize("kind,params,quarter_wave_gap", [
+    (BetaKind.M4_VWP, dict(a=0.3, b1=0.2, b2=0.35, b3=0.5), 3.6e-15),
+    (BetaKind.M5_VWP, dict(a=0.4, b1=0.2, b2=0.35, b3=0.5, b4=0.1), 3.3e-15),
+    (BetaKind.M5_VWP_THIRD, dict(c1=0.2, c2=0.35, c3=0.5, c4=0.1), 9.7e-16),
+])
+def test_integrate_beta_kinds_with_the_fastest_signals(kind, params,
+                                                       quarter_wave_gap):
+    # w = 7 pi, 8 pi and 6 pi, the highest of the beta kinds, within five
+    # times the relative gap of quarter-wave panels (2 w / pi a unit interval)
+    got = integrate(integrand_spec_for(kind, params)).value
+    want = beta_integral_closed(kind, params)
+    assert abs(got - want) <= 5.0 * quarter_wave_gap * abs(want)
+
+
 # -- batched gamma factors and separable tail phases ---------------------------
 
 def test_pair_product_bit_identical_to_per_factor_product():
@@ -593,9 +630,8 @@ def integrate_per_side(spec):
     """integrate with one levin_u call per tail."""
     tol_abs = max(DEFAULT_TOL.abs, 1e-14)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
-    omega = spec.m * math.pi + abs(spec.t) + wmax
     X = _choose_X(spec, tol_abs)
-    sub = max(2, math.ceil(2.0 * omega / math.pi))
+    sub = _panels_per_unit(spec.m * math.pi + abs(spec.t) + wmax)
     core, core_err, _, peak = _core(spec, X, sub)
     cutoff = 1e-18 * min(1.0, peak)
     tails = []
