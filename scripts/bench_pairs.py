@@ -12,9 +12,12 @@ each pair's ratio change/parent, each side's median and quartiles, and how
 many pairs the change won (ties count for neither).  A gain is claimable
 when the change wins at least nine tenths of the pairs and the medians
 differ, in the metric's better direction, by more than the parent's
-interquartile range.  Every run's ``correct`` flag is printed with it; the
-exit code is 1 if any run was not ``correct``, else 0.  ``--out FILE``
-writes the runs and the summary as JSON.
+interquartile range.  After the pairs each side runs once more with
+``--trace 1`` at SEED: the tracer wraps the library's functions and the
+callbacks handed between them, so a result that depends on the unwrapped
+objects shows up as a traced run that is not ``correct``.  Every run's ``correct`` flag is printed with it; the exit code is 1 if any run,
+traced or not, was not ``correct``, else 0.  ``--out FILE`` writes the runs,
+the traced flags and the summary as JSON.
 """
 
 from __future__ import annotations
@@ -75,14 +78,15 @@ def _copy_worktree(dst: Path) -> None:
             shutil.copy2(src, dst / name)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> Dict:
+def _run(tree: Path, workload: str, seed: int, seconds: int,
+         trace: int = 0) -> Dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{tree}: run.py --seed {seed} exited "
-                         f"{proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"{tree}: run.py --seed {seed} --trace {trace} "
+                         f"exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -126,6 +130,11 @@ def main(argv: List[str] = None) -> int:
                              for n, _ in metrics)
                   + f"  correct parent={pair['parent'].get('correct')}"
                   f" change={pair['change'].get('correct')}", flush=True)
+        traced = {side: _run(trees[side], args.workload, args.seed,
+                             spec["run_seconds"], trace=1).get("correct")
+                  for side in ("parent", "change")}
+        print(f"traced seed {args.seed}: correct parent={traced['parent']}"
+              f" change={traced['change']}", flush=True)
 
     summary = {}
     for name, better in metrics:
@@ -139,9 +148,11 @@ def main(argv: List[str] = None) -> int:
               f"{s['pairs']}, gain {'yes' if s['gain'] else 'no'}")
     if args.out:
         args.out.write_text(json.dumps({"ref": args.ref, "workload": args.workload,
-                                        "runs": runs, "summary": summary},
+                                        "runs": runs, "traced_correct": traced,
+                                        "summary": summary},
                                        indent=1) + "\n", encoding="utf-8")
-    return 0 if all(r["correct"] for r in runs) else 1
+    ok = all(r["correct"] for r in runs) and all(traced.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

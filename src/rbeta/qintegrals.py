@@ -7,10 +7,12 @@ Integrands are evaluated in log space (the infinite products overflow long
 before the integrand itself leaves double range).  `q_quadrature` sums them
 on a trapezoid lattice s + k/p centred at the integrand's peak: they are
 entire and fall off like Gaussians, so by Poisson summation the lattice errs
-only by an alias sum that falls exponentially in p.  Its `panels` counts
-lattice nodes.  The Abel/Poisson-kernel route keeps Gauss panels graded
-toward the kernel's peaks, summed with the 20-point rule alone, and its own
-geometric truncation, whose one-point probes it evaluates once per abscissa.
+only by an alias sum that falls exponentially in p.  Each q-product is
+summed by one cumulative sweep down each lattice column
+(`qseries.log_qpoch_lattice`).  Its `panels` counts lattice nodes.  The
+Abel/Poisson-kernel route keeps Gauss panels graded toward the kernel's
+peaks, summed with the 20-point rule alone, and its own geometric
+truncation, whose one-point probes it evaluates once per abscissa.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
 from .quadrature import QuadratureResult, gauss20, panel_nodes
-from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_ratio,
-                      qpoch_inf, q_gamma)
+from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_lattice,
+                      log_qpoch_ratio, qpoch_inf, q_gamma)
 
 __all__ = [
     "QIntegrandSpec", "q_integrate", "q_fourier_closed", "abel_poisson_psi",
@@ -221,10 +223,17 @@ def _lattice_order(kappa: float, omega: float) -> int:
     return p
 
 
-def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
+# a q-product factor (c q^(o + s x); q)_inf of an integrand as (c, o, s),
+# s = +1 or -1
+QFactor = Tuple[complex, complex, int]
+
+
+def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
+                 factors: Sequence[QFactor], q: complex, t: complex,
                  rho_right: float, rho_left: float, tol: Tolerance,
                  kappa: float, freq_hint: float) -> QuadratureResult:
-    """Trapezoid-lattice integral of exp(log_f(x) - i t x) over the line.
+    """Trapezoid-lattice integral of f(x) e^(-i t x) over the line, where
+    log f = rest + the log q-products `factors` at base q.
 
     The nodes are s + k/p between the first unit rows on each side of the
     integrand's peak whose geometric tail bound, with the worse of the side
@@ -232,14 +241,15 @@ def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
     On these entire integrands the lattice errs only by the alias sum of the
     Fourier transform at multiples of 2 pi p (Poisson summation), so p is
     chosen from the Gaussian coefficient kappa of log|f| and the frequency
-    |Re t| + freq_hint (`_lattice_order`).  est_error is the distance to the
-    sum over every other node, plus the two tail bounds and the rounding of
-    the sum.
+    |Re t| + freq_hint (`_lattice_order`).  The q-products are summed by one
+    cumulative sweep down each lattice column (`log_qpoch_lattice`).
+    est_error is the distance to the sum over every other node, plus the two
+    tail bounds and the rounding of the sum.
     """
     t = complex(t)
 
     def g(x: np.ndarray) -> np.ndarray:
-        return log_f(x) - 1j * t * x
+        return rest(x) + log_qpoch_lattice(factors, q, x) - 1j * t * x
 
     k0, rows, log_cut = _lattice_rows(g, rho_right, rho_left,
                                       max(tol.abs, 1e-15))
@@ -248,18 +258,18 @@ def q_quadrature(log_f: Callable[[np.ndarray], np.ndarray], t: complex,
     # one unit row, then the p - 1 nodes after it, row by row
     logs = np.empty((n, p), dtype=complex)
     logs[:, 0] = rows[:-1]
-    inner = (_LATTICE_SHIFT + np.arange(k0, k0 + n, 1.0)[:, None]
-             + np.arange(1, p)[None, :] / p)
-    logs[:, 1:] = g(inner.ravel()).reshape(inner.shape)
+    logs[:, 1:] = g(_LATTICE_SHIFT + np.arange(k0, k0 + n, 1.0)[:, None]
+                    + np.arange(1, p)[None, :] / p)
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp(np.append(logs.ravel(), rows[-1]))
     h = 1.0 / p
     value = complex(f.sum()) * h
     # p is even, so every other node from the first is the lattice of p/2
     coarse = complex(f[::2].sum()) * 2.0 * h
-    # rounding: the log-space products sum about 36/u factors to magnitudes
-    # of order 1/u, u = -log q, so a node's relative error grows like
-    # 1/u, or 1/kappa (2e-12 measured on q-beta draws at q = 0.99)
+    # rounding: a node's log sums its products' log1p terms from the cut
+    # 1e-17 down its column, about 36/u of them to magnitudes of order 1/u,
+    # u = -log q, so its relative error grows like 1/u, or 1/kappa (6e-14
+    # measured on q-beta draws at q = 0.99)
     err = (abs(value - coarse) + 2.0 * math.exp(log_cut)
            + 1e-13 * (1.0 + 1.0 / kappa) * float(np.abs(f).sum()) * h)
     return QuadratureResult(value, err, len(f),
@@ -278,10 +288,20 @@ def q_integrate(spec: QIntegrandSpec,
     # log|f| falls like Re(c) x^2 with c = m u / 2, u = -log q; a complex q
     # adds a chirp, and the transform of e^(-c x^2) falls like
     # e^(-xi^2 Re(1/c) / 4), hence kappa = |c|^2 / Re c
-    u = -cmath.log(spec.q)
+    lq = cmath.log(spec.q)
+    u = -lq
     kappa = spec.m * abs(u) ** 2 / (2.0 * u.real)
     freq = sum(abs(cmath.log(w).imag) for w in spec.w)
-    return q_quadrature(spec.log_f, spec.t, rr, rl, tol, kappa, freq)
+    lw = sum(cmath.log(w) for w in spec.w)
+    # (b_j q^x, q^(1 - x) / a_j; q)_inf
+    factors = [f for aj, bj in zip(spec.a, spec.b)
+               for f in ((bj, 0.0, 1), (1.0 / aj, 1.0, -1))]
+
+    def rest(x: np.ndarray) -> np.ndarray:
+        return lw * x + spec.m * 0.5 * x * (x - 1.0) * lq
+
+    return q_quadrature(rest, factors, spec.q, spec.t, rr, rl, tol, kappa,
+                        freq)
 
 
 def q_fourier_closed(spec: QIntegrandSpec) -> complex:
@@ -423,39 +443,48 @@ def _qbeta_params(kind: QBetaKind, params: Dict[str, complex]
     return kind, p["alpha"], [p[name] for name in _QBETA_YS[kind]]
 
 
-def _qbeta_quadrature(log_f: Callable[[np.ndarray], np.ndarray], q: float,
+def _qbeta_quadrature(rest: Callable[[np.ndarray], np.ndarray],
+                      factors: Sequence[QFactor], q: float,
                       freq_hint: float) -> complex:
-    """Integral of exp(log_f) over the line to QBETA_TOL, for an integrand
-    whose Gaussian factor is q^(2x^2), so kappa = -2 log q.  The one-step decay
-    ratios are measured from x = 6 to 7 and from -6 to -7 and clamped to
-    [1e-6, 0.97], not taken from the analytic envelopes: the Gaussian factor
-    dominates whenever fewer than four product pairs remain."""
-    lf = log_f(np.array([6.0, 7.0, -6.0, -7.0]))
-    rr = min(max(math.exp(min(50.0, (lf[1] - lf[0]).real)), 1e-6), 0.97)
-    rl = min(max(math.exp(min(50.0, (lf[3] - lf[2]).real)), 1e-6), 0.97)
-    return q_quadrature(log_f, 0.0, rr, rl, QBETA_TOL, -2.0 * math.log(q),
-                        freq_hint).value
+    """Integral over the line, to QBETA_TOL, of the integrand with log rest
+    plus the q-products `factors`, whose Gaussian factor is q^(2x^2), so
+    kappa = -2 log q.  The one-step decay ratios are measured from x = 6 to 7
+    and from -6 to -7 and clamped to [1e-6, 0.97], not taken from the
+    analytic envelopes: the Gaussian factor dominates whenever fewer than
+    four product pairs remain.  A ratio between two zeros of the integrand
+    is taken as 0.97."""
+    # two columns, x = 6, 7 and x = -7, -6
+    x = np.array([[6.0, -7.0], [7.0, -6.0]])
+    lf = rest(x) + log_qpoch_lattice(factors, q, x)
+    with np.errstate(invalid="ignore"):
+        steps = (lf[1, 0] - lf[0, 0]).real, (lf[0, 1] - lf[1, 1]).real
+    rr, rl = (min(max(math.exp(min(50.0, d)), 1e-6), 0.97)
+              if not math.isnan(d) else 0.97 for d in steps)
+    return q_quadrature(rest, factors, q, 0.0, rr, rl, QBETA_TOL,
+                        -2.0 * math.log(q), freq_hint).value
 
 
-def _qbeta_log_f(alpha: complex, ys: Sequence[complex], q: complex):
-    """log of (1 + q^(2x) alpha^2) prod_y (-q^(x+1) alpha y, q^(1-x) y / alpha; q)_inf
-    * q^(2x^2 - x) alpha^(4x)."""
+def _qbeta_integrand(alpha: complex, ys: Sequence[complex], q: complex
+                     ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+                                List[QFactor]]:
+    """(rest, factors) of (1 + q^(2x) alpha^2)
+    prod_y (-q^(x+1) alpha y, q^(1-x) y / alpha; q)_inf q^(2x^2 - x) alpha^(4x):
+    the log of everything but the q-products, and the q-products."""
     la = cmath.log(alpha)
     lq = cmath.log(q)
 
-    def log_f(x: np.ndarray) -> np.ndarray:
+    def rest(x: np.ndarray) -> np.ndarray:
         # stable log(1 + e^v): the shifted branch dominates far to the left
         v = 2.0 * x * lq + 2.0 * la
         big = v.real > 30.0
         out = np.empty(x.shape, dtype=complex)
         out[big] = v[big] + np.log1p(np.exp(-v[big]))
         out[~big] = np.log1p(np.exp(v[~big]))
-        for y in ys:
-            out = out + log_qpoch_inf(-q * y * alpha * np.exp(x * lq), q)
-            out = out + log_qpoch_inf((y / alpha) * np.exp((1.0 - x) * lq), q)
-        out = out + (2.0 * x * x - x) * lq + 4.0 * x * la
-        return out
-    return log_f
+        return out + (2.0 * x * x - x) * lq + 4.0 * x * la
+
+    factors = [f for y in ys
+               for f in ((-q * y * alpha, 0.0, 1), (y / alpha, 1.0, -1))]
+    return rest, factors
 
 
 def _qbeta_product(alpha: complex, ys: Sequence[complex], q: float) -> complex:
@@ -499,7 +528,7 @@ def qbeta_family(kind: QBetaKind, params: Dict[str, complex],
     if kind is QBetaKind.I_FULL and not abs(math.prod(yv)) < 1.0 / abs(q):
         raise ConstraintViolation("needs |abcd| < 1/|q|")
     value = _qbeta_quadrature(
-        _qbeta_log_f(alpha, yv, q), q,
+        *_qbeta_integrand(alpha, yv, q), q,
         abs(cmath.log(alpha).imag) * 4.0
         + sum(abs(cmath.log(complex(y)).imag) for y in yv))
     return value, _qbeta_product(alpha, yv, q)
@@ -552,17 +581,16 @@ def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex],
     s_y = sum(ys)
     n_y = len(ys)
 
-    def log_g(x: np.ndarray) -> np.ndarray:
+    def rest(x: np.ndarray) -> np.ndarray:
         w = x + alpha
         out = np.log1p(-np.exp(2.0 * w * lq) + 0j) - math.log(1.0 - q)
         out = out + (2.0 * x * x - x + 4.0 * alpha * x) * lq - 2j * math.pi * x
-        for y in ys:
-            out = out + log_qpoch_inf(np.exp((1.0 + y + w) * lq), q)
-            out = out + log_qpoch_inf(np.exp((1.0 + y - w) * lq), q)
-        out = out + 2.0 * s_y * math.log(1.0 - q) - 2.0 * n_y * lqq
-        return out
+        return out + 2.0 * s_y * math.log(1.0 - q) - 2.0 * n_y * lqq
 
-    value = _qbeta_quadrature(log_g, q, 2.0 * math.pi + 2.0)
+    # (q^(1 + y + w), q^(1 + y - w); q)_inf at w = x + alpha
+    factors = [f for y in ys
+               for f in ((1.0, 1.0 + y + alpha, 1), (1.0, 1.0 + y - alpha, -1))]
+    value = _qbeta_quadrature(rest, factors, q, 2.0 * math.pi + 2.0)
     pair_gammas = 1.0 + 0j
     for yi, yj in itertools.combinations(ys, 2):
         pair_gammas *= q_gamma(yi + yj + 1.0, q)

@@ -26,8 +26,8 @@ from .gammafns import dilog
 
 __all__ = [
     "QSeriesSpec", "QtoOnePath", "qpoch", "qpoch_inf", "log_qpoch_inf",
-    "log_qpoch_ratio", "q_gamma", "eval_psi", "QKind", "closed_form_q",
-    "q_binomial_ratio_target", "psi_spec_for", "qpoch_inf_asymptotic",
+    "log_qpoch_lattice", "log_qpoch_ratio", "q_gamma", "eval_psi", "QKind",
+    "closed_form_q", "q_binomial_ratio_target", "psi_spec_for", "qpoch_inf_asymptotic",
     "QPochAsymptotic", "lemma_qpoch_log_gap", "theorem21_limit_probe",
 ]
 
@@ -168,6 +168,11 @@ def log_qpoch_inf(c, q: complex):
     """Sum of log(1 - c q^k) over k >= 0 (array-aware in c).
 
     Any-branch logarithm: exact under exp().  Non-finite c gives nan.
+
+    The lattice integrands of `q_quadrature` sum their products with
+    `log_qpoch_lattice`.  The array path here serves only the Abel route,
+    its graded Gauss nodes and its one-point truncation probes, whose bits
+    the golden abel-poisson-kernel records hold.
 
     A scalar c is summed in one vectorized sweep over k, up to the first
     |c q^k| below 1e-17.  An array c is summed as by the factor loop
@@ -323,6 +328,51 @@ def _settled(cur: np.ndarray, sums: np.ndarray, real_q: bool) -> np.ndarray:
     if real_q:
         calm_im |= cur.imag == 0.0
     return (scaled < _RETIRE_SCALE / 2) & (scaled <= np.abs(sums.real)) & calm_im
+
+
+def log_qpoch_lattice(factors: Sequence[Tuple[complex, complex, int]],
+                      q: complex, x: np.ndarray) -> np.ndarray:
+    """Sum over the factors (c, o, s), s = +1 or -1, of
+    log (c q^(o + s x); q)_inf, on a lattice x whose columns step by one down
+    axis 0 (a 1-D x is one column).  Any-branch logarithm: exact under
+    exp().  A non-finite c gives nan.
+
+    Down a column a factor's argument c_n at row n is its own chain,
+    c_n q^j = c_(n + s j), so its log product at row n is the sum of
+    log1p(-c_k) over the rows k from n onward in the direction s.  Each
+    column runs on that way past the lattice to its first row with
+    |c_k| < 1e-17, the cut of log_qpoch_inf, and one cumulative sum back
+    from there gives every row: one log1p per node and factor, plus about
+    39/u lead-in rows per column, u = -log|q|.
+    """
+    q = _check_base(q)
+    x = np.asarray(x, dtype=float)
+    live = [(complex(c), complex(o), s) for c, o, s in factors if c != 0]
+    if not live:
+        return np.zeros(x.shape, dtype=complex)
+    c, o, s = (np.array(v) for v in zip(*live))
+    if not np.isfinite(c).all():
+        return np.full(x.shape, complex(math.nan, math.nan))
+    cols = x.reshape(x.shape[0], -1)
+    rows = cols.shape[0]
+    c, o, down = c[:, None, None], o[:, None, None], s[:, None, None] > 0
+    # q^(o - x) = q^(o + x') on the reversed column x' = -x, so every factor
+    # runs down its column toward the small end, the last row
+    xs = np.where(down, cols, -cols[::-1])
+    end = xs[:, -1:]
+    lq = cmath.log(q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a finite c can have an infinite modulus
+        log_end = (np.log(np.abs(0.5 * c)) + math.log(2.0)
+                   + ((o + end) * lq).real)
+        past = (math.log(_QPROD_EPS) - log_end.max()) / math.log(abs(q))
+        lead = int(np.clip(np.floor(past) + 1.0, 0, _QPROD_MAX_FACTORS))
+        chain = np.concatenate(
+            (xs, end + np.arange(1.0, lead + 1.0)[None, :, None]), axis=1)
+        terms = np.log1p(-(c * np.exp((o + chain) * lq)))
+    logs = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, :rows]
+    logs = np.where(down, logs, logs[:, ::-1])
+    return logs.sum(axis=0).reshape(x.shape)
 
 
 def qpoch_inf(a: complex, q: complex) -> complex:

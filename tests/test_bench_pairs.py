@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: the pairwise summary behind a claimed gain."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,27 @@ def test_summary_of_one_pair_and_bad_input():
     assert s["parent_iqr"] == 0.0 and s["gain"]
     with pytest.raises(ValueError):
         summarize([1.0, 2.0], [1.0], "higher")
+
+
+@pytest.mark.parametrize("traced_ok", [True, False])
+def test_a_traced_run_that_is_not_correct_fails_the_comparison(
+        monkeypatch, capsys, traced_ok):
+    monkeypatch.setattr(bench_pairs, "_copy_ref", lambda ref, dst: None)
+    monkeypatch.setattr(bench_pairs, "_copy_worktree", lambda dst: None)
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, seed, trace))
+        return {"correct": traced_ok or trace == 0,
+                "metrics": {n: {"value": 1.0} for n in names}}
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    code = bench_pairs.main(["REF", "--workload", "q-moderate", "--pairs", "2",
+                             "--seed", "5"])
+    assert code == (0 if traced_ok else 1)
+    # two untraced pairs, then one traced run per side at the first seed
+    assert [c for c in calls if c[2] == 1] == [("parent", 5, 1),
+                                               ("change", 5, 1)]
+    assert len(calls) == 6
+    assert f"traced seed 5: correct parent={traced_ok}" in capsys.readouterr().out

@@ -211,6 +211,29 @@ def test_q_quadrature_error_estimate_is_honest(monkeypatch):
         assert res.est_error <= 1e-7 * abs(want), (res, want)
 
 
+def test_q_quadrature_values_survive_a_wrapped_first_argument(monkeypatch):
+    # perfbench's tracer hands q_quadrature a plain wrapper of its first
+    # argument, so nothing the quadrature needs may ride on that callable
+    def values():
+        return (qbeta_family(QBetaKind.I_FULL, dict(alpha=0.9, a=0.25, b=0.4,
+                                                    c=0.35, d=0.3), 0.7)[0],
+                qbeta_gamma_form(QBetaKind.I_D0, dict(alpha=0.2, a=0.15,
+                                                      b=0.25, c=0.35), 0.5)[0],
+                q_integrate(QIntegrandSpec(0.47, [1.93, 2.77], [0.14, 0.29],
+                                           [1.16, 0.85], 0.81)).value)
+    plain = values()
+    quad = qintegrals.q_quadrature
+
+    def wrapped(*args):
+        rest = args[0]
+
+        def traced_cb(*a, **k):
+            return rest(*a, **k)
+        return quad(traced_cb, *args[1:])
+    monkeypatch.setattr(qintegrals, "q_quadrature", wrapped)
+    assert values() == plain
+
+
 def test_q_integrate_annulus_violation():
     with pytest.raises(AnnulusViolation):
         q_integrate(QIntegrandSpec(0.5, [0.5], [0.3], [1.0], 0.0))

@@ -14,7 +14,7 @@ from rbeta.qseries import (QKind, QSeriesSpec, QtoOnePath, closed_form_q,
                            eval_psi, lemma_qpoch_log_gap, psi_spec_for,
                            q_binomial_ratio_target, q_gamma, qpoch, qpoch_inf,
                            qpoch_inf_asymptotic, log_qpoch_inf,
-                           theorem21_limit_probe)
+                           log_qpoch_lattice, theorem21_limit_probe)
 
 # minted with a 200-factor product at 40 digits
 QQ_INF_HALF = 0.2887880950866024212788997
@@ -97,6 +97,58 @@ def test_log_qpoch_inf_scalar_vs_mpmath():
             want = complex(_mp_log_qpoch(c, q))
             got = log_qpoch_inf(c, q)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (q, c)
+
+
+def _branch_gap(got, want):
+    """|got - want| with the imaginary part taken mod 2 pi: the sums are
+    any-branch logarithms."""
+    d = complex(got - want)
+    return abs(complex(d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+@pytest.mark.parametrize("s", [1, -1])
+def test_log_qpoch_lattice_matches_scalar_and_mpmath(q, s):
+    # rows -12..12 in three columns, with |c| on either side of 1; every
+    # chain with |c| > 1 crosses 1 on its way to the cut.  Measured
+    # worst over these nodes: 1.4e-15 max(1, |value|) off the scalar sum and
+    # 1.9e-15 off a 35-digit mpmath sum
+    x = 1.0 / 3.0 + np.arange(-12, 13.0)[:, None] + np.arange(3)[None, :] / 3.0
+    lq = math.log(q)
+    for c0, o in ((0.7 + 0.3j, 0.5), (3.0 - 1.5j, 1.0), (-2.0, 0.25 + 0.1j),
+                  (0.2j, 0.0)):
+        got = log_qpoch_lattice([(c0, o, s)], q, x)
+        for (i, j), g in np.ndenumerate(got):
+            c = c0 * cmath.exp((o + s * x[i, j]) * lq)
+            scalar = log_qpoch_inf(c, q)
+            scale = max(1.0, abs(scalar))
+            assert _branch_gap(g, scalar) <= 4e-15 * scale, (c0, x[i, j])
+            if i % 4 == 0:
+                with mp.workdps(35):
+                    want = complex(_mp_log_qpoch(c, q))
+                assert _branch_gap(g, want) <= 4e-15 * scale, (c0, x[i, j])
+
+
+def test_log_qpoch_lattice_edges():
+    q = 0.9
+    x = np.array([[0.25, -3.5, 7.0]])
+    # one-row columns are each a full scalar sum
+    got = log_qpoch_lattice([(1.5 - 0.5j, 0.3, -1)], q, x)
+    for g, xi in zip(got[0], x[0]):
+        want = log_qpoch_inf((1.5 - 0.5j) * q ** (0.3 - xi), q)
+        assert _branch_gap(g, want) <= 4e-15 * max(1.0, abs(want))
+    # c = 0 and no factors contribute nothing; factors add
+    col = np.arange(-5.0, 6.0) + 0.1
+    assert np.array_equal(log_qpoch_lattice([(0.0, 0.0, 1)], q, col),
+                          np.zeros(col.shape, dtype=complex))
+    assert np.array_equal(log_qpoch_lattice([], q, col),
+                          np.zeros(col.shape, dtype=complex))
+    pair = [(0.4 + 0.2j, 0.0, 1), (2.5, 1.0, -1)]
+    both = log_qpoch_lattice(pair, q, col)
+    apart = sum(log_qpoch_lattice([f], q, col) for f in pair)
+    assert np.abs(both - apart).max() <= 1e-13 * np.abs(apart).max()
+    assert np.isnan(log_qpoch_lattice([(complex(np.inf, 0.0), 0.0, 1)], q,
+                                      col)).all()
 
 
 def test_q_gamma_trivials():
