@@ -20,7 +20,7 @@ from .core import Tolerance, DEFAULT_TOL
 from .errors import (BranchCutError, ConstraintViolation, DomainError,
                      IllFormedSpec, OutsideAnnulus, PoleError,
                      ToleranceNotReached)
-from .acceleration import SeriesValue
+from .acceleration import _BLOCK, SeriesValue
 from .bilateral import BilateralSeriesSpec, eval_H
 from .gammafns import dilog
 
@@ -58,69 +58,67 @@ class QSeriesSpec:
         object.__setattr__(self, "b", tuple(complex(x) for x in b))
         object.__setattr__(self, "z", complex(z))
 
-    def _match_power(self, value: complex, lo: int, hi: int) -> Optional[int]:
-        # k in [lo, hi] with value == q^k, else None; log-space comparison so
-        # huge negative powers cannot overflow
+    def _match_power(self, value: complex) -> Optional[int]:
+        # k with value == q^k, else None (also for 0); log-space comparison
+        # so huge negative powers cannot overflow
+        if value == 0:
+            return None
         lq = cmath.log(self.q)
         lv = cmath.log(value)
         k = round(lv.real / lq.real)
-        if not lo <= k <= hi:
-            return None
         d = lv - k * lq
         di = (d.imag + math.pi) % (2.0 * math.pi) - math.pi
         if abs(complex(d.real, di)) <= 1e-12 * max(1.0, abs(k * lq.real)):
             return int(k)
         return None
 
+    def _classify(self) -> Tuple[List[Optional[int]], List[Optional[int]],
+                                 Optional[int], Optional[int]]:
+        """(ka, kb, right_cut, left_cut): _match_power of each upper and
+        each lower parameter, and the termination cuts they set."""
+        ka = [self._match_power(aj) for aj in self.a]
+        kb = [self._match_power(bj) for bj in self.b]
+        right = min((-k for k in ka if k is not None and -400 <= k <= 0),
+                    default=None)
+        left = min((k for k in kb if k is not None and 1 <= k <= 400),
+                   default=None)
+        return ka, kb, right, left
+
     def termination_cuts(self) -> Tuple[Optional[int], Optional[int]]:
         """(right_cut, left_cut): terms vanish for n > right_cut (some
         a_j = q^-k) and for n <= -left_cut (some b_j = q^k, k >= 1)."""
-        right = None
-        for aj in self.a:
-            if aj == 0:
-                continue
-            k = self._match_power(aj, -400, 0)
-            if k is not None:
-                right = -k if right is None else min(right, -k)
-        left = None
-        for bj in self.b:
-            if bj == 0:
-                continue
-            k = self._match_power(bj, 1, 400)
-            if k is not None:
-                left = k if left is None else min(left, k)
-        return right, left
+        return self._classify()[2:]
 
-    def validate(self) -> None:
-        right, left = self.termination_cuts()
-        for bj in self.b:
-            if bj == 0:
-                continue
+    def validate(self) -> Tuple[Optional[int], Optional[int]]:
+        """Raise IllFormedSpec where a parameter makes a surviving term
+        infinite; else return termination_cuts(), from the same one
+        classification of the parameters."""
+        ka, kb, right, left = self._classify()
+        for bj, k in zip(self.b, kb):
             # b_j = q^-j (j >= 0) zeroes a denominator factor at n = j+1;
             # a right cut at or before n = j keeps every surviving term finite
-            k = self._match_power(bj, -400, 0)
-            if k is not None and (right is None or right > -k):
+            if k is not None and -400 <= k <= 0 and (right is None or right > -k):
                 raise IllFormedSpec(f"lower parameter {bj} equals q^{k} "
                                     f"without protective termination")
-        for aj in self.a:
-            if aj == 0:
-                continue
+        for aj, k in zip(self.a, ka):
             # a_j = q^k (k >= 1) makes numerator factors infinite at n <= -k
-            k = self._match_power(aj, 1, 400)
-            if k is not None and (left is None or left > k):
+            if k is not None and 1 <= k <= 400 and (left is None or left > k):
                 raise IllFormedSpec(f"upper parameter {aj} equals q^{k} "
                                     f"without protective termination")
+        return right, left
 
-    def annulus_violation(self) -> Optional[str]:
+    def annulus_violation(self, cuts: Optional[Tuple[Optional[int], Optional[int]]] = None
+                          ) -> Optional[str]:
         """The failed absolute-convergence condition, or None.  A
         non-terminating right side needs more lower than upper parameters, or
         as many and 0 < |z| < 1.  Far left, nonzero parameters grow like q^-n
         and surplus lower slots shrink like q^n, so a non-terminating left
         side needs more zero lower than zero upper parameters, or as many and
-        prod|b_j != 0| / prod|a_j != 0| < |z|."""
+        prod|b_j != 0| / prod|a_j != 0| < |z|.  ``cuts``, if given, are
+        termination_cuts()."""
         if self.z == 0:
             return "argument must be nonzero"
-        right_cut, left_cut = self.termination_cuts()
+        right_cut, left_cut = self.termination_cuts() if cuts is None else cuts
         d = len(self.b) - len(self.a)
         if right_cut is None and d < 0:
             return "more upper than lower parameters: the right side diverges"
@@ -423,6 +421,25 @@ _PSI_MAX_TERMS = 400_000
 _EPS = float(np.finfo(float).eps)
 
 
+def _psi_factors(x: np.ndarray, na: int, qm: np.ndarray):
+    """One row per q^m: x_j q^m and 1 - x_j q^m over the upper, then the
+    lower parameters x, and each row's product over the upper and over the
+    lower ones."""
+    xq = x[None, :] * qm[:, None]
+    f = 1.0 - xq
+    return xq, f, f[:, :na].prod(axis=1), f[:, na:].prod(axis=1)
+
+
+def _psi_row(x: np.ndarray, na: int, qm: complex):
+    """_psi_factors for one q^m, with x times the scalar q^m: the same values,
+    and the floating-point flags of a term at a time.  Near the edge of the
+    float range numpy's complex array times a scalar can flag an overflow
+    that the row product does not (at q^m = -8.3e307 + 1.14e308i)."""
+    xq = x * qm
+    f = 1.0 - xq
+    return xq, f, complex(np.prod(f[:na])), complex(np.prod(f[na:]))
+
+
 def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     """Bilateral basic series sum over n in Z, both sides geometric.
 
@@ -432,9 +449,22 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     Parameters of the form a_j = q^-k / b_j = q^k terminate the respective
     side and are summed exactly.  est_error is each non-terminating side's
     geometric tail bound plus the rounding the terms carry (see the loop).
+
+    Each side's term ratios are built acceleration._BLOCK indices at a time:
+    q^m as Python powers, and in one numpy pass over the block the factors
+    1 - x_j q^m, their upper and lower products and their rounding
+    amplification.  The rest stays scalar, in the order of a term at a time:
+    the ratio from the products, z and (-q^m)^d, the running term and sum,
+    the rounding estimate and both stopping rules.  A numpy running product
+    would round the terms differently, and the abel-poisson-kernel records
+    hold these sums' bits; each numpy operation of the block rounds every
+    element as it did on one row, so value, est_error and terms_used are
+    those of the term-at-a-time loop bit for bit.  Indices a block computes
+    past its side's stop raise and warn nothing; a row the loop reaches
+    whose floats overflow is computed again with numpy's error handling on,
+    so it warns as before.
     """
-    spec.validate()
-    right_cut, left_cut = spec.termination_cuts()
+    right_cut, left_cut = spec.validate()
     q, z = spec.q, spec.z
     # the factors are 1 - x_j q^n over the upper, then the lower parameters
     x = np.asarray(spec.a + spec.b, dtype=complex)
@@ -442,7 +472,7 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     d = len(spec.b) - len(spec.a)
     if d < 0:
         raise IllFormedSpec("more upper than lower parameters unsupported")
-    problem = spec.annulus_violation()
+    problem = spec.annulus_violation((right_cut, left_cut))
     if problem:
         raise OutsideAnnulus(problem)
 
@@ -450,27 +480,38 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     # roundings per ratio that no factor amplifies: one per factor, the
     # products, z, the divisions, q^m, its power d, the step t * r and the sum
     ops = len(x) + abs(d) + 4
+    # past this |q^m| an operation of a row can overflow inside
+    big = 1e300 / float(np.abs(x).max(initial=1.0))
 
-    def step(m: int) -> Tuple[complex, float]:
-        # the ratio of the term at m + 1 to the one at m for m >= 0, and of
-        # the term at m to the one at m + 1 for m < 0; and by how much the
-        # factors amplify their rounding, sum_j |x_j q^m| / |1 - x_j q^m|
-        qm = q ** m
-        xq = x * qm
-        f = 1.0 - xq
-        upper, lower = complex(np.prod(f[:na])), complex(np.prod(f[na:]))
-        r = z * upper / lower if m >= 0 else lower / upper / z
-        if d:
-            r *= (-qm) ** (d if m >= 0 else -d)
-        return r, float(np.abs(xq / f).sum())
+    def block(ms: Sequence[int]):
+        # the ratio at index m is of the term at m + 1 to the one at m for
+        # m >= 0, and of the term at m to the one at m + 1 for m < 0.  A q^m
+        # past the float range ends the block, or raises if it is the first
+        qm = []
+        for m in ms:
+            try:
+                qm.append(q ** m)
+            except OverflowError:
+                if not qm:
+                    raise
+                break
+        qa = np.array(qm)
+        with np.errstate(all="ignore"):
+            xq, f, upper, lower = _psi_factors(x, na, qa)
+            # by how much the factors amplify their rounding
+            amp = np.abs(xq / f).sum(axis=1)
+            # the rows that may have raised a floating-point flag: a
+            # non-finite value makes the sum non-finite
+            risky = ~np.isfinite(upper + lower + amp) | (np.abs(qa) > big)
+        return qm, upper.tolist(), lower.tolist(), amp.tolist(), risky.tolist()
 
     total = 1.0 + 0j
     used = 1
     est = 0.0
     # the left side steps from index -k to -(k + 1)
-    for label, ratio, cut in (("up", step, right_cut),
-                              ("down", lambda k: step(-k - 1),
-                               None if left_cut is None else left_cut - 1)):
+    for label, cut in (("up", right_cut),
+                       ("down", None if left_cut is None else left_cut - 1)):
+        right = label == "up"
         t = 1.0 + 0j
         part = 0j
         n = 0
@@ -480,8 +521,24 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
         # cancelling terms leave in the sum however small it is
         rel = 0.0
         noise = 0.0
+        lo = end = 0
         while n != cut:
-            r, amp = ratio(n)
+            if n == end:
+                top = n + _BLOCK if cut is None else min(n + _BLOCK, cut)
+                qms, uppers, lowers, amps, risky = block(
+                    range(n, top) if right else range(-n - 1, -top - 1, -1))
+                lo, end = n, n + len(qms)
+            i = n - lo
+            qm, upper, lower, amp = qms[i], uppers[i], lowers[i], amps[i]
+            if risky[i]:
+                # once more with numpy's error handling on, in the order of a
+                # term at a time, so a row the loop reaches warns as it did
+                xq, f, upper, lower = _psi_row(x, na, qm)
+            r = z * upper / lower if right else lower / upper / z
+            if d:
+                r *= (-qm) ** (d if right else -d)
+            if risky[i]:
+                amp = float(np.abs(xq / f).sum())
             t = t * r
             part += t
             rel += _EPS * (amp + ops)
