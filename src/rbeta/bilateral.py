@@ -21,7 +21,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -321,19 +321,99 @@ def _gamma_ratio(num: Sequence[complex], den: Sequence[complex]) -> complex:
     """prod Gamma(num) / prod Gamma(den).
 
     A pole in a numerator factor is an error; a pole in a denominator factor
-    makes the whole ratio vanish (the only continuous value).
+    makes the whole ratio vanish (the only continuous value).  An empty den
+    is a plain gamma product.
     """
     for x in num:
         if _as_nonpositive_int(complex(x)) is not None:
             raise PoleError(f"gamma argument {x} is a nonpositive integer")
-    # one gamma and one recip_gamma call, multiplied in order
-    recips = recip_gamma(np.array(den, dtype=complex)).tolist()
+    # one gamma and at most one recip_gamma call, multiplied in order
+    recips = recip_gamma(np.array(den, dtype=complex)).tolist() if len(den) else []
     if 0 in recips:
         return 0j
     out = 1.0 + 0j
     for g in gamma(np.array(num, dtype=complex)).tolist() + recips:
         out *= g
     return out
+
+
+def _h_form(kind: HKind, params: Dict[str, complex]
+            ) -> Tuple[BilateralSeriesSpec, Callable[[], complex]]:
+    """The series of a summation theorem and a function giving its
+    gamma-ratio value as the theorem prints it, from one reading of the
+    params.  The function checks the kind's own condition: the exp kinds'
+    t intervals and TWO_H2_MINUS1's a1 - b1 = a2 - b2."""
+    p = {k: complex(v) for k, v in params.items()}
+    if kind is HKind.ONE_H1_MINUS_EXP:
+        t, a, b = p["t"].real, p["a"], p["b"]
+
+        def value():
+            if not -math.pi <= t <= math.pi:
+                raise ConstraintViolation("t must lie in [-pi, pi]")
+            if abs(t) == math.pi:
+                # z = 1: the series sums to 0
+                return 0j
+            return (_gamma_ratio([1 - a, b], [b - a])
+                    * cmath.exp(0.5j * t * (a + b - 1))
+                    * (2 * math.cos(t / 2)) ** (b - a - 1))
+        return BilateralSeriesSpec([a], [b], -cmath.exp(-1j * t)), value
+    if kind is HKind.ONE_H1_PLUS_EXP:
+        t, a, b = p["t"].real, p["a"], p["b"]
+
+        def value():
+            if not 0 <= t <= 2 * math.pi:
+                raise ConstraintViolation("t must lie in [0, 2pi]")
+            if t in (0.0, 2 * math.pi):
+                # z = 1: the series sums to 0
+                return 0j
+            return (_gamma_ratio([1 - a, b], [b - a])
+                    * cmath.exp(0.5j * (math.pi - t) * (a + b - 1))
+                    * (2 * math.sin(t / 2)) ** (b - a - 1))
+        return BilateralSeriesSpec([a], [b], cmath.exp(1j * t)), value
+    if kind is HKind.GAUSS_2H2:
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        return (BilateralSeriesSpec([a, b], [c, d], 1.0),
+                lambda: _gamma_ratio([c, d, 1 - a, 1 - b, c + d - a - b - 1],
+                                     [c - a, d - a, c - b, d - b]))
+    if kind is HKind.TWO_H2_MINUS1:
+        b1, b2, a1, a2 = p["b1"], p["b2"], p["a1"], p["a2"]
+
+        def value():
+            if abs((a1 - b1) - (a2 - b2)) > 1e-12:
+                raise ConstraintViolation("needs a1 - b1 = a2 - b2")
+            return (cmath.cos(0.5 * math.pi * (b1 - a1))
+                    * _gamma_ratio([a1 + 1, b1 + 1, a2 + 1, b2 + 1],
+                                   [0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
+                                    a1 + b2 + 1]))
+        return BilateralSeriesSpec([-b1, -b2], [a1 + 1, a2 + 1], -1.0), value
+    if kind is HKind.WELL_POISED_3H3:
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        return (BilateralSeriesSpec([b, c, d], [1 + a - b, 1 + a - c, 1 + a - d],
+                                    1.0),
+                lambda: _gamma_ratio(
+                    [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d,
+                     1 + a / 2, 1 - a / 2, 1 + 1.5 * a - b - c - d],
+                    [1 + a - c - d, 1 + a - b - d, 1 + a - b - c,
+                     1 + a / 2 - b, 1 + a / 2 - c, 1 + a / 2 - d, 1 + a, 1 - a]))
+    if kind is HKind.VWP_4H4_MINUS1:
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        return (BilateralSeriesSpec(
+                    [1 + a / 2, b, c, d],
+                    [a / 2, 1 + a - b, 1 + a - c, 1 + a - d], -1.0),
+                lambda: _gamma_ratio(
+                    [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d],
+                    [1 - a, 1 + a, 1 + a - b - c, 1 + a - b - d, 1 + a - c - d]))
+    if kind is HKind.VWP_5H5:
+        a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
+        return (BilateralSeriesSpec(
+                    [1 + a / 2, b, c, d, e],
+                    [a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e], 1.0),
+                lambda: _gamma_ratio(
+                    [1 - b, 1 - c, 1 - d, 1 - e, 1 + a - b, 1 + a - c,
+                     1 + a - d, 1 + a - e, 1 + 2 * a - b - c - d - e],
+                    [1 + a, 1 - a, 1 + a - b - c, 1 + a - b - d, 1 + a - b - e,
+                     1 + a - c - d, 1 + a - c - e, 1 + a - d - e]))
+    raise ValueError(f"unknown kind {kind}")
 
 
 def closed_form_H(kind: HKind, params: Dict[str, complex]) -> complex:
@@ -344,96 +424,16 @@ def closed_form_H(kind: HKind, params: Dict[str, complex]) -> complex:
     intervals and TWO_H2_MINUS1's a1 - b1 = a2 - b2.  Gamma poles raise
     PoleError."""
     kind = HKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    spec = series_spec_for(kind, p)
+    spec, value = _h_form(kind, params)
     cls = classify(spec)
     if not cls.is_summable:
         raise ConstraintViolation(
             f"{kind.value} needs a summable series (Re sigma < 0 on |z| = 1, "
             f"< -1 at z = 1), got {cls.kind.value} with sigma = "
             f"{cls.sigma:.6g} at z = {spec.z:.6g}")
-
-    if kind is HKind.ONE_H1_MINUS_EXP:
-        a, b, t = p["a"], p["b"], p["t"].real
-        if not -math.pi <= t <= math.pi:
-            raise ConstraintViolation("t must lie in [-pi, pi]")
-        if abs(t) == math.pi:
-            # z = 1: the series sums to 0
-            return 0j
-        return (_gamma_ratio([1 - a, b], [b - a])
-                * cmath.exp(0.5j * t * (a + b - 1))
-                * (2 * math.cos(t / 2)) ** (b - a - 1))
-    if kind is HKind.ONE_H1_PLUS_EXP:
-        a, b, t = p["a"], p["b"], p["t"].real
-        if not 0 <= t <= 2 * math.pi:
-            raise ConstraintViolation("t must lie in [0, 2pi]")
-        if t in (0.0, 2 * math.pi):
-            # z = 1: the series sums to 0
-            return 0j
-        return (_gamma_ratio([1 - a, b], [b - a])
-                * cmath.exp(0.5j * (math.pi - t) * (a + b - 1))
-                * (2 * math.sin(t / 2)) ** (b - a - 1))
-    if kind is HKind.GAUSS_2H2:
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        return _gamma_ratio([c, d, 1 - a, 1 - b, c + d - a - b - 1],
-                            [c - a, d - a, c - b, d - b])
-    if kind is HKind.TWO_H2_MINUS1:
-        b1, b2, a1, a2 = p["b1"], p["b2"], p["a1"], p["a2"]
-        if abs((a1 - b1) - (a2 - b2)) > 1e-12:
-            raise ConstraintViolation("needs a1 - b1 = a2 - b2")
-        return (cmath.cos(0.5 * math.pi * (b1 - a1))
-                * _gamma_ratio([a1 + 1, b1 + 1, a2 + 1, b2 + 1],
-                               [0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
-                                a1 + b2 + 1]))
-    if kind is HKind.WELL_POISED_3H3:
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        return _gamma_ratio(
-            [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d,
-             1 + a / 2, 1 - a / 2, 1 + 1.5 * a - b - c - d],
-            [1 + a - c - d, 1 + a - b - d, 1 + a - b - c,
-             1 + a / 2 - b, 1 + a / 2 - c, 1 + a / 2 - d, 1 + a, 1 - a])
-    if kind is HKind.VWP_4H4_MINUS1:
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        return _gamma_ratio(
-            [1 - b, 1 - c, 1 - d, 1 + a - b, 1 + a - c, 1 + a - d],
-            [1 - a, 1 + a, 1 + a - b - c, 1 + a - b - d, 1 + a - c - d])
-    if kind is HKind.VWP_5H5:
-        a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-        return _gamma_ratio(
-            [1 - b, 1 - c, 1 - d, 1 - e, 1 + a - b, 1 + a - c, 1 + a - d,
-             1 + a - e, 1 + 2 * a - b - c - d - e],
-            [1 + a, 1 - a, 1 + a - b - c, 1 + a - b - d, 1 + a - b - e,
-             1 + a - c - d, 1 + a - c - e, 1 + a - d - e])
-    raise ValueError(f"unknown kind {kind}")
+    return value()
 
 
 def series_spec_for(kind: HKind, params: Dict[str, complex]) -> BilateralSeriesSpec:
     """The explicit bilateral series whose sum closed_form_H(kind) gives."""
-    kind = HKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    if kind in (HKind.ONE_H1_MINUS_EXP, HKind.ONE_H1_PLUS_EXP):
-        t = p["t"].real
-        z = -cmath.exp(-1j * t) if kind is HKind.ONE_H1_MINUS_EXP else cmath.exp(1j * t)
-        return BilateralSeriesSpec([p["a"]], [p["b"]], z)
-    if kind is HKind.GAUSS_2H2:
-        return BilateralSeriesSpec([p["a"], p["b"]], [p["c"], p["d"]], 1.0)
-    if kind is HKind.TWO_H2_MINUS1:
-        return BilateralSeriesSpec([-p["b1"], -p["b2"]],
-                                   [p["a1"] + 1, p["a2"] + 1], -1.0)
-    if kind is HKind.WELL_POISED_3H3:
-        a = p["a"]
-        return BilateralSeriesSpec([p["b"], p["c"], p["d"]],
-                                   [1 + a - p["b"], 1 + a - p["c"], 1 + a - p["d"]],
-                                   1.0)
-    if kind is HKind.VWP_4H4_MINUS1:
-        a = p["a"]
-        return BilateralSeriesSpec(
-            [1 + a / 2, p["b"], p["c"], p["d"]],
-            [a / 2, 1 + a - p["b"], 1 + a - p["c"], 1 + a - p["d"]], -1.0)
-    if kind is HKind.VWP_5H5:
-        a = p["a"]
-        return BilateralSeriesSpec(
-            [1 + a / 2, p["b"], p["c"], p["d"], p["e"]],
-            [a / 2, 1 + a - p["b"], 1 + a - p["c"], 1 + a - p["d"],
-             1 + a - p["e"]], 1.0)
-    raise ValueError(f"unknown kind {kind}")
+    return _h_form(HKind(kind), params)[0]

@@ -133,12 +133,16 @@ def _cmd_integrate(args) -> int:
     t = parse_complex(args.t)
     tol = Tolerance(abs=args.tol, rel=args.tol)
     if args.q is not None:
+        if _parse_weight(args.weight):
+            raise ValueError("--weight applies to classical integrands only (drop --q)")
         w = parse_complex_list(args.w) if args.w else tuple([1.0] * m)
         if len(w) != m:
             raise ValueError(f"expected {m} entries in --w (got {len(w)})")
         spec = QIntegrandSpec(parse_complex(args.q), a, b, w, t)
         res = q_integrate(spec, tol)
     else:
+        if args.w is not None:
+            raise ValueError("--w applies to q integrands only (give --q)")
         if t.imag != 0:
             raise ValueError("classical integrands need real t")
         spec = IntegrandSpec(a, b, t.real, _parse_weight(args.weight))

@@ -40,7 +40,8 @@ and cells only, not on every node.
 Where a check needs a kernel at several points it makes one array call:
 both tails' signal series go to one Levin call, the truncation point's
 candidates are probed by one _f_core call, and each gamma product (the
-grid-sum prefactors, _gamma_prod) is one gamma or recip_gamma call, its
+grid-sum prefactors, and the closed forms' bilateral._gamma_ratio with or
+without a denominator) is one gamma or recip_gamma call per list, its
 factors multiplied in order.  An element of these kernels, and a row of
 the Levin transform, comes out the same alone as in any array, so every
 value keeps the bits of the per-point calls.  The double integral hands
@@ -55,17 +56,17 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .acceleration import levin_u
-from .bilateral import (BilateralSeriesSpec, eval_H,
+from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
                         cancel_matching_parameters)
 from .core import Tolerance, DEFAULT_TOL
-from .errors import ConstraintViolation, MarginViolation, PoleError
-from .gammafns import _near_pole, gamma, log_gamma_shift_ratio, recip_gamma
+from .errors import ConstraintViolation, MarginViolation
+from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
 from .quadrature import (QuadratureResult, gauss20, panel_nodes, panel_sums,
                          tanh_sinh)
 
@@ -571,22 +572,89 @@ class BetaKind(enum.Enum):
     M6_RIEMANN = "M6Riemann"
 
 
-def _gamma_prod(vals: Sequence[complex]) -> complex:
-    """prod Gamma(v), multiplied in order, from one gamma call on all the
-    arguments; an argument at a pole raises PoleError, as scalar gamma
-    does."""
-    z = np.array(vals, dtype=complex)
-    poles = _near_pole(z)
-    if poles.any():
-        raise PoleError(f"gamma pole at {complex(z[poles][0])}")
-    out = 1.0 + 0j
-    for g in gamma(z).tolist():
-        out *= g
-    return out
-
-
 def _pairs(vals: Sequence[complex]) -> List[complex]:
     return [vi + vj for vi, vj in itertools.combinations(vals, 2)]
+
+
+def _beta_form(kind: BetaKind, params: Dict[str, complex]
+               ) -> Tuple[IntegrandSpec, Callable[[], complex]]:
+    """The integrand of a beta integral and a function giving its printed
+    closed-form value, from one reading of the params.  The function checks
+    RAMANUJAN_M2_COS's a1 - b1 = a2 - b2."""
+    p = {k: complex(v) for k, v in params.items()}
+    if kind is BetaKind.RAMANUJAN_M2:
+        a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
+        return (IntegrandSpec([a1, a2], [b1, b2], 0.0),
+                lambda: (gamma(a1 + b1 + a2 + b2 + 1)
+                         / _gamma_ratio([a1 + b1 + 1, a1 + b2 + 1, a2 + b1 + 1,
+                                         a2 + b2 + 1], [])))
+    if kind is BetaKind.RAMANUJAN_M2_COS:
+        a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
+
+        def value():
+            if abs((a1 - b1) - (a2 - b2)) > 1e-12:
+                raise ConstraintViolation("needs a1 - b1 = a2 - b2")
+            return (cmath.cos(0.5 * math.pi * (b1 - a1))
+                    / _gamma_ratio([0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
+                                    a1 + b2 + 1], []))
+        return (IntegrandSpec([a1, a2], [b1, b2], 0.0, weight_cos(1.0, math.pi)),
+                value)
+    if kind is BetaKind.M3_COS:
+        a = p["a"]
+        bs = [p["b1"], p["b2"], p["b3"]]
+        return (IntegrandSpec([a + bj for bj in bs], bs, 0.0,
+                              weight_cos(1.0, math.pi)),
+                lambda: (cmath.cos(0.5 * math.pi * a) * gamma(1 + 1.5 * a + sum(bs))
+                         / _gamma_ratio([1 + 0.5 * a + bj for bj in bs], [])
+                         / _gamma_ratio([1 + a + s for s in _pairs(bs)], [])))
+    if kind in (BetaKind.M3_PLAIN, BetaKind.M4_PLAIN):
+        n = 3 if kind is BetaKind.M3_PLAIN else 4
+        cs = [p[f"c{j}"] for j in range(1, n + 1)]
+        return (IntegrandSpec(cs, cs, 0.0),
+                lambda: (1.0 / _gamma_ratio([cj + 1.25 for cj in cs], [])
+                         / _gamma_ratio([cj + 0.75 for cj in cs], [])
+                         * eval_H(BilateralSeriesSpec([0.25 - cj for cj in cs],
+                                                      [1.25 + cj for cj in cs],
+                                                      (-1.0) ** n),
+                                  DEFAULT_TOL).value))
+    if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
+        a = p["a"]
+        n = 3 if kind is BetaKind.M4_VWP else 4
+        bs = [p[f"b{j}"] for j in range(1, n + 1)]
+        return (IntegrandSpec([0.5 * a - 1] + [a + bj for bj in bs],
+                              [-0.5 * a - 1] + bs, 0.0,
+                              weight_cos(1.0, math.pi)
+                              + weight_cos(1.0, 3 * math.pi)),
+                lambda: ((1.0 if n == 3 else gamma(1 + 2 * a + sum(bs)))
+                         / _gamma_ratio([0.5 * a, -0.5 * a, 1 - a, 1 + a]
+                                        + [1 + a + s for s in _pairs(bs)], [])))
+    if kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M5_VWP_SHIFTED):
+        a = p["a"]
+        n = 3 if kind is BetaKind.M4_VWP_SHIFTED else 4
+        cs = [p[f"c{j}"] for j in range(1, n + 1)]
+        return (IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
+                              weight_cos(cmath.cos(0.5 * math.pi * a), math.pi)
+                              + weight_cos(cmath.cos(1.5 * math.pi * a),
+                                           3 * math.pi)),
+                lambda: ((1.0 if n == 3 else gamma(1 + sum(cs)))
+                         / _gamma_ratio([0.5 * a, -0.5 * a, 1 - a, 1 + a]
+                                        + [1 + s for s in _pairs(cs)], [])))
+    if kind is BetaKind.M5_VWP_THIRD:
+        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
+        return (IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
+                              ((0.5 + 0j, math.pi), (0.5 + 0j, -math.pi))),
+                lambda: (-gamma(1 + sum(cs))
+                         / (8 * math.pi ** 2
+                            * _gamma_ratio([1 + s for s in _pairs(cs)], []))))
+    if kind is BetaKind.M6_RIEMANN:
+        av = [p[f"a{j}"] for j in range(1, 7)]
+        spec = IntegrandSpec(av, av, 0.0)
+
+        def value():
+            s = poisson_terms(spec, 6)
+            return 2 * s[0] + 4 * s[2]
+        return spec, value
+    raise ValueError(f"unknown kind {kind}")
 
 
 def beta_integral_closed(kind: BetaKind, params: Dict[str, complex]) -> complex:
@@ -598,103 +666,17 @@ def beta_integral_closed(kind: BetaKind, params: Dict[str, complex]) -> complex:
     integrability margin of the matching integrand raises
     ConstraintViolation, as does RAMANUJAN_M2_COS's a1 - b1 = a2 - b2."""
     kind = BetaKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    spec = integrand_spec_for(kind, p)
+    spec, value = _beta_form(kind, params)
     if spec.margin() <= 0:
         raise ConstraintViolation(
             f"{kind.value} needs a positive integrability margin "
             f"Re(sum(a) + sum(b)) + m - 1, got {spec.margin():.4g}")
-
-    if kind is BetaKind.RAMANUJAN_M2:
-        a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
-        return (gamma(a1 + b1 + a2 + b2 + 1)
-                / _gamma_prod([a1 + b1 + 1, a1 + b2 + 1, a2 + b1 + 1, a2 + b2 + 1]))
-    if kind is BetaKind.RAMANUJAN_M2_COS:
-        a1, a2, b1, b2 = p["a1"], p["a2"], p["b1"], p["b2"]
-        if abs((a1 - b1) - (a2 - b2)) > 1e-12:
-            raise ConstraintViolation("needs a1 - b1 = a2 - b2")
-        return (cmath.cos(0.5 * math.pi * (b1 - a1))
-                / _gamma_prod([0.5 * (a1 + b1) + 1, 0.5 * (a2 + b2) + 1,
-                               a1 + b2 + 1]))
-    if kind is BetaKind.M3_COS:
-        a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"]]
-        return (cmath.cos(0.5 * math.pi * a) * gamma(1 + 1.5 * a + sum(bs))
-                / _gamma_prod([1 + 0.5 * a + bj for bj in bs])
-                / _gamma_prod([1 + a + s for s in _pairs(bs)]))
-    if kind in (BetaKind.M3_PLAIN, BetaKind.M4_PLAIN):
-        n = 3 if kind is BetaKind.M3_PLAIN else 4
-        cs = [p[f"c{j}"] for j in range(1, n + 1)]
-        C = 1.0 / _gamma_prod([cj + 1.25 for cj in cs]) / _gamma_prod([cj + 0.75 for cj in cs])
-        hs = BilateralSeriesSpec([0.25 - cj for cj in cs],
-                                 [1.25 + cj for cj in cs], (-1.0) ** n)
-        return C * eval_H(hs, DEFAULT_TOL).value
-    if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
-        a = p["a"]
-        n = 3 if kind is BetaKind.M4_VWP else 4
-        bs = [p[f"b{j}"] for j in range(1, n + 1)]
-        num = 1.0 if n == 3 else gamma(1 + 2 * a + sum(bs))
-        return num / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
-                                 + [1 + a + s for s in _pairs(bs)])
-    if kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M5_VWP_SHIFTED):
-        a = p["a"]
-        n = 3 if kind is BetaKind.M4_VWP_SHIFTED else 4
-        cs = [p[f"c{j}"] for j in range(1, n + 1)]
-        num = 1.0 if n == 3 else gamma(1 + sum(cs))
-        return num / _gamma_prod([0.5 * a, -0.5 * a, 1 - a, 1 + a]
-                                 + [1 + s for s in _pairs(cs)])
-    if kind is BetaKind.M5_VWP_THIRD:
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        return (-gamma(1 + sum(cs))
-                / (8 * math.pi ** 2 * _gamma_prod([1 + s for s in _pairs(cs)])))
-    if kind is BetaKind.M6_RIEMANN:
-        s = poisson_terms(spec, 6)
-        return 2 * s[0] + 4 * s[2]
-    raise ValueError(f"unknown kind {kind}")
+    return value()
 
 
 def integrand_spec_for(kind: BetaKind, params: Dict[str, complex]) -> IntegrandSpec:
     """The quadrature-side integrand matched to each closed form."""
-    kind = BetaKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    if kind is BetaKind.RAMANUJAN_M2:
-        return IntegrandSpec([p["a1"], p["a2"]], [p["b1"], p["b2"]], 0.0)
-    if kind is BetaKind.RAMANUJAN_M2_COS:
-        return IntegrandSpec([p["a1"], p["a2"]], [p["b1"], p["b2"]], 0.0,
-                             weight_cos(1.0, math.pi))
-    if kind is BetaKind.M3_COS:
-        a = p["a"]
-        bs = [p["b1"], p["b2"], p["b3"]]
-        return IntegrandSpec([a + bj for bj in bs], bs, 0.0,
-                             weight_cos(1.0, math.pi))
-    if kind is BetaKind.M3_PLAIN:
-        cs = [p["c1"], p["c2"], p["c3"]]
-        return IntegrandSpec(cs, cs, 0.0)
-    if kind is BetaKind.M4_PLAIN:
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        return IntegrandSpec(cs, cs, 0.0)
-    if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
-        a = p["a"]
-        n = 3 if kind is BetaKind.M4_VWP else 4
-        bs = [p[f"b{j}"] for j in range(1, n + 1)]
-        return IntegrandSpec([0.5 * a - 1] + [a + bj for bj in bs],
-                             [-0.5 * a - 1] + bs, 0.0,
-                             weight_cos(1.0, math.pi) + weight_cos(1.0, 3 * math.pi))
-    if kind in (BetaKind.M4_VWP_SHIFTED, BetaKind.M5_VWP_SHIFTED):
-        a = p["a"]
-        n = 3 if kind is BetaKind.M4_VWP_SHIFTED else 4
-        cs = [p[f"c{j}"] for j in range(1, n + 1)]
-        return IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
-                             weight_cos(cmath.cos(0.5 * math.pi * a), math.pi)
-                             + weight_cos(cmath.cos(1.5 * math.pi * a), 3 * math.pi))
-    if kind is BetaKind.M5_VWP_THIRD:
-        cs = [p["c1"], p["c2"], p["c3"], p["c4"]]
-        return IntegrandSpec([-1.0] + cs, [-1.0] + cs, 0.0,
-                             ((0.5 + 0j, math.pi), (0.5 + 0j, -math.pi)))
-    if kind is BetaKind.M6_RIEMANN:
-        av = [p[f"a{j}"] for j in range(1, 7)]
-        return IntegrandSpec(av, av, 0.0)
-    raise ValueError(f"unknown kind {kind}")
+    return _beta_form(BetaKind(kind), params)[0]
 
 
 def m6_reduced_5h5(params: Dict[str, complex]) -> Tuple[BilateralSeriesSpec, BilateralSeriesSpec]:
@@ -717,7 +699,7 @@ def barnes_closed(a: complex, b: complex, c: complex, d: complex) -> complex:
     for x in (a, b, c, d):
         if complex(x).real <= 0:
             raise ConstraintViolation("needs positive real parts")
-    return (_gamma_prod([a + c, a + d, b + c, b + d])
+    return (_gamma_ratio([a + c, a + d, b + c, b + d], [])
             / gamma(a + b + c + d))
 
 
@@ -755,7 +737,8 @@ def double_integral_open_question(b1: float, b2: float, b3: float
 
     lhs, _ = tanh_sinh(outer, -math.pi, math.pi, max_level=8)
     rhs = (2 * math.pi ** 2
-           * _gamma_prod([2 * b1 + 1, 2 * b2 + 1, 2 * b3 + 1, b1 + b2 + b3 + 1])
-           / _gamma_prod([b1 + 1, b2 + 1, b3 + 1, b1 + b2 + 1, b1 + b3 + 1,
-                          b2 + b3 + 1]))
+           * _gamma_ratio([2 * b1 + 1, 2 * b2 + 1, 2 * b3 + 1,
+                           b1 + b2 + b3 + 1], [])
+           / _gamma_ratio([b1 + 1, b2 + 1, b3 + 1, b1 + b2 + 1, b1 + b3 + 1,
+                           b2 + b3 + 1], []))
     return lhs, rhs

@@ -12,7 +12,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -575,6 +575,44 @@ class QKind(enum.Enum):
     Q_BINOMIAL_RATIO_LIMIT = "QBinomialRatioLimit"
 
 
+def _q_form(kind: QKind, params: Dict[str, complex], q: complex
+            ) -> Tuple[Optional[QSeriesSpec],
+                       Callable[[], Tuple[List[complex], List[complex]]]]:
+    """The basic series of a q-summation theorem (None for
+    Q_BINOMIAL_RATIO_LIMIT, which has none) and a function giving the
+    numerator and denominator lists of the q-product ratio that is its
+    value, from one reading of the params.  The function checks
+    Q_BINOMIAL_RATIO_LIMIT's 0 < |z| <= 1."""
+    p = {k: complex(v) for k, v in params.items()}
+    if kind is QKind.RAMANUJAN_1PSI1:
+        a, b, z = p["a"], p["b"], p["z"]
+        return (QSeriesSpec(q, [q ** a], [q ** b], z),
+                lambda: ([q, q ** (b - a), q ** a * z, q ** (1 - a) / z],
+                         [q ** b, q ** (1 - a), z, q ** (b - a) / z]))
+    if kind is QKind.BAILEY_6PSI6:
+        a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
+        sa = cmath.sqrt(a)
+        return (QSeriesSpec(
+                    q,
+                    [q * sa, -q * sa, b, c, d, e],
+                    [sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e],
+                    q * a * a / (b * c * d * e)),
+                lambda: ([q, q * a, q / a, q * a / (b * c), q * a / (b * d),
+                          q * a / (b * e), q * a / (c * d), q * a / (c * e),
+                          q * a / (d * e)],
+                         [q / b, q / c, q / d, q / e, q * a / b, q * a / c,
+                          q * a / d, q * a / e, q * a * a / (b * c * d * e)]))
+    if kind is QKind.Q_BINOMIAL_RATIO_LIMIT:
+        alpha, beta, z = p["alpha"], p["beta"], p["z"]
+
+        def products():
+            if not 0 < abs(z) <= 1:
+                raise ConstraintViolation("needs 0 < |z| <= 1")
+            return [q ** alpha * z], [q ** beta * z]
+        return None, products
+    raise ValueError(f"unknown kind {kind}")
+
+
 def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
     """Product-form values of the q-summation theorems, each the exp of one
     log_qpoch_ratio sum.  Each holds where its bilateral series converges
@@ -583,28 +621,11 @@ def closed_form_q(kind: QKind, params: Dict[str, complex], q: float) -> complex:
     0 < |z| <= 1."""
     kind = QKind(kind)
     q = _check_base(q)
-    p = {k: complex(v) for k, v in params.items()}
-    if kind is not QKind.Q_BINOMIAL_RATIO_LIMIT:
-        problem = psi_spec_for(kind, p, q).annulus_violation()
-        if problem:
-            raise ConstraintViolation(f"{kind.value} series: {problem}")
-    if kind is QKind.RAMANUJAN_1PSI1:
-        a, b, z = p["a"], p["b"], p["z"]
-        num = [q, q ** (b - a), q ** a * z, q ** (1 - a) / z]
-        den = [q ** b, q ** (1 - a), z, q ** (b - a) / z]
-    elif kind is QKind.BAILEY_6PSI6:
-        a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-        num = [q, q * a, q / a, q * a / (b * c), q * a / (b * d),
-               q * a / (b * e), q * a / (c * d), q * a / (c * e),
-               q * a / (d * e)]
-        den = [q / b, q / c, q / d, q / e, q * a / b, q * a / c, q * a / d,
-               q * a / e, q * a * a / (b * c * d * e)]
-    else:
-        alpha, beta, z = p["alpha"], p["beta"], p["z"]
-        if not 0 < abs(z) <= 1:
-            raise ConstraintViolation("needs 0 < |z| <= 1")
-        num, den = [q ** alpha * z], [q ** beta * z]
-    return cmath.exp(log_qpoch_ratio(num, den, q))
+    spec, products = _q_form(kind, params, q)
+    problem = spec.annulus_violation() if spec is not None else None
+    if problem:
+        raise ConstraintViolation(f"{kind.value} series: {problem}")
+    return cmath.exp(log_qpoch_ratio(*products(), q))
 
 
 def q_binomial_ratio_target(alpha: complex, beta: complex, z: complex) -> complex:
@@ -615,18 +636,9 @@ def q_binomial_ratio_target(alpha: complex, beta: complex, z: complex) -> comple
 def psi_spec_for(kind: QKind, params: Dict[str, complex], q: float) -> QSeriesSpec:
     """The explicit bilateral basic series summed by closed_form_q(kind)."""
     kind = QKind(kind)
-    p = {k: complex(v) for k, v in params.items()}
-    if kind is QKind.RAMANUJAN_1PSI1:
-        return QSeriesSpec(q, [q ** p["a"]], [q ** p["b"]], p["z"])
-    if kind is QKind.BAILEY_6PSI6:
-        a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-        sa = cmath.sqrt(a)
-        return QSeriesSpec(
-            q,
-            [q * sa, -q * sa, b, c, d, e],
-            [sa, -sa, q * a / b, q * a / c, q * a / d, q * a / e],
-            q * a * a / (b * c * d * e))
-    raise ValueError(f"no series spec for kind {kind}")
+    if kind is QKind.Q_BINOMIAL_RATIO_LIMIT:
+        raise ValueError(f"no series spec for kind {kind}")
+    return _q_form(kind, params, q)[0]
 
 
 # -- q->1 asymptotics ----------------------------------------------------------

@@ -122,6 +122,24 @@ def test_integrate_weight_and_q():
     code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
                         "--w", "1.0", "--t", "0.3"])
     assert code == 0
+    # an explicit --weight none is no weight
+    code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
+                        "--w", "1.0", "--t", "0.3", "--weight", "none"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    # --w belongs to the q integrand, with or without the right count
+    ["--a", "0.5", "--b", "0.5", "--w", "7,8"],
+    ["--a", "0.5", "--b", "0.5", "--w", "7"],
+    # the q integrand takes no trigonometric weight
+    ["--a", "2.5", "--b", "0.3", "--q", "0.5", "--weight", "gm:2"],
+])
+def test_integrate_option_of_the_other_integrand_exit2(args):
+    code, out, err = run(["integrate"] + args)
+    assert code == 2
+    assert out == ""
+    assert "applies to" in err
 
 
 def test_integrate_mismatched_lengths_exit2():

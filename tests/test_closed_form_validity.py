@@ -31,7 +31,7 @@ def _values_stubbed(monkeypatch):
         return 1.0 + 0j
     monkeypatch.setattr(bilateral, "_gamma_ratio", one)
     monkeypatch.setattr(integrals, "gamma", one)
-    monkeypatch.setattr(integrals, "_gamma_prod", one)
+    monkeypatch.setattr(integrals, "_gamma_ratio", one)
     monkeypatch.setattr(integrals, "eval_H",
                         lambda *args: SeriesValue(1.0 + 0j, 0.0, 1, False))
     monkeypatch.setattr(integrals, "poisson_terms",

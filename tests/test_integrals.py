@@ -9,7 +9,8 @@ import pytest
 
 from conftest import compare
 from rbeta.acceleration import levin_u
-from rbeta.bilateral import BilateralSeriesSpec, HKind, closed_form_H, eval_H
+from rbeta.bilateral import (BilateralSeriesSpec, HKind, _gamma_ratio,
+                             closed_form_H, eval_H)
 from rbeta.core import DEFAULT_TOL, Tolerance
 from rbeta.errors import ConstraintViolation, MarginViolation, PoleError
 from rbeta.gammafns import gamma, recip_gamma
@@ -22,7 +23,7 @@ from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              m6_reduced_5h5, poisson_sum_rhs, poisson_terms,
                              weight_gm)
 from rbeta.integrals import (_choose_X, _core, _core_lattice, _f_core,
-                             _gamma_prod, _interval_integrals, _pair_product,
+                             _interval_integrals, _pair_product,
                              _panels_per_unit, _sin_product_harmonics,
                              _tail_cell, _tail_one_side, _tail_R,
                              _unit_lattice, _weight_phase)
@@ -704,7 +705,10 @@ def test_gamma_products_raise_at_a_pole():
     # a + c = 2e-15 is within the pole window of 0
     with pytest.raises(PoleError):
         barnes_closed(1e-15, 1.0, 1e-15, 1.0)
+    # so is a + c = 8e-13: a gamma product's window is _gamma_ratio's 1e-12
     with pytest.raises(PoleError):
-        _gamma_prod([1.5, -2.0, 0.5])
-    assert _gamma_prod([1.5, 2.5 + 1j, 3.0]) == (
+        barnes_closed(4e-13, 1.0, 4e-13, 1.0)
+    with pytest.raises(PoleError):
+        _gamma_ratio([1.5, -2.0, 0.5], [])
+    assert _gamma_ratio([1.5, 2.5 + 1j, 3.0], []) == (
         gamma(1.5) * gamma(2.5 + 1j) * gamma(3.0))
