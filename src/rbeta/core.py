@@ -65,7 +65,8 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'bi', '-i' style complex literals (i or j suffix)."""
+    """Parse 'a', 'a+bi', 'bi', '-i' style complex literals (i or j suffix).
+    A literal that overflows to inf, such as '1e400', is refused."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
@@ -84,12 +85,13 @@ def parse_complex(text: str) -> complex:
             else:
                 imag = float(re_part)
             real = 0.0
-        return complex(real, imag)
-    if im_part is not None:
+    elif im_part is not None or re_part is None:
         raise ValueError(f"cannot parse complex number {text!r}")
-    if re_part is None:
-        raise ValueError(f"cannot parse complex number {text!r}")
-    return complex(float(re_part), 0.0)
+    else:
+        real, imag = float(re_part), 0.0
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return complex(real, imag)
 
 
 def parse_complex_list(text: str) -> tuple:

@@ -12,7 +12,8 @@ summed by one cumulative sweep down each lattice column
 (`qseries.log_qpoch_lattice`).  Its `panels` counts lattice nodes.  The
 Abel/Poisson-kernel route keeps Gauss panels graded toward the kernel's
 peaks, summed with the 20-point rule alone, and its own geometric
-truncation, whose one-point probes it evaluates once per abscissa.
+truncation, whose probes it evaluates once per abscissa, one `log_f` call
+per truncation candidate.
 """
 
 from __future__ import annotations
@@ -122,10 +123,12 @@ def _tail_bound(lm: Sequence[float], ratio: float) -> Tuple[float, float]:
     return mag * rho / (1.0 - rho), rho
 
 
-def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
-                          tol_abs: float) -> float:
+def _geometric_truncation(log_mag: Callable[[List[float]], List[float]],
+                          ratio: float, tol_abs: float) -> float:
     """First X of the candidates 4, 4 + step, ... whose boundary magnitude
-    times geometric tail is below tol.
+    times geometric tail is below tol.  `log_mag` takes a candidate's six
+    probe abscissae X - _PROBE_OFFSETS in one call and returns their
+    log-magnitudes.
 
     Each step covers half the log-distance to tol at the current decay ratio.
     Raises ToleranceNotReached when 200 candidates leave the tail above tol.
@@ -134,7 +137,7 @@ def _geometric_truncation(log_mag: Callable[[float], float], ratio: float,
         raise AnnulusViolation("integrand does not decay on this side")
     X = 4.0
     for _ in range(200):
-        tail, rho = _tail_bound([log_mag(X - d) for d in _PROBE_OFFSETS], ratio)
+        tail, rho = _tail_bound(log_mag([X - d for d in _PROBE_OFFSETS]), ratio)
         if tail < tol_abs:
             return X
         X += max(1.0, math.log(max(tail / tol_abs, 2.0)) / -math.log(rho) * 0.5)
@@ -348,16 +351,18 @@ def abel_poisson_psi(spec: QIntegrandSpec,
     abel_psi_target as r -> 1.  Each is a 20-point Gauss sum on panels graded
     toward the kernel's peaks, between the `_geometric_truncation` points for
     DEFAULT_TOL.abs over the kernel's peak; the truncation searches of all r
-    share one memo of the one-point log-magnitude probes."""
+    share one memo of the log-magnitude probes, and each candidate's missing
+    abscissae reach `log_f` in one call."""
     spec.check_annulus()
     rr, rl = spec.decay_ratios()
     probes: Dict[float, float] = {}
 
-    def log_mag(x: float) -> float:
-        if x not in probes:
-            xs = np.array([x])
-            probes[x] = float((spec.log_f(xs) - 1j * spec.t * xs).real[0])
-        return probes[x]
+    def log_mag(xs: List[float]) -> List[float]:
+        new = np.array([x for x in xs if x not in probes])
+        if new.size:
+            lm = (spec.log_f(new) - 1j * spec.t * new).real
+            probes.update(zip(new.tolist(), lm.tolist()))
+        return [probes[x] for x in xs]
 
     out: List[Tuple[float, complex]] = []
     for r in r_sequence:
@@ -370,7 +375,8 @@ def abel_poisson_psi(spec: QIntegrandSpec,
         # here (ROADMAP item 1), so this X must keep its bits until they move
         tol_abs = DEFAULT_TOL.abs / peak
         Xr = _geometric_truncation(log_mag, rr, tol_abs)
-        Xl = _geometric_truncation(lambda x: log_mag(-x), rl, tol_abs)
+        Xl = _geometric_truncation(
+            lambda xs: log_mag([-x for x in xs]), rl, tol_abs)
         out.append((r, _kernel_integral(spec, r, -Xl, Xr)))
     return out
 

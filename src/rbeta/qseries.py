@@ -8,6 +8,7 @@ so zero lower parameters act as confluence placeholders.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import math
@@ -169,8 +170,8 @@ def log_qpoch_inf(c, q: complex):
 
     The lattice integrands of `q_quadrature` sum their products with
     `log_qpoch_lattice`.  The array path here serves only the Abel route,
-    its graded Gauss nodes and its one-point truncation probes, whose bits
-    the golden abel-poisson-kernel records hold.
+    its graded Gauss nodes and its truncation probes (six abscissae or
+    fewer per call), whose bits the golden abel-poisson-kernel records hold.
 
     A scalar c is summed in one vectorized sweep over k, up to the first
     |c q^k| below 1e-17.  An array c is summed as by the factor loop
@@ -200,6 +201,18 @@ def log_qpoch_inf(c, q: complex):
     signed zero, which changes no sum but -0.0, and the sums start at +0.0
     and never hold -0.0.  Retired chains keep entering the stop test, so
     the survivors stop exactly where the loop stops.
+
+    Large arrays of real chains, real q and every Im c a signed zero, skip
+    the stop test instead: they run largest |Re c| first, and each chain
+    retires at its first factor with |Re cur| <= 2^-54.  numpy's complex
+    log1p(x) is log(hypot(1 + Re x, Im x)) + i atan2(Im x, 1 + Re x), and
+    1 - cur rounds to 1 there, so that term and every later one are
+    (+0, +-0), which change no sum.  Multiplying by a real q keeps |Re cur|
+    in order, so the retired chains stay a suffix, and the loop's own stop,
+    every |cur| < 1e-17 < 2^-54, never comes before a chain's zero term.
+    For the same reason a real chain in a small array gains only zero terms
+    from the other elements' later stop, so the truncation probes of
+    several abscissae in one call keep the bits of one-point calls.
     """
     q = _check_base(q)
     if np.isscalar(c) or getattr(c, "ndim", 1) == 0:
@@ -244,6 +257,9 @@ _STEP_MIN_SIZE = 512
 _RETIRE_EVERY = 16
 # |cur| * 2^55 <= |s| retires: 2|cur| is at most 2^-54 |s|
 _RETIRE_SCALE = 2.0 ** 55
+# 1 - x rounds to 1 for |x| <= 2^-54, so log1p(-cur) is (+0, +-0) for a real
+# chain value cur at or below it
+_ZERO_TERM = 2.0 ** -54
 
 
 def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
@@ -291,12 +307,15 @@ def _log_qpoch_steps(cur: np.ndarray, q: complex) -> np.ndarray:
     """The factor loop of log_qpoch_inf on a large 1-D array of finite c,
     one factor per pass, with retirement; works in place on cur.  The live
     chains cur keep their sums and positions idx; retired chains move to
-    gone, which only the stop test reads."""
+    gone, which only the stop test reads.  Real chains take
+    _log_qpoch_real_steps."""
+    real_q = q.imag == 0.0
+    if real_q and not cur.imag.any():
+        return _log_qpoch_real_steps(cur, q)
     out = np.empty(cur.size, dtype=complex)
     idx = np.arange(cur.size)
     sums = np.zeros(cur.size, dtype=complex)
     gone = np.empty(0, dtype=complex)
-    real_q = q.imag == 0.0
     for done in range(1, _QPROD_MAX_FACTORS + 1):
         term = np.negative(cur)
         sums += np.log1p(term, out=term)
@@ -315,6 +334,31 @@ def _log_qpoch_steps(cur: np.ndarray, q: complex) -> np.ndarray:
             if not idx.size:
                 return out
     out[idx] = sums
+    return out
+
+
+def _log_qpoch_real_steps(cur: np.ndarray, q: complex) -> np.ndarray:
+    """_log_qpoch_steps for real q and every Im c a signed zero: the chains
+    run largest |Re c| first, and each retires at its first factor with
+    |Re cur| <= 2^-54, whose term and all later ones are (+0, +-0)."""
+    order = np.argsort(np.abs(cur.real))[::-1]
+    cur = cur[order]
+    re = cur.real
+    sums = np.zeros(cur.size, dtype=complex)
+    term = np.empty(cur.size, dtype=complex)
+    live = cur.size
+    for _ in range(_QPROD_MAX_FACTORS):
+        # multiplying by a real q keeps |Re cur| sorted, so the retired
+        # chains stay a suffix
+        live = bisect.bisect_left(re, True, 0, live,
+                                  key=lambda v: abs(v) <= _ZERO_TERM)
+        if not live:
+            break
+        t = np.negative(cur[:live], out=term[:live])
+        sums[:live] += np.log1p(t, out=t)
+        cur[:live] *= q
+    out = np.empty(cur.size, dtype=complex)
+    out[order] = sums
     return out
 
 

@@ -652,7 +652,9 @@ IDENTITIES: Tuple[Identity, ...] = (
              _q_fourier_classical_limit),
     Identity("q-gamma-classical-limit", "limits", Tolerance(abs=1e-2),
              _q_gamma_classical_limit),
-    Identity("qpoch-asymptotic-bound", "limits", Tolerance(abs=0.0, rel=1.0),
+    # lhs is the violation of the bound and rhs 0: only a violation of at
+    # most the least positive double passes
+    Identity("qpoch-asymptotic-bound", "limits", Tolerance(abs=math.ulp(0.0)),
              _qpoch_asymptotic_bound),
     Identity("qpoch-asymptotic-shifted", "limits", Tolerance(abs=2e-2),
              _qpoch_asymptotic_shifted),

@@ -73,6 +73,15 @@ def test_eval_h_parse_error_exit2():
     assert code == 2
 
 
+@pytest.mark.parametrize("literal", ["1e400", "1e400i", "1-1e400i", "-1e400"])
+def test_non_finite_literal_exit2(literal):
+    with pytest.raises(ValueError, match="not finite"):
+        parse_complex(literal)
+    code, _, err = run(["eval-h", f"--c={literal}", "--d", "1.5", "--z", "0.5"])
+    assert code == 2
+    assert "not finite" in err
+
+
 def test_eval_psi_command():
     code, out, _ = run(["eval-psi", "--a", "0.2", "--b", "0.05", "--q", "0.5",
                         "--z", "0.4"])

@@ -11,6 +11,11 @@ large arrays for complex q.  For small arrays and complex q, numpy's
 ``multiply.accumulate`` does not use the binary product's complex multiply,
 so they may differ in the last bits; they are held to 1e-13 relative.
 
+Large arrays of real chains (real q, every imaginary part of c a signed
+zero) skip the loop's stop test: each chain retires at its first factor with
+|Re cur| <= 2^-54, where numpy's complex ``log1p(-cur)`` is exactly
+(+0, +-0), a premise checked here on its own.
+
 The loop reduces ``np.abs(cur).max()``, which raises on an empty array, so
 size 0 is checked on its own.
 """
@@ -175,6 +180,92 @@ def test_retired_chain_keeps_the_loop_going():
     c[0] = 1e6
     assert abs(im_sum(hi)) < 1e-17
     _same_bits(log_qpoch_inf(c, q), log_qpoch_oracle(c, q))
+
+
+_ZERO_TERM = 2.0 ** -54
+
+
+@pytest.mark.parametrize("im", [0.0, -0.0])
+def test_complex_log1p_of_a_tiny_real_is_a_signed_zero(im):
+    # the premise of the real-chain path, on an array as large as the
+    # kernel's and on a scalar
+    x = np.repeat([_ZERO_TERM, -_ZERO_TERM, _ZERO_TERM / 3, 1e-17, 5e-324,
+                   0.0, -0.0], 100)
+    z = np.empty(x.size, dtype=complex)
+    z.real, z.imag = -x, im
+    for got in (np.log1p(z), np.log1p(z[:1])):
+        assert np.all(got.real == 0.0) and not np.signbit(got.real).any()
+        assert np.all(got.imag == 0.0)
+        assert np.all(np.signbit(got.imag) == np.signbit(im))
+    big = np.full(600, complex(-1.5 * _ZERO_TERM, im))
+    assert np.all(np.log1p(big).real != 0.0)
+    assert np.log1p(big[0]).real != 0.0
+
+
+def _real_chains(rng, n, top):
+    """n real c: |c| log-uniform in [1e-20, 10^top] and both signs, with
+    +0.0 and -0.0 imaginary parts mixed; among them +-2^-54 and
+    +-1.5 2^-54, zeros, c = 1 (a -inf term) and c > 1 (+-pi terms)."""
+    re = 10.0 ** rng.uniform(-20.0, top, n) * rng.choice([-1.0, 1.0], n)
+    edges = [_ZERO_TERM, -_ZERO_TERM, 1.5 * _ZERO_TERM, -1.5 * _ZERO_TERM,
+             0.0, 1.0, 1.7, 3.0]
+    for k, v in enumerate(edges):
+        re[k::37] = v
+    c = np.empty(n, dtype=complex)
+    c.real, c.imag = re, np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return c
+
+
+@pytest.fixture
+def real_path_sizes(monkeypatch):
+    """The sizes of the arrays that took the real-chain path."""
+    sizes = []
+    real_steps = qs._log_qpoch_real_steps
+
+    def spy(cur, q):
+        sizes.append(cur.size)
+        return real_steps(cur, q)
+    monkeypatch.setattr(qs, "_log_qpoch_real_steps", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("q,top", [(0.31, 20), (0.73, 5), (0.999, 0),
+                                   (-0.6, 5)])
+@pytest.mark.parametrize("n", [512, 1500])
+def test_real_chains_bit_identical(real_path_sizes, q, top, n):
+    c = _real_chains(np.random.default_rng([n, round(100 * abs(q))]), n, top)
+    _same_bits(log_qpoch_inf(c, q), log_qpoch_oracle(c, q))
+    assert real_path_sizes == [n]
+
+
+@pytest.mark.parametrize("q", [0.31, -0.6])
+def test_real_chains_all_at_their_zero_terms(real_path_sizes, q):
+    # every chain retires before its first term: the sums are all +0
+    rng = np.random.default_rng(54)
+    c = _ZERO_TERM * rng.uniform(-1.0, 1.0, 600).astype(complex)
+    c[::5] = _ZERO_TERM
+    c[1::5] = -_ZERO_TERM
+    c.imag[::2] = -0.0
+    got = log_qpoch_inf(c, q)
+    _same_bits(got, log_qpoch_oracle(c, q))
+    _same_bits(got, np.zeros(600, dtype=complex))
+    assert real_path_sizes == [600]
+
+
+def test_one_complex_element_takes_the_general_loop(real_path_sizes):
+    c = _real_chains(np.random.default_rng(3), 600, 5)
+    c[17] = 0.3 + 1e-300j
+    _same_bits(log_qpoch_inf(c, 0.73), log_qpoch_oracle(c, 0.73))
+    assert real_path_sizes == []
+
+
+@pytest.mark.parametrize("cap", [1, 37, 100])
+def test_real_chains_factor_cap_bit_identical(monkeypatch, real_path_sizes,
+                                              cap):
+    monkeypatch.setattr(qs, "_QPROD_MAX_FACTORS", cap)
+    c = _real_chains(np.random.default_rng(cap), 600, 5)
+    _same_bits(log_qpoch_inf(c, 0.99), log_qpoch_oracle(c, 0.99))
+    assert real_path_sizes == [600]
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])

@@ -4,7 +4,7 @@ summary gaps and the worker count."""
 import pytest
 
 from rbeta import verify
-from rbeta.core import Tolerance
+from rbeta.core import Tolerance, VerificationRecord
 from rbeta.cli import main
 from rbeta.verify import (Identity, SuiteConfig, record_to_dict, run_suite,
                           suite_jobs)
@@ -64,6 +64,19 @@ def test_suite_composition():
         assert len(jobs) == counts[suite]
         assert [d for d, _ in jobs] == [0] * len(order) + [1] * len(order)
         assert [(e.id, e.tag) for _, e in jobs] == order + order
+
+
+def test_asymptotic_bound_record_can_fail():
+    # lhs is the bound's violation against an rhs of 0
+    entry = next(e for e in verify.IDENTITIES
+                 if e.id == "qpoch-asymptotic-bound")
+    assert entry.tol.rel == 0.0
+    assert not VerificationRecord.compare(entry.id, {}, 1e-3, 0j,
+                                          entry.tol).passed
+    for seed in range(40):
+        for draw in range(2):
+            rec = verify._run_job(seed, (draw, entry))
+            assert rec.passed, (seed, draw, rec.inputs, rec.lhs)
 
 
 def test_bad_draw_fails_only_its_record(monkeypatch):
