@@ -9,6 +9,7 @@ parse or domain errors and ill-formed specs; 3 every other library error
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
@@ -24,8 +25,19 @@ from .verify import SuiteConfig, run_suite, report_to_text, write_report
 _USAGE_ERRORS = (ValueError, IllFormedSpec, DomainError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes an argument that starts with "-" and a digit or "." for a
+    value, so --c -1e-3 and --z -0.5+0.1i parse as --c=-1e-3 does;
+    argparse's own rule knows only -N and -N.N.  Subcommand parsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rbeta",
         description="bilateral series, Ramanujan-type integrals, and "
                     "identity verification")

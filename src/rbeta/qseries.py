@@ -174,39 +174,29 @@ def log_qpoch_inf(c, q: complex):
     fewer per call), whose bits the golden abel-poisson-kernel records hold.
 
     A scalar c is summed in one vectorized sweep over k, up to the first
-    |c q^k| below 1e-17.  An array c is summed as by the factor loop
+    |c q^k| below 1e-17.  An array c gets the bits of the factor loop
 
         cur = c; out = 0
         repeat: out += log1p(-cur); cur = cur * q
         until max |cur| < 1e-17 over the finite elements
 
-    and, for real q, with the same bits (signed zeros included): each
-    element gets the terms log1p(-cur) of the same chain cur = cur * q,
-    summed in the same order, and stops at the same global factor count.
+    for every q and size, signed zeros included: each element gets the terms
+    log1p(-cur) of the same chain cur = cur * q, summed in the same order,
+    and stops at the same global factor count.
 
-    Arrays of fewer than 512 elements (the one-point truncation probes
-    among them) take B factors per pass, B from a fixed cell budget over
-    the array size: one multiply.accumulate builds the B power rows, one
-    row reduction of |cur| finds the stopping factor, one log1p and one
-    add.accumulate sum the rows up to it.  Both scans run row after row,
-    so each element sees the loop's products and sums.  For complex q,
-    accumulate multiplies differently from the binary product, and these
-    sums agree with the loop's to about 1e-14 relative.
+    Arrays take B factors per pass, B from a fixed cell budget over the
+    array size.  The B power rows come from one multiply.accumulate for
+    real q, and from one binary multiply per row for complex q, where
+    accumulate rounds differently.  One row reduction of |cur| finds the
+    stopping factor, one log1p and one add.accumulate sum the rows up to
+    it.  Both scans run row after row, so each element sees the loop's
+    products and sums.
 
-    Larger node arrays take one factor per pass and retire an element once
-    its next term provably cannot change its sum.  With |cur| < 1/2 every
-    later term's components are below 2|cur|, and a component s of the sum
-    with 2|cur| <= 2^-54 |s| then never rounds.  An imaginary part is also
-    settled when q and cur are real: every later imaginary part is then a
-    signed zero, which changes no sum but -0.0, and the sums start at +0.0
-    and never hold -0.0.  Retired chains keep entering the stop test, so
-    the survivors stop exactly where the loop stops.
-
-    Large arrays of real chains, real q and every Im c a signed zero, skip
-    the stop test instead: they run largest |Re c| first, and each chain
-    retires at its first factor with |Re cur| <= 2^-54.  numpy's complex
-    log1p(x) is log(hypot(1 + Re x, Im x)) + i atan2(Im x, 1 + Re x), and
-    1 - cur rounds to 1 there, so that term and every later one are
+    Arrays of 512 or more real chains, real q and every Im c a signed zero,
+    skip the stop test instead: they run largest |Re c| first, and each
+    chain retires at its first factor with |Re cur| <= 2^-54.  numpy's
+    complex log1p(x) is log(hypot(1 + Re x, Im x)) + i atan2(Im x, 1 + Re x),
+    and 1 - cur rounds to 1 there, so that term and every later one are
     (+0, +-0), which change no sum.  Multiplying by a real q keeps |Re cur|
     in order, so the retired chains stay a suffix, and the loop's own stop,
     every |cur| < 1e-17 < 2^-54, never comes before a chain's zero term.
@@ -238,7 +228,9 @@ def log_qpoch_inf(c, q: complex):
     c_arr = np.asarray(c, dtype=complex)
     finite = np.isfinite(c_arr)
     c_fin = c_arr[finite]
-    kernel = _log_qpoch_blocks if c_fin.size < _STEP_MIN_SIZE else _log_qpoch_steps
+    real_chains = (c_fin.size >= _STEP_MIN_SIZE and q.imag == 0.0
+                   and not c_fin.imag.any())
+    kernel = _log_qpoch_real_steps if real_chains else _log_qpoch_blocks
     with np.errstate(divide="ignore", over="ignore"):
         sums = kernel(c_fin, q) if c_fin.size else c_fin
     if c_fin.size == c_arr.size:
@@ -248,23 +240,19 @@ def log_qpoch_inf(c, q: complex):
     return out
 
 
-# complex cells per block of the small-array kernel
+# complex cells per block of the block kernel
 _QPROD_BLOCK_CELLS = 1 << 15
-# array size from which the one-factor kernel with retirement is faster
-# than the block kernel (CHANGES.md has the timings on both sides)
+# array size from which real chains take the one-factor kernel, faster than
+# the block kernel there (CHANGES.md has the timings on both sides)
 _STEP_MIN_SIZE = 512
-# factors between retirement checks of the large-array kernel
-_RETIRE_EVERY = 16
-# |cur| * 2^55 <= |s| retires: 2|cur| is at most 2^-54 |s|
-_RETIRE_SCALE = 2.0 ** 55
 # 1 - x rounds to 1 for |x| <= 2^-54, so log1p(-cur) is (+0, +-0) for a real
 # chain value cur at or below it
 _ZERO_TERM = 2.0 ** -54
 
 
 def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
-    """The factor loop of log_qpoch_inf on a small 1-D array of finite c,
-    run B factors per pass."""
+    """The factor loop of log_qpoch_inf on a 1-D array of finite c, run B
+    factors per pass."""
     n = cur.size
     rows_max = max(1, _QPROD_BLOCK_CELLS // n)
     log_q = math.log(abs(q))
@@ -284,8 +272,13 @@ def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
         rows = min(rows_max, guess, _QPROD_MAX_FACTORS - done)
         powers = np.empty((rows + 1, n), dtype=complex)
         powers[0] = cur
-        powers[1:] = q
-        np.multiply.accumulate(powers, axis=0, out=powers)
+        if q.imag:
+            # accumulate's complex multiply rounds unlike the loop's
+            for k in range(rows):
+                np.multiply(powers[k], q, out=powers[k + 1])
+        else:
+            powers[1:] = q
+            np.multiply.accumulate(powers, axis=0, out=powers)
         row_max = np.abs(powers[1:]).max(axis=1)
         below = row_max < _QPROD_EPS
         stop = bool(below.any())
@@ -303,43 +296,10 @@ def _log_qpoch_blocks(cur: np.ndarray, q: complex) -> np.ndarray:
         top = float(row_max[-1])
 
 
-def _log_qpoch_steps(cur: np.ndarray, q: complex) -> np.ndarray:
-    """The factor loop of log_qpoch_inf on a large 1-D array of finite c,
-    one factor per pass, with retirement; works in place on cur.  The live
-    chains cur keep their sums and positions idx; retired chains move to
-    gone, which only the stop test reads.  Real chains take
-    _log_qpoch_real_steps."""
-    real_q = q.imag == 0.0
-    if real_q and not cur.imag.any():
-        return _log_qpoch_real_steps(cur, q)
-    out = np.empty(cur.size, dtype=complex)
-    idx = np.arange(cur.size)
-    sums = np.zeros(cur.size, dtype=complex)
-    gone = np.empty(0, dtype=complex)
-    for done in range(1, _QPROD_MAX_FACTORS + 1):
-        term = np.negative(cur)
-        sums += np.log1p(term, out=term)
-        cur *= q
-        gone *= q
-        if max(np.abs(cur).max(), np.abs(gone).max(initial=0.0)) < _QPROD_EPS:
-            break
-        if done % _RETIRE_EVERY:
-            continue
-        retire = _settled(cur, sums, real_q)
-        if retire.any():
-            out[idx[retire]] = sums[retire]
-            gone = np.concatenate((gone, cur[retire]))
-            keep = ~retire
-            cur, sums, idx = cur[keep], sums[keep], idx[keep]
-            if not idx.size:
-                return out
-    out[idx] = sums
-    return out
-
-
 def _log_qpoch_real_steps(cur: np.ndarray, q: complex) -> np.ndarray:
-    """_log_qpoch_steps for real q and every Im c a signed zero: the chains
-    run largest |Re c| first, and each retires at its first factor with
+    """The factor loop of log_qpoch_inf on a 1-D array of finite c, for real
+    q and every Im c a signed zero, one factor per pass.  The chains run
+    largest |Re c| first, and each retires at its first factor with
     |Re cur| <= 2^-54, whose term and all later ones are (+0, +-0)."""
     order = np.argsort(np.abs(cur.real))[::-1]
     cur = cur[order]
@@ -360,16 +320,6 @@ def _log_qpoch_real_steps(cur: np.ndarray, q: complex) -> np.ndarray:
     out = np.empty(cur.size, dtype=complex)
     out[order] = sums
     return out
-
-
-def _settled(cur: np.ndarray, sums: np.ndarray, real_q: bool) -> np.ndarray:
-    """Elements whose later terms cannot change their sums, given the next
-    chain values cur."""
-    scaled = np.abs(cur) * _RETIRE_SCALE
-    calm_im = scaled <= np.abs(sums.imag)
-    if real_q:
-        calm_im |= cur.imag == 0.0
-    return (scaled < _RETIRE_SCALE / 2) & (scaled <= np.abs(sums.real)) & calm_im
 
 
 def log_qpoch_lattice(factors: Sequence[Tuple[complex, complex, int]],

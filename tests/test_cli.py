@@ -82,6 +82,22 @@ def test_non_finite_literal_exit2(literal):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("args,option", [
+    (["eval-h", "--c", "-1e-3", "--d", "1.5", "--z", "0.5"], "--c"),
+    (["eval-h", "--c", "0.3", "--d", "1.5", "--z", "-0.5+0.1i"], "--z"),
+    (["integrate", "--a", "0.3", "--b", "0.4", "--t", "-1e-1"], "--t"),
+])
+def test_negative_literal_is_a_value(args, option):
+    # argparse alone takes -1e-3 and -0.5+0.1i for options and exits 2
+    k = args.index(option)
+    joined = args[:k] + [f"{option}={args[k + 1]}"] + args[k + 2:]
+    got = run(args)
+    assert "expected one argument" not in got[2]
+    assert got == run(joined)
+    if args[0] == "integrate":
+        assert got[0] == 0 and got[1].startswith("value: ")
+
+
 def test_eval_psi_command():
     code, out, _ = run(["eval-psi", "--a", "0.2", "--b", "0.05", "--q", "0.5",
                         "--z", "0.4"])

@@ -4,17 +4,16 @@
 ``rbeta.qseries.log_qpoch_inf``, kept here verbatim as the reference: one
 pass of five numpy calls per factor over the whole array, stopping after the
 first factor count at which every |c q^k| is below 1e-17.  The library now
-takes small arrays many factors per pass and retires elements of large ones
-once their sums can no longer move.  For real q it must reproduce the
-loop's bits exactly, signed zeros and nan positions included.  So must
-large arrays for complex q.  For small arrays and complex q, numpy's
-``multiply.accumulate`` does not use the binary product's complex multiply,
-so they may differ in the last bits; they are held to 1e-13 relative.
+takes many factors per pass.  It must reproduce the loop's bits exactly for
+real and complex q at every size, signed zeros and nan positions included.
+For complex q it builds its power rows with the loop's binary multiply,
+since numpy's ``multiply.accumulate`` rounds complex products differently.
 
 Large arrays of real chains (real q, every imaginary part of c a signed
 zero) skip the loop's stop test: each chain retires at its first factor with
 |Re cur| <= 2^-54, where numpy's complex ``log1p(-cur)`` is exactly
-(+0, +-0), a premise checked here on its own.
+(+0, +-0), a premise checked here on its own.  Spies check which arrays
+take that kernel.
 
 The loop reduces ``np.abs(cur).max()``, which raises on an empty array, so
 size 0 is checked on its own.
@@ -99,8 +98,8 @@ def test_real_q_bit_identical_60000(q):
 
 @pytest.mark.parametrize("q", _REAL_Q)
 def test_real_c_bit_identical(q):
-    # real c and real q keep every imaginary part a signed zero, the case
-    # in which a zero imaginary part of the sum may retire
+    # real c and real q keep every imaginary part a signed zero: 5 elements
+    # take the block kernel, 900 the real-chain kernel
     rng = np.random.default_rng(7)
     for n in (5, 900):
         c = 10.0 ** rng.uniform(-20.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
@@ -148,24 +147,16 @@ def test_factor_cap_bit_identical(monkeypatch, n, cap):
                                0.99j])
 @pytest.mark.parametrize("shape", [(1,), (7,), (300,), (900,)])
 def test_complex_q_close(q, shape):
-    rng = np.random.default_rng(len(shape) + shape[0])
-    c = _draw(rng, shape, 30)
-    got, want = log_qpoch_inf(c, q), log_qpoch_oracle(c, q)
-    if c.size >= qs._STEP_MIN_SIZE:
-        # one factor per pass multiplies as the loop does
-        _same_bits(got, want)
-    finite = np.isfinite(want)
-    assert np.array_equal(finite, np.isfinite(got))
-    err = np.abs(got[finite] - want[finite])
-    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+    # every power row is one binary multiply, as in the loop
+    c = _draw(np.random.default_rng(len(shape) + shape[0]), shape, 30)
+    _same_bits(log_qpoch_inf(c, q), log_qpoch_oracle(c, q))
 
 
-def test_retired_chain_keeps_the_loop_going():
-    # Large arrays multiply like the loop, so complex q gives the same bits
-    # there too.  The small c is turned until the imaginary part of its sum
-    # cancels to about 1e-19: its terms still move that part after c = 1e6
-    # has retired and the live chains are all below 1e-17, so the sums are
-    # right only if the retired chain keeps the loop going.
+def test_the_largest_chain_keeps_the_loop_going():
+    # The small c is turned until the imaginary part of its sum cancels to
+    # about 1e-19: its terms still move that part while only c = 1e6 keeps
+    # its chain above 1e-17, so the sums are right only if every chain runs
+    # to the global stop.
     q = 0.9 * cmath.exp(0.4j)
     im_sum = lambda t: log_qpoch_oracle([1e-3 * cmath.exp(1j * t)], q)[0].imag
     lo = cmath.phase(1 - q) - 0.3
@@ -252,10 +243,19 @@ def test_real_chains_all_at_their_zero_terms(real_path_sizes, q):
     assert real_path_sizes == [600]
 
 
-def test_one_complex_element_takes_the_general_loop(real_path_sizes):
+def test_one_complex_element_takes_the_block_kernel(real_path_sizes):
     c = _real_chains(np.random.default_rng(3), 600, 5)
     c[17] = 0.3 + 1e-300j
     _same_bits(log_qpoch_inf(c, 0.73), log_qpoch_oracle(c, 0.73))
+    assert real_path_sizes == []
+
+
+@pytest.mark.parametrize("q", [0.73, -0.6, 0.5 + 0.3j, 0.9 * np.exp(0.4j)])
+@pytest.mark.parametrize("n", [600, 5000])
+def test_large_complex_chains_bit_identical(real_path_sizes, q, n):
+    # complex c or complex q take the block kernel at every size
+    c = _draw(np.random.default_rng([n, 17]), (n,), 5)
+    _same_bits(log_qpoch_inf(c, q), log_qpoch_oracle(c, q))
     assert real_path_sizes == []
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import compare
+from rbeta import qseries, verify
 from rbeta.core import DEFAULT_TOL, Tolerance
 from rbeta.errors import (AnnulusViolation, DomainError, StripViolation,
                           ToleranceNotReached)
@@ -343,6 +344,27 @@ def test_abel_kernel_probes_each_abscissa_once(monkeypatch):
     monkeypatch.setattr(QIntegrandSpec, "log_f", counting)
     abel_poisson_psi(spec, [0.9, 0.99, 0.999])
     assert probes and len(probes) == len(set(probes))
+
+
+def test_abel_kernel_arrays_are_real_chains(monkeypatch):
+    # the suite's Abel records are the array path's only caller: every
+    # array holds real chains, and the large ones take the one-factor kernel
+    calls = []
+    for name in ("_log_qpoch_blocks", "_log_qpoch_real_steps"):
+        def spy(cur, q, kernel=getattr(qseries, name), name=name):
+            calls.append((name, cur.size, q.imag == 0.0 and not cur.imag.any()))
+            return kernel(cur, q)
+        monkeypatch.setattr(qseries, name, spy)
+    entry = next(e for e in verify.IDENTITIES if e.id == "abel-poisson-kernel")
+    for seed in range(4):
+        for draw in range(2):
+            entry.check(verify._rng_for(seed, entry.tag, draw), draw)
+    assert {name for name, _, _ in calls} == {"_log_qpoch_blocks",
+                                              "_log_qpoch_real_steps"}
+    for name, size, real in calls:
+        assert real
+        assert (name == "_log_qpoch_real_steps") == (
+            size >= qseries._STEP_MIN_SIZE)
 
 
 @pytest.mark.parametrize("kind,params", [
