@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="trigonometric weight: none or gm:<order>")
     ig.add_argument("--q", help="base: switches to the q-deformed integrand")
     ig.add_argument("--w", help="q-integrand w parameters, comma separated")
-    ig.add_argument("--tol", type=float, default=1e-10)
+    ig.add_argument("--tol", type=float,
+                    help="q-integrand tolerance (default 1e-10)")
 
     vf = sub.add_parser("verify", help="run a named verification suite")
     vf.add_argument("--suite", required=True)
@@ -143,7 +144,6 @@ def _cmd_integrate(args) -> int:
         raise ValueError(f"expected {m} entries in --a and --b "
                          f"(got {len(a)} and {len(b)})")
     t = parse_complex(args.t)
-    tol = Tolerance(abs=args.tol, rel=args.tol)
     if args.q is not None:
         if _parse_weight(args.weight):
             raise ValueError("--weight applies to classical integrands only (drop --q)")
@@ -151,14 +151,17 @@ def _cmd_integrate(args) -> int:
         if len(w) != m:
             raise ValueError(f"expected {m} entries in --w (got {len(w)})")
         spec = QIntegrandSpec(parse_complex(args.q), a, b, w, t)
-        res = q_integrate(spec, tol)
+        tol = 1e-10 if args.tol is None else args.tol
+        res = q_integrate(spec, Tolerance(abs=tol, rel=tol))
     else:
         if args.w is not None:
             raise ValueError("--w applies to q integrands only (give --q)")
+        if args.tol is not None:
+            raise ValueError("--tol applies to q integrands only (give --q)")
         if t.imag != 0:
             raise ValueError("classical integrands need real t")
         spec = IntegrandSpec(a, b, t.real, _parse_weight(args.weight))
-        res = integrate(spec, tol)
+        res = integrate(spec)
     print(f"value: {format_complex(res.value)}")
     print(f"est_error: {res.est_error:.3e}")
     print(f"panels: {res.panels}")

@@ -38,8 +38,7 @@ Gauss weights, scaled by the row phases.  Exponentials are taken on rows
 and cells only, not on every node.
 
 Where a check needs a kernel at several points it makes one array call:
-both tails' signal series go to one Levin call, the truncation point's
-candidates are probed by one _f_core call, and each gamma product (the
+both tails' signal series go to one Levin call, and each gamma product (the
 grid-sum prefactors, and the closed forms' bilateral._gamma_ratio with or
 without a denominator) is one gamma or recip_gamma call per list, its
 factors multiplied in order.  An element of these kernels, and a row of
@@ -64,7 +63,7 @@ from numpy.polynomial.legendre import leggauss
 from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
                         cancel_matching_parameters)
-from .core import Tolerance, DEFAULT_TOL
+from .core import DEFAULT_TOL
 from .errors import ConstraintViolation, MarginViolation
 from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
 from .quadrature import (QuadratureResult, gauss20, panel_nodes, panel_sums,
@@ -378,45 +377,27 @@ def _tail_sum(m: int, coefs: np.ndarray, amps: np.ndarray, values: np.ndarray,
     return value / math.pi ** m, err / math.pi ** m
 
 
-def _choose_X(spec: IntegrandSpec, tol_abs: float) -> int:
+def _choose_X(spec: IntegrandSpec) -> int:
+    """The truncation point: 8 + 2 max(|Re param|, |Im param|), clamped to
+    [16, 96], then moved out to max|Re param| + 8.  The Levin transform of
+    the tails sums their algebraic decay past any X, so X depends on the
+    parameters alone."""
     re_max = max(abs(x.real) for x in spec.a + spec.b)
     im_max = max(abs(x.imag) for x in spec.a + spec.b)
-    # candidate truncation points X, X + 10, ... up to the first at or past
-    # 96, each probed at X/2 and X, all by one _f_core call
-    Xs = [max(16.0, 8.0 + 2.0 * max(re_max, im_max))]
-    while Xs[-1] < 96.0:
-        Xs.append(Xs[-1] + 10.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        probes = np.abs(_f_core(spec, np.array([(X / 2.0, X) for X in Xs])))
-    # empirical tail fit: |f| ~ C (1+x)^(m-1-s); take the first X whose raw
-    # algebraic bound falls below a loose target (the accelerated tail
-    # integration then removes the rest)
-    s = spec.decay_exponent.real
-    expo = s - (spec.m - 1)
-    target = max(tol_abs, 1e-12) * 1e3
-    for X, probe in zip(Xs, probes.max(axis=1).tolist()):
-        if expo > 1.0:
-            bound = probe * (1.0 + X) / (expo - 1.0)
-        else:
-            bound = probe * (1.0 + X)
-        if bound <= target:
-            break
     # the tails take log-gammas on Re z >= 1/2 and carry R by factors that
     # must stay clear of zero: never start them inside the parameters
-    return math.ceil(max(min(X, 96.0), re_max + 8.0))
+    return math.ceil(max(min(max(16.0, 8.0 + 2.0 * max(re_max, im_max)), 96.0),
+                         re_max + 8.0))
 
 
-def integrate(spec: IntegrandSpec,
-              tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
+def integrate(spec: IntegrandSpec) -> QuadratureResult:
     """Evaluate the integral by Gauss panels on [-X, X] plus reflected,
     accelerated oscillatory tails on both sides, _panels_per_unit(m pi + |t|
-    + max |nu|) panels a unit interval.  Only tol.abs is read: it sets how
-    far the truncation point X may move out."""
+    + max |nu|) panels a unit interval, with X = _choose_X(spec)."""
     _require_margin(spec)
-    tol_abs = max(tol.abs, 1e-14)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
     sub = _panels_per_unit(spec.m * math.pi + abs(spec.t) + wmax)
-    X = _choose_X(spec, tol_abs)
+    X = _choose_X(spec)
     core, core_err, n_panels, peak = _core(spec, X, sub)
     # tail signals below 1e-18 are dropped, scaled down with an integrand
     # that peaks below 1

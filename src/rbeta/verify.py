@@ -725,11 +725,13 @@ def _worker_count() -> int:
 
 def _run_job(seed: int, job: Tuple[int, Identity]) -> VerificationRecord:
     draw, entry = job
+    # built before the clock starts: the first default_rng call of a
+    # process imports numpy.random's generator machinery (8-24 ms)
+    rng = _rng_for(seed, entry.tag, draw)
     t0 = time.perf_counter()
     try:
         rec = VerificationRecord.compare(
-            entry.id, *entry.check(_rng_for(seed, entry.tag, draw), draw),
-            entry.tol)
+            entry.id, *entry.check(rng, draw), entry.tol)
     except Exception as exc:
         # one bad draw fails its record, not the suite
         rec = VerificationRecord(entry.id, {"error": str(exc),

@@ -151,6 +151,10 @@ def test_integrate_weight_and_q():
     code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
                         "--w", "1.0", "--t", "0.3", "--weight", "none"])
     assert code == 0
+    # --tol belongs to the q integrand
+    code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
+                        "--w", "1.0", "--t", "0.3", "--tol", "1e-8"])
+    assert code == 0
 
 
 @pytest.mark.parametrize("args", [
@@ -159,6 +163,8 @@ def test_integrate_weight_and_q():
     ["--a", "0.5", "--b", "0.5", "--w", "7"],
     # the q integrand takes no trigonometric weight
     ["--a", "2.5", "--b", "0.3", "--q", "0.5", "--weight", "gm:2"],
+    # the classical integrand takes no tolerance
+    ["--a", "0.5", "--b", "0.5", "--tol", "1e-8"],
 ])
 def test_integrate_option_of_the_other_integrand_exit2(args):
     code, out, err = run(["integrate"] + args)

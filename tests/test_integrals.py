@@ -1,6 +1,7 @@
 """Classical Ramanujan-type integrals: quadrature, grid sums, closed forms."""
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import compare
+from rbeta import integrals
 from rbeta.acceleration import levin_u
 from rbeta.bilateral import (BilateralSeriesSpec, HKind, _gamma_ratio,
                              closed_form_H, eval_H)
-from rbeta.core import DEFAULT_TOL, Tolerance
+from rbeta.core import Tolerance
 from rbeta.errors import ConstraintViolation, MarginViolation, PoleError
 from rbeta.gammafns import gamma, recip_gamma
 from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
@@ -157,11 +159,10 @@ def test_poisson_preconditions():
 
 def test_transform_vanishes_beyond_support():
     # |t| > m pi: the transform of m factor pairs is zero
-    tol = Tolerance(abs=1e-8)
     for a, b, ts in (([0.5], [0.6], (math.pi + 0.2, 4.0, 7.0)),
                      ([0.4, 0.5, 0.6], [0.3, 0.4, 0.5], (3 * math.pi + 0.5,))):
         for t in ts:
-            assert abs(integrate(IntegrandSpec(a, b, t), tol).value) <= tol.abs
+            assert abs(integrate(IntegrandSpec(a, b, t)).value) <= 1e-8
 
 
 def test_integral_repr_m1_reduces_to_1h1():
@@ -206,8 +207,8 @@ def test_odd_part_cancellation(rng):
 def test_beta_closed_forms_match_quadrature(kind, params):
     want = beta_integral_closed(kind, params)
     got = integrate(integrand_spec_for(kind, params)).value
-    # at most 5.7e-15 off but for the small-parameter RamanujanM2 case,
-    # whose integrand decays like |x|^-1.24 (3.3e-10 off)
+    # at most 2.4e-15 off but for the small-parameter RamanujanM2 case,
+    # whose integrand decays like |x|^-1.24 (1.2e-10 off)
     tol = 2e-9 if params.get("a1") == 0.05 else 1e-12
     assert abs(got - want) <= tol * abs(want)
 
@@ -326,16 +327,16 @@ def _lattice_specs():
 
 def test_core_lattice_matches_direct_pair_product():
     # every node of the core lattice, weight and phase included, against
-    # the integrand evaluated directly at that node
+    # the integrand evaluated directly at that node, at the X that
+    # _choose_X picks and at X = 96, which large parameters reach
     for spec in _lattice_specs():
-        X = _choose_X(spec, 1e-12)
-        for sub in (2, 5):
+        for X, sub in itertools.product({_choose_X(spec), 96}, (2, 5)):
             x, G = _core_lattice(spec, X, sub)
             assert x.shape == (2 * X, 30 * sub)
             got = G * _weight_phase(spec, x)
             want = _f_core(spec, x)
             scale = np.abs(want).max()
-            assert np.abs(got - want).max() <= 5e-14 * scale, (spec, sub)
+            assert np.abs(got - want).max() <= 5e-14 * scale, (spec, X, sub)
 
 
 def test_unit_lattice_reanchors_after_a_small_denominator():
@@ -398,21 +399,22 @@ def _mp_tail_R(num, den, x) -> complex:
 
 def test_tail_R_carried_over_all_intervals():
     # R carried across the 48 tail intervals from its first row, at the X
-    # that _choose_X picks, against mpmath on two nodes of every interval:
-    # each factor of each step adds its rounding, and exp that of log R
-    # (largest error 7.3e-14 at m = 6, |a_j| = 12; the log-gamma difference
-    # that R used to be evaluated with was up to 3e-13 off at X = 96)
+    # that _choose_X picks and at X = 96, against mpmath on two nodes of
+    # every interval: each factor of each step adds its rounding, and exp
+    # that of log R (largest error 7.3e-14 at m = 6, |a_j| = 12; the
+    # log-gamma difference that R used to be evaluated with was up to 3e-13
+    # off at X = 96)
+    cell, _ = _tail_cell(3)
     for spec in _lattice_specs():
-        X = _choose_X(spec, 1e-12)
-        cell, _ = _tail_cell(3)
-        for num, den in ((spec.b, spec.a), (spec.a, spec.b)):
+        for X, (num, den) in itertools.product(
+                {_choose_X(spec), 96}, ((spec.b, spec.a), (spec.a, spec.b))):
             x, R = _tail_R(num, den, X, cell)
             assert x.shape == (48, 48)
             for k in range(48):
                 for c in (0, 47):
                     want = _mp_tail_R(num, den, x[k, c])
                     tol = 5e-15 * spec.m + 4e-16 * abs(cmath.log(want))
-                    assert abs(R[k, c] - want) <= tol * abs(want), (spec, k)
+                    assert abs(R[k, c] - want) <= tol * abs(want), (spec, X, k)
 
 
 def test_choose_X_clears_large_parameters():
@@ -520,8 +522,8 @@ def test_tail_intervals_match_per_node_phases():
     assert {nu for _, nu in specs[0].weight_terms()} == {
         math.pi, -math.pi, 3 * math.pi, -3 * math.pi}
     for spec in specs:
-        X = _choose_X(spec, 1e-12)
-        assert X == (158 if spec.a[0] == 150 else 96)
+        # the far truncation points stress the phase arguments w x
+        X = 158 if spec.a[0] == 150 else 96
         for num, den, freqs in _tail_sides(spec):
             cell, weights = _tail_cell(4)
             x, R = _tail_R(num, den, X, cell)
@@ -597,41 +599,56 @@ def test_integral_repr_prefactor_bit_identical_to_scalar_loop():
         assert _bits(series) == _bits(c0 * eval_H(hs).value), (a, b, t)
 
 
-def choose_X_stepping(spec, tol_abs):
-    """_choose_X as a loop that probes one truncation point per step."""
-    re_max = max(abs(x.real) for x in spec.a + spec.b)
-    im_max = max(abs(x.imag) for x in spec.a + spec.b)
-    X = max(16.0, 8.0 + 2.0 * max(re_max, im_max))
-    expo = spec.decay_exponent.real - (spec.m - 1)
-    target = max(tol_abs, 1e-12) * 1e3
-    for _ in range(12):
-        probe = float(np.abs(_f_core(spec, np.array([X / 2.0, X]))).max())
-        bound = probe * (1.0 + X) / (expo - 1.0) if expo > 1.0 else probe * (1.0 + X)
-        if bound <= target or X >= 96.0:
-            break
-        X += 10.0
-    return math.ceil(max(min(X, 96.0), re_max + 8.0))
-
-
 @pytest.mark.parametrize("spec,X", [
-    (IntegrandSpec([2.0, 2.0], [2.0, 2.0], 0.0), 16),          # first
-    (IntegrandSpec([1.2, 0.8], [0.9, 1.1], 0.0), 46),          # a middle one
-    (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0), 96),       # the 96 cap
-    (IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5), 96),
-    (IntegrandSpec([40.0], [0.3], 0.5), 88),                   # starts at 88
-    (IntegrandSpec([120.0], [0.3], 0.5), 128),                 # starts past 96
+    (IntegrandSpec([2.0, 2.0], [2.0, 2.0], 0.0), 16),
+    (IntegrandSpec([1.2, 0.8], [0.9, 1.1], 0.0), 16),
+    (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0), 16),
+    (IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5), 16),
+    (IntegrandSpec([40.0], [0.3], 0.5), 88),                   # 8 + 2 |a|
+    (IntegrandSpec([120.0], [0.3], 0.5), 128),                 # past 96
 ])
-def test_choose_X_matches_stepping_loop(spec, X):
-    for tol in (1e-12, 1e-8):
-        assert _choose_X(spec, tol) == choose_X_stepping(spec, tol)
-    assert _choose_X(spec, 1e-12) == X
+def test_choose_X_follows_the_parameters(spec, X):
+    assert _choose_X(spec) == X
+    assert integrate(spec).truncation_X == X
+
+
+def test_integrate_makes_no_core_probe(monkeypatch):
+    def probe(*_):
+        raise AssertionError("_f_core called")
+
+    monkeypatch.setattr(integrals, "_f_core", probe)
+    for spec in (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0),
+                 IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5, weight_gm(1)),
+                 integrand_spec_for(BetaKind.M4_VWP,
+                                    dict(a=0.3, b1=0.2, b2=0.35, b3=0.5))):
+        integrate(spec)
+
+
+@pytest.mark.parametrize("spec,want", [
+    # the integrands whose X a search on probes of |f| moved to 46, 96
+    # and 96; the Levin-summed tails reach their closed forms from X = 16
+    (IntegrandSpec([1.2, 0.8], [0.9, 1.1], 0.0),
+     beta_integral_closed(BetaKind.RAMANUJAN_M2,
+                          dict(a1=1.2, a2=0.8, b1=0.9, b2=1.1))),
+    (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0),
+     beta_integral_closed(BetaKind.RAMANUJAN_M2,
+                          dict(a1=0.05, a2=0.1, b1=0.02, b2=0.07))),
+    (IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5),
+     fourier_single_factor(0.3 + 0.5j, 0.4 - 2j, 0.5)),
+])
+def test_slowly_decaying_integrands_at_the_first_X(spec, want):
+    # est_error's roundoff term, 1e-16 |value|, lies under the rounding of
+    # the two routes: at a = (1.2, 0.8), b = (0.9, 1.1) the closed form is
+    # 1.8e-15 and the quadrature 1.6e-15 off 40-digit mpmath (3.3e-15
+    # apart, est_error 4.7e-16; 3.1e-15 and 4.4e-16 at the former X = 46)
+    res = integrate(spec)
+    assert abs(res.value - want) <= res.est_error + 4e-15 * abs(want)
 
 
 def integrate_per_side(spec):
     """integrate with one levin_u call per tail."""
-    tol_abs = max(DEFAULT_TOL.abs, 1e-14)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
-    X = _choose_X(spec, tol_abs)
+    X = _choose_X(spec)
     sub = _panels_per_unit(spec.m * math.pi + abs(spec.t) + wmax)
     core, core_err, _, peak = _core(spec, X, sub)
     cutoff = 1e-18 * min(1.0, peak)

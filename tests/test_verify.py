@@ -79,6 +79,31 @@ def test_asymptotic_bound_record_can_fail():
             assert rec.passed, (seed, draw, rec.inputs, rec.lhs)
 
 
+def test_record_clock_starts_after_its_rng(monkeypatch):
+    # the first default_rng call of a process imports numpy.random's
+    # generator machinery; runtime_ms bills the check, not that import
+    calls = []
+    rng_for, perf_counter = verify._rng_for, verify.time.perf_counter
+
+    def spy_rng(*args):
+        calls.append("rng")
+        return rng_for(*args)
+
+    def spy_clock():
+        calls.append("clock")
+        return perf_counter()
+
+    def check(rng, *_):
+        calls.append("check")
+        return {}, 1.0, 1.0
+
+    monkeypatch.setattr(verify, "_rng_for", spy_rng)
+    monkeypatch.setattr(verify.time, "perf_counter", spy_clock)
+    entry = Identity("spy", "classical-core", Tolerance(abs=1e-12), check)
+    assert verify._run_job(0, (0, entry)).passed
+    assert calls == ["rng", "clock", "check", "clock"]
+
+
 def test_bad_draw_fails_only_its_record(monkeypatch):
     monkeypatch.setenv("RB_THREADS", "1")
     cfg = SuiteConfig(suite="classical-core", seed=3, draws_per_identity=1)
