@@ -111,9 +111,11 @@ def _stirling_series(z: np.ndarray) -> np.ndarray:
     return acc * r
 
 
-def log_gamma_shift_ratio(x: np.ndarray, a: complex, b: complex) -> np.ndarray:
+def log_gamma_shift_ratio(x: np.ndarray, a: ArrayLike,
+                          b: ArrayLike) -> np.ndarray:
     """log Gamma(x + a) - log Gamma(x + b) for real x > 0 with Re(x + a) and
-    Re(x + b) at least 8.
+    Re(x + b) at least 8; x, a and b broadcast together, and an element
+    comes out the same as with its own scalar a and b.
 
     The difference of the two Stirling series, with log(x + c) split into
     log x + log(1 + c/x) so that the large parts cancel before rounding:
@@ -121,8 +123,8 @@ def log_gamma_shift_ratio(x: np.ndarray, a: complex, b: complex) -> np.ndarray:
     two log_gamma values carries a few ulps of |x log x|.
     """
     x = np.asarray(x, dtype=float)
-    a = complex(a)
-    b = complex(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
 
     def log1p_over(c: complex) -> np.ndarray:
         # log(1 + c/x) from |1 + c/x|^2 - 1 = u (2 + u) + v^2

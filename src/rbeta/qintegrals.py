@@ -385,7 +385,7 @@ def _kernel_integral(spec: QIntegrandSpec, r: float, lo: float,
                      hi: float) -> complex:
     """20-point Gauss sum of the integrand times the Poisson kernel on the
     panels of `_kernel_graded_edges(lo, hi, r)`."""
-    xs, _, half = panel_nodes(_kernel_graded_edges(lo, hi, r))
+    xs, half = panel_nodes(_kernel_graded_edges(lo, hi, r))
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp(spec.log_f(xs) - 1j * spec.t * xs)
     if r != 0.0:

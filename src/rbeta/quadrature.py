@@ -1,10 +1,10 @@
-"""Panel quadrature engines: composite Gauss-Legendre with order-doubling
-error estimates, and tanh-sinh for endpoint-singular finite-interval
-integrands.  Callers of the Gauss panels evaluate the integrand themselves
-on the nodes of `panel_nodes` (uniform or graded edges) and hand the values
-to `panel_sums`, or to `gauss20`, its 20-point sum alone, when they need no
-10-point error estimate.  tanh_sinh's integrand callables are vectorized
-(ndarray -> ndarray; its batch form also passes each node's interval index).
+"""Panel quadrature engines: composite 20-point Gauss-Legendre, and
+tanh-sinh for endpoint-singular finite-interval integrands.  Callers of the
+Gauss panels evaluate the integrand themselves on the nodes of `panel_nodes`
+(uniform or graded edges) and hand the values to `gauss20`; they size the
+panels for their integrand and estimate its rounding themselves.
+tanh_sinh's integrand callables are vectorized (ndarray -> ndarray; its
+batch form also passes each node's interval index).
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureResult", "gauss20", "panel_nodes", "panel_sums",
-           "tanh_sinh"]
+__all__ = ["QuadratureResult", "gauss20", "panel_nodes", "tanh_sinh"]
 
-_X10, _W10 = leggauss(10)
 _X20, _W20 = leggauss(20)
 # tanh-sinh sums its step variable k over [-3.8, 3.8]
 _TS_CUTOFF = 3.8
@@ -37,32 +35,18 @@ class QuadratureResult:
     truncation_X: float
 
 
-def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 20- and 10-point Gauss nodes of the panels between edges, panel
-    by panel, and the panel half-widths."""
+def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss nodes of the panels between edges, panel by
+    panel, and the panel half-widths."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    xs20 = (mid[:, None] + half[:, None] * _X20[None, :]).ravel()
-    xs10 = (mid[:, None] + half[:, None] * _X10[None, :]).ravel()
-    return xs20, xs10, half
+    return (mid[:, None] + half[:, None] * _X20[None, :]).ravel(), half
 
 
 def gauss20(f20: np.ndarray, half) -> np.ndarray:
     """The 20-point Gauss sum of each panel, from integrand values at the
     20-point nodes of panel_nodes, one panel a row."""
     return (f20 * _W20[None, :]).sum(axis=1) * half
-
-
-def panel_sums(f20: np.ndarray, f10: np.ndarray,
-               half) -> Tuple[complex, float, int]:
-    """(value, est_error, panels) from integrand values at the nodes of
-    panel_nodes, one panel a row: the 20-point sums and their summed
-    discrepancy from the 10-point ones."""
-    v20 = gauss20(f20, half)
-    v10 = (f10 * _W10[None, :]).sum(axis=1) * half
-    value = complex(v20.sum())
-    err = float(np.abs(v20 - v10).sum())
-    return value, err, len(f20)
 
 
 def tanh_sinh(f: Callable[..., np.ndarray], lo, hi: float,

@@ -251,3 +251,17 @@ def test_log_gamma_shift_ratio_against_mpmath():
             want = complex(mp.loggamma(mp.mpf(xi) + mp.mpc(a))
                            - mp.loggamma(mp.mpf(xi) + mp.mpc(b)))
             assert abs(g - want) <= 4e-16 * (abs(want) + abs(a) + abs(b))
+
+
+def test_log_gamma_shift_ratio_stacked_bit_identical_to_scalar_calls():
+    # arrays of a and b broadcast against x, each element as its own
+    # scalar call gives it, 2-D nodes as well as 1-D
+    x = np.linspace(16.0, 143.0, 24).reshape(4, 6)
+    a = np.array([-0.93, -1.2 + 0.3j, -5.5, -3.0 + 0.5j])
+    b = np.array([2.015, 1.7 - 0.2j, 0.0, 4.0 + 2.0j])
+    got = log_gamma_shift_ratio(x[None], a[:, None, None], b[:, None, None])
+    for j in range(len(a)):
+        want = log_gamma_shift_ratio(x, a[j], b[j])
+        assert np.array_equal(got[j].view(float), want.view(float))
+        flat = log_gamma_shift_ratio(x.ravel(), a[j], b[j])
+        assert np.array_equal(flat.view(float), want.ravel().view(float))

@@ -331,8 +331,8 @@ def test_core_lattice_matches_direct_pair_product():
     # _choose_X picks and at X = 96, which large parameters reach
     for spec in _lattice_specs():
         for X, sub in itertools.product({_choose_X(spec), 96}, (2, 5)):
-            x, G = _core_lattice(spec, X, sub)
-            assert x.shape == (2 * X, 30 * sub)
+            x, G, _ = _core_lattice(spec, X, sub)
+            assert x.shape == (2 * X, 20 * sub)
             got = G * _weight_phase(spec, x)
             want = _f_core(spec, x)
             scale = np.abs(want).max()
@@ -354,7 +354,7 @@ def test_unit_lattice_reanchors_after_a_small_denominator():
         def step(y):
             yield np.ones(y.shape, dtype=complex), y + alpha
 
-        v = _unit_lattice(x, direct, step)
+        v, _ = _unit_lattice(x, direct, step)
         want = direct(x)
         assert (np.abs(v - want)[32:] <= 1.5e-14 * np.abs(want)[32:]).all()
 
@@ -383,7 +383,7 @@ def test_unit_lattice_recomputes_from_underflowed_anchor():
     def step(y):
         yield np.full(y.shape, 1e11 + 0j), np.ones(y.shape, dtype=complex)
 
-    v = _unit_lattice(x, direct, step)
+    v, _ = _unit_lattice(x, direct, step)
     want = direct(x)
     assert np.all(np.abs(v - want) <= 1e-13 * np.abs(want))
     assert v[-1, 0] != 0
@@ -408,13 +408,45 @@ def test_tail_R_carried_over_all_intervals():
     for spec in _lattice_specs():
         for X, (num, den) in itertools.product(
                 {_choose_X(spec), 96}, ((spec.b, spec.a), (spec.a, spec.b))):
-            x, R = _tail_R(num, den, X, cell)
+            x, R, _ = _tail_R(num, den, X, cell)
             assert x.shape == (48, 48)
             for k in range(48):
                 for c in (0, 47):
                     want = _mp_tail_R(num, den, x[k, c])
                     tol = 5e-15 * spec.m + 4e-16 * abs(cmath.log(want))
                     assert abs(R[k, c] - want) <= tol * abs(want), (spec, X, k)
+
+
+def _mp_pair_product(spec, x) -> complex:
+    v = mp.mpf(1)
+    for aj, bj in zip(spec.a, spec.b):
+        v *= (mp.rgamma(mp.mpc(aj.real, aj.imag) + 1 + mp.mpf(x))
+              * mp.rgamma(mp.mpc(bj.real, bj.imag) + 1 - mp.mpf(x)))
+    return complex(v)
+
+
+def test_lattice_error_bounds_cover_the_carried_values():
+    # each carried value is within its anchor's error bound plus
+    # (4m + 2) ulps a step of 40-digit mpmath: the core's pair product on
+    # the rows within 6 of its anchors, and the tails' R on every fifth row
+    eps = np.finfo(float).eps
+    cell, _ = _tail_cell(2)
+    for spec in _lattice_specs():
+        X = _choose_X(spec)
+        x, G, (order, hops, anchor_rel) = _core_lattice(spec, X, 2)
+        run = np.cumsum(hops == 0) - 1
+        for r in np.flatnonzero(hops <= 6):
+            for c in (0, 17, 39):
+                want = _mp_pair_product(spec, x[order[r], c])
+                bound = anchor_rel[run[r], c] + (4 * spec.m + 2) * eps * hops[r]
+                assert abs(G[order[r], c] - want) <= bound * abs(want), (spec, r)
+        for num, den in ((spec.b, spec.a), (spec.a, spec.b)):
+            x, R, (hops, anchor_rel) = _tail_R(num, den, X, cell)
+            for k in range(0, 48, 5):
+                for c in (0, 31):
+                    want = _mp_tail_R(num, den, x[k, c])
+                    bound = anchor_rel[0, c] + (4 * spec.m + 2) * eps * hops[k]
+                    assert abs(R[k, c] - want) <= bound * abs(want), (spec, k)
 
 
 def test_choose_X_clears_large_parameters():
@@ -449,16 +481,16 @@ def _gauss_gap(n, omega, width):
 
 
 def test_panel_rule_resolves_the_fastest_signal():
-    # over the suites' frequencies w = m pi + |t| + max|nu|, both core rules
-    # integrate e^(i w x) over one panel to 1e-15 of its width h (the
-    # 20-point rule to 3e-15: numpy's 20 nodes and weights are themselves
-    # 1.5e-15 off at w h = pi); at three times the width the 10-point
-    # estimate is off by more than 1e-14 of it
+    # over the suites' frequencies w = m pi + |t| + max|nu|, the core's
+    # 20-point rule on panels of w h <= 6 and the tails' 16-point rule on
+    # panels of w h <= 14.85 integrate e^(i w x) over one panel to 3e-15 and
+    # 1e-15 of its width h (the 20-point rule to 3e-15: numpy's 20 nodes and
+    # weights are themselves 1.5e-15 off at w h = pi)
     for omega in np.linspace(math.pi, 12 * math.pi, 45):
-        h = 1.0 / _panels_per_unit(omega)
+        h = 1.0 / _panels_per_unit(omega, integrals._CORE_ANGLE)
         assert _gauss_gap(20, omega, h) <= 3e-15 * h, omega
-        assert _gauss_gap(10, omega, h) <= 1e-15 * h, omega
-        assert _gauss_gap(10, omega, 3 * h) > 1e-14 * 3 * h, omega
+        h = 1.0 / _panels_per_unit(omega, integrals._TAIL_ANGLE)
+        assert _gauss_gap(16, omega, h) <= 1e-15 * h, omega
 
 
 @pytest.mark.parametrize("kind,params,quarter_wave_gap", [
@@ -510,6 +542,22 @@ def _tail_sides(spec):
         yield num, den, np.array(freqs)
 
 
+def test_sin_product_harmonics_expand_the_product():
+    # prod_j sin(pi(x - p_j)) against its harmonics at real and complex x,
+    # for m = 1-6 with real and complex p_j: h runs m, m - 2, ..., -m
+    rng = np.random.default_rng(19)
+    for m in range(1, 7):
+        for p in (rng.uniform(-1.2, 1.5, m),
+                  rng.uniform(-1.2, 1.5, m) + 1j * rng.uniform(-1, 1, m)):
+            harmonics = _sin_product_harmonics(p)
+            assert list(harmonics) == list(range(m, -m - 1, -2))
+            for x in (0.37, -2.81, 1.3 + 0.2j):
+                want = np.prod([cmath.sin(math.pi * (x - pj)) for pj in p])
+                got = sum(g * cmath.exp(1j * math.pi * h * x)
+                          for h, g in harmonics.items())
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (m, x)
+
+
 def test_tail_intervals_match_per_node_phases():
     # the factored interval integrals against e^(iwx) taken at every node:
     # both round the phase argument w x to ulps of |w| (X + n + 1), the
@@ -526,7 +574,7 @@ def test_tail_intervals_match_per_node_phases():
         X = 158 if spec.a[0] == 150 else 96
         for num, den, freqs in _tail_sides(spec):
             cell, weights = _tail_cell(4)
-            x, R = _tail_R(num, den, X, cell)
+            x, R, _ = _tail_R(num, den, X, cell)
             got = _interval_integrals(R, cell, weights, X, freqs)
             want = np.stack([(R * np.exp(1j * w * x) * weights).sum(axis=1)
                              for w in freqs], axis=1)
@@ -624,48 +672,65 @@ def test_integrate_makes_no_core_probe(monkeypatch):
         integrate(spec)
 
 
+def _mp_ramanujan_m2(a1, a2, b1, b2):
+    """RamanujanM2's closed form to 40 digits."""
+    with mp.workdps(40):
+        a1, a2, b1, b2 = (mp.mpf(v) for v in (a1, a2, b1, b2))
+        return complex(mp.gamma(a1 + b1 + a2 + b2 + 1)
+                       / (mp.gamma(a1 + b1 + 1) * mp.gamma(a1 + b2 + 1)
+                          * mp.gamma(a2 + b1 + 1) * mp.gamma(a2 + b2 + 1)))
+
+
+def _mp_fourier_single_factor(a, b, t):
+    """fourier_single_factor to 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpc(a.real, a.imag)
+        b = mp.mpc(b.real, b.imag)
+        t = mp.mpf(t)
+        return complex((2 * mp.cos(t / 2)) ** (a + b) / mp.gamma(a + b + 1)
+                       * mp.exp(-0.5j * t * (b - a)))
+
+
 @pytest.mark.parametrize("spec,want", [
     # the integrands whose X a search on probes of |f| moved to 46, 96
     # and 96; the Levin-summed tails reach their closed forms from X = 16
     (IntegrandSpec([1.2, 0.8], [0.9, 1.1], 0.0),
-     beta_integral_closed(BetaKind.RAMANUJAN_M2,
-                          dict(a1=1.2, a2=0.8, b1=0.9, b2=1.1))),
+     _mp_ramanujan_m2(1.2, 0.8, 0.9, 1.1)),
     (IntegrandSpec([0.05, 0.1], [0.02, 0.07], 0.0),
-     beta_integral_closed(BetaKind.RAMANUJAN_M2,
-                          dict(a1=0.05, a2=0.1, b1=0.02, b2=0.07))),
+     _mp_ramanujan_m2(0.05, 0.1, 0.02, 0.07)),
     (IntegrandSpec([0.3 + 0.5j], [0.4 - 2j], 0.5),
-     fourier_single_factor(0.3 + 0.5j, 0.4 - 2j, 0.5)),
-])
+     _mp_fourier_single_factor(0.3 + 0.5j, 0.4 - 2j, 0.5)),
+], ids=["ramanujan-m2", "ramanujan-m2-small", "fourier-single-factor"])
 def test_slowly_decaying_integrands_at_the_first_X(spec, want):
-    # est_error's roundoff term, 1e-16 |value|, lies under the rounding of
-    # the two routes: at a = (1.2, 0.8), b = (0.9, 1.1) the closed form is
-    # 1.8e-15 and the quadrature 1.6e-15 off 40-digit mpmath (3.3e-15
-    # apart, est_error 4.7e-16; 3.1e-15 and 4.4e-16 at the former X = 46)
+    # est_error covers the gap to the 40-digit closed form by itself: at
+    # a = (1.2, 0.8), b = (0.9, 1.1) the quadrature is 8.9e-16 off, against
+    # an est_error of 8.1e-15 (4.7e-16 when its roundoff term was
+    # 1e-16 |value|)
     res = integrate(spec)
-    assert abs(res.value - want) <= res.est_error + 4e-15 * abs(want)
+    assert abs(res.value - want) <= res.est_error
 
 
 def integrate_per_side(spec):
     """integrate with one levin_u call per tail."""
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
+    omega = spec.m * math.pi + abs(spec.t) + wmax
     X = _choose_X(spec)
-    sub = _panels_per_unit(spec.m * math.pi + abs(spec.t) + wmax)
-    core, core_err, _, peak = _core(spec, X, sub)
+    core, core_err, _, peak = _core(
+        spec, X, _panels_per_unit(omega, integrals._CORE_ANGLE))
     cutoff = 1e-18 * min(1.0, peak)
-    tails = []
+    value, est = core, core_err
     for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0)):
-        seqs, coefs, amps = _tail_one_side(
+        seqs, coefs, amps, rounding = _tail_one_side(
             num, den, [(cc, sign * (spec.t - nu)) for cc, nu in spec.weight_terms()],
-            X, sub, cutoff)
-        value, err = 0j, 0.0
+            X, _panels_per_unit(omega, integrals._TAIL_ANGLE), cutoff)
+        tail, err = 0j, 0.0
         for row, c, amp in zip(seqs, coefs.tolist(), amps.tolist()):
             v, e = levin_u(row)
-            value += c * v
-            err += amp * e
-        tails.append((value / math.pi ** spec.m, err / math.pi ** spec.m))
-    (right, err_r), (left, err_l) = tails
-    value = core + right + left
-    return value, core_err + 8.0 * (err_r + err_l) + 1e-16 * abs(value)
+            tail += c * v
+            err += amp * (8.0 * e + rounding)
+        value += tail / math.pi ** spec.m
+        est += err / math.pi ** spec.m
+    return value, est
 
 
 def test_integrate_bit_identical_to_per_side_levin_calls(rng):

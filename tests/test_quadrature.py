@@ -4,36 +4,34 @@ import math
 
 import numpy as np
 
-from rbeta.quadrature import gauss20, panel_nodes, panel_sums, tanh_sinh
+from rbeta.quadrature import gauss20, panel_nodes, tanh_sinh
 
 
 def uniform_panels(f, lo, hi, n):
-    """panel_sums of f on n equal panels of [lo, hi]."""
-    xs20, xs10, half = panel_nodes(np.linspace(lo, hi, n + 1))
-    return panel_sums(f(xs20).reshape(n, 20), f(xs10).reshape(n, 10), half)
+    """The 20-point Gauss sum of f on n equal panels of [lo, hi]."""
+    xs20, half = panel_nodes(np.linspace(lo, hi, n + 1))
+    return complex(gauss20(f(xs20).reshape(n, 20), half).sum())
 
 
 def test_gauss_panels_gaussian_cosine():
     # int exp(-x^2) cos(w x) = sqrt(pi) exp(-w^2/4)
     w = 3.0
-    val, err, n = uniform_panels(lambda x: np.exp(-x * x) * np.cos(w * x),
-                                 -9.0, 9.0, math.ceil(18.0 / 0.4))
+    val = uniform_panels(lambda x: np.exp(-x * x) * np.cos(w * x),
+                         -9.0, 9.0, math.ceil(18.0 / 0.4))
     want = math.sqrt(math.pi) * math.exp(-w * w / 4)
     assert abs(val - want) < 1e-13
-    assert err < 1e-10
-    assert n == math.ceil(18.0 / 0.4)
 
 
 def test_gauss_panels_complex():
-    val, _, _ = uniform_panels(lambda x: np.exp(1j * x - x * x), -8.0, 8.0, 32)
+    val = uniform_panels(lambda x: np.exp(1j * x - x * x), -8.0, 8.0, 32)
     want = math.sqrt(math.pi) * math.exp(-0.25)
     assert abs(val - want) < 1e-13
 
 
 def test_gauss20_graded_matches_uniform():
     f = lambda x: 1.0 / (1.0 + x * x)
-    v1, _, _ = uniform_panels(f, -1.0, 1.0, 8)
-    xs20, _, half = panel_nodes(np.array([-1.0, -0.5, -0.1, 0.3, 1.0]))
+    v1 = uniform_panels(f, -1.0, 1.0, 8)
+    xs20, half = panel_nodes(np.array([-1.0, -0.5, -0.1, 0.3, 1.0]))
     v2 = complex(gauss20(f(xs20).reshape(len(half), 20), half).sum())
     assert abs(v1 - math.pi / 2) < 1e-14
     assert abs(v2 - math.pi / 2) < 1e-12
