@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -54,44 +53,24 @@ class VerificationRecord:
         return cls(identity_id, inputs, lhs, rhs, abs_gap, rel_gap, tol, passed)
 
 
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-        (?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-        (?P<i>[ij])?
-        \s*$""",
-    re.VERBOSE,
-)
-
-
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'bi', '-i' style complex literals (i or j suffix).
-    A literal that overflows to inf, such as '1e400', is refused."""
+    """Parse 'a', 'a+bi', 'bi', '-i' style complex literals (i or j suffix)
+    by Python's complex() grammar, without its '_' digit separators,
+    parentheses and 'J' suffix.  A literal that overflows to inf, such as
+    '1e400', is refused, and so are inf and nan."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    m = _COMPLEX_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse complex number {text!r}")
-    re_part, im_part, has_i = m.group("re"), m.group("im"), m.group("i")
-    if has_i:
-        if im_part is not None:
-            imag = float(im_part) if im_part not in ("+", "-") else float(im_part + "1")
-            real = float(re_part) if re_part else 0.0
-        else:
-            # the whole number is imaginary: "1.5i", "i", "-i"
-            if re_part in (None, "", "+", "-"):
-                imag = float((re_part or "") + "1")
-            else:
-                imag = float(re_part)
-            real = 0.0
-    elif im_part is not None or re_part is None:
-        raise ValueError(f"cannot parse complex number {text!r}")
-    else:
-        real, imag = float(re_part), 0.0
-    if not (math.isfinite(real) and math.isfinite(imag)):
+    refused = ValueError(f"cannot parse complex number {text!r}")
+    if any(c in s for c in "_()J"):
+        raise refused
+    try:
+        z = complex(s.replace("i", "j"))
+    except ValueError:
+        raise refused from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"complex number {text!r} is not finite")
-    return complex(real, imag)
+    return z
 
 
 def parse_complex_list(text: str) -> tuple:

@@ -10,7 +10,8 @@ The quadrature is composite Gauss on [-X, X] plus analytically reflected,
 Levin-accelerated oscillatory tails: on each side the integrand factors into
 a smooth algebraically-decaying part and a trigonometric polynomial, so the
 tail is a sum of single-signal interval series that accelerate extremely
-well.
+well.  Every Gauss panel of this module, barnes_quadrature's too, takes the
+one 16-point rule.
 
 Both parts take their nodes on a unit lattice, node = k + cell with k an
 integer row and cell the Gauss nodes of one unit interval, because the
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
@@ -66,7 +66,8 @@ from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
 from .core import DEFAULT_TOL
 from .errors import ConstraintViolation, MarginViolation
 from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
-from .quadrature import _W20, QuadratureResult, gauss20, panel_nodes, tanh_sinh
+from .quadrature import (_RULES, QuadratureResult, panel_nodes, panel_sums,
+                         tanh_sinh)
 
 __all__ = [
     "IntegrandSpec", "QuadratureResult", "weight_gm", "integrate",
@@ -146,7 +147,8 @@ def _require_margin(spec: IntegrandSpec) -> None:
 def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
     """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation, with
     one recip_gamma call on all 2m factors' arguments (an element of
-    recip_gamma comes out the same alone as in any array)."""
+    recip_gamma comes out the same alone as in any array), multiplied pair
+    by pair in order."""
     m = spec.m
     v = np.ones(x.shape, dtype=complex)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -157,17 +159,6 @@ def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
         for j in range(m):
             v = v * (r[j] * r[m + j])
     return v
-
-
-def _weight_phase(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
-    w = np.zeros(x.shape, dtype=complex)
-    for cc, nu in spec.weight_terms():
-        w += cc * np.exp(1j * nu * x)
-    return w * np.exp(-1j * spec.t * x)
-
-
-def _f_core(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
-    return _pair_product(spec, x) * _weight_phase(spec, x)
 
 
 def _phases(freqs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -267,10 +258,13 @@ def _recip_gamma_error(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.minimum(_EPS * ((np.abs(p) + az + 1.0) * sens + 16.0), 1.0)
 
 
+# the Gauss rule of every panel: the core's, the tails' and Barnes'
+_GAUSS_N = 16
 # Gauss panels a unit interval take signals up to omega with omega h at
-# most these angles: the tails' 16-point rule at its 1e-17 h bound, the
-# core's 20-point rule well inside its own (23.4), where numpy's tabulated
-# 20-point nodes and weights keep their error near 1e-15 h
+# most these angles.  The tails' is the rule's 1e-17 h bound.  The core's
+# stays at 6: wider core panels left the beta kinds' integrals further
+# from their closed forms (p90 gap 3.5e-15 at 8 and 4.4e-15 at 14.85,
+# against 3.3e-15 at 6), so there the integrand, not the rule, sets it
 _CORE_ANGLE = 6.0
 _TAIL_ANGLE = 14.85
 
@@ -279,19 +273,21 @@ def _panels_per_unit(omega: float, angle: float) -> int:
     """Gauss panels a unit interval for signals up to frequency omega = w,
     each of width h with w h <= angle: the n-point rule errs on e^(i w x)
     over a panel by at most h (w h)^(2n) (n!)^4 / ((2n + 1) ((2n)!)^3),
-    below 1e-17 h up to w h = 23.4 for 20 points and 14.9 for 16."""
+    below 1e-17 h up to w h = 14.9 for 16 points."""
     return max(1, math.ceil(omega / angle))
 
 
-def _core_cell(sub: int) -> np.ndarray:
-    """The 20-point Gauss nodes of sub equal panels of [0, 1]."""
-    return panel_nodes(np.linspace(0.0, 1.0, sub + 1))[0]
+def _unit_cell(sub: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes of sub equal Gauss panels of [0, 1], panel by panel, and
+    their weights."""
+    nodes, half = panel_nodes(np.linspace(0.0, 1.0, sub + 1), _GAUSS_N)
+    return nodes, (half[:, None] * _RULES[_GAUSS_N][1][None, :]).ravel()
 
 
 def _core_lattice(spec: IntegrandSpec, X: int, sub: int) -> Tuple[
         np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The core nodes, one row per unit interval [k, k + 1], k = -X..X-1,
-    each row the 20-point Gauss nodes of sub equal panels, the pair product
+    each row the nodes of _unit_cell(sub), the pair product
     on them, and, for _lattice_rounding, its rows in carry order (the upward
     carry's, then the downward one's), their distances from their anchors
     and bounds on the anchors' relative errors.
@@ -301,7 +297,7 @@ def _core_lattice(spec: IntegrandSpec, X: int, sub: int) -> Tuple[
     the most accurate: upward in x, and downward as upward in y = -x, in
     which the product has the same form with a and b swapped.
     """
-    x = np.arange(-X, X, dtype=float)[:, None] + _core_cell(sub)[None, :]
+    x = np.arange(-X, X, dtype=float)[:, None] + _unit_cell(sub)[0][None, :]
     peak = (sum(spec.b) - sum(spec.a)).real / (2 * spec.m)
     mid = min(max(math.floor(peak) + X, 1), 2 * X - 1)
 
@@ -334,16 +330,16 @@ def _core(spec: IntegrandSpec, X: int,
     weight and phase are row factors times cell factors, and the rounding
     is the pair product's _lattice_rounding."""
     x, G, (order, hops, anchor_rel) = _core_lattice(spec, X, sub)
+    cell, weights = _unit_cell(sub)
     terms = spec.weight_terms()
     freqs = np.array([nu - spec.t for _, nu in terms])
     coefs = np.array([cc for cc, _ in terms])
     f = G * ((_phases(freqs, np.arange(-X, X, dtype=float)) * coefs)
-             @ _phases(freqs, _core_cell(sub)).T)
+             @ _phases(freqs, cell).T)
     n = len(x) * sub
-    fw = f[order] * (np.tile(_W20, sub) * (0.5 / sub))
-    return (complex(gauss20(f.reshape(n, 20), 0.5 / sub).sum()),
-            _lattice_rounding(fw, hops, anchor_rel, spec.m), n,
-            float(np.abs(f).max()))
+    return (complex(panel_sums(f.reshape(n, _GAUSS_N), 0.5 / sub).sum()),
+            _lattice_rounding(f[order] * weights, hops, anchor_rel, spec.m),
+            n, float(np.abs(f).max()))
 
 
 def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
@@ -360,20 +356,8 @@ def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
     return {m - 2 * k: c for k, c in enumerate(coeffs)}
 
 
-# unit intervals summed and accelerated per tail signal, and the Gauss rule
-# on each sub-panel of an interval
+# unit intervals summed and accelerated per tail signal
 _TAIL_INTERVALS = 48
-_X16, _W16 = leggauss(16)
-
-
-def _tail_cell(sub: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The nodes of sub 16-point Gauss panels on [0, 1], panel by panel,
-    and their weights."""
-    se = np.linspace(0.0, 1.0, sub + 1)
-    mids = 0.5 * (se[:-1] + se[1:])
-    halfs = 0.5 * (se[1:] - se[:-1])
-    return ((mids[:, None] + halfs[:, None] * _X16[None, :]).ravel(),
-            (halfs[:, None] * _W16[None, :]).ravel())
 
 
 def _tail_R(num_params: Sequence[complex], den_params: Sequence[complex],
@@ -428,7 +412,7 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), one
     per (weight term, harmonic) signal, as (series, coefficients, their
     moduli, rounding): one series a row, to be Levin-summed and combined by
-    _tail_sum.  Each interval is split into sub 16-point Gauss panels.  Signals
+    _tail_sum.  Each interval is split into sub Gauss panels.  Signals
     whose summed interval integrals stay below `cutoff` are dropped.  A
     signal's summed intervals round by about its modulus times `rounding`,
     the _lattice_rounding of |R| w, which covers every signal's.
@@ -440,7 +424,7 @@ def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
         return (np.empty((0, _TAIL_INTERVALS), dtype=complex),
                 np.empty(0, dtype=complex), np.empty(0), 0.0)
     freqs, coefs = (np.array(v) for v in zip(*signals))
-    cell, weights = _tail_cell(sub)
+    cell, weights = _unit_cell(sub)
     _, R, (hops, anchor_rel) = _tail_R(num_params, den_params, X, cell)
     seqs = _interval_integrals(R, cell, weights, X, freqs)
     amps = np.abs(coefs)
@@ -541,22 +525,6 @@ def cauchy_cosine_integral(gamma_: complex, delta: complex
 
 # -- Poisson/grid-sum route ----------------------------------------------------
 
-def _recip_pair_products(a: Sequence[complex], b: Sequence[complex],
-                         shifts: Sequence[float]) -> List[complex]:
-    """prod_j 1/(Gamma(a_j + 1 + s) Gamma(b_j + 1 - s)) for each shift s,
-    multiplied pair by pair in order, from one recip_gamma call on all
-    2m len(shifts) arguments."""
-    r = recip_gamma(np.array([[(aj + 1.0 + s, bj + 1.0 - s)
-                               for aj, bj in zip(a, b)] for s in shifts]))
-    out = []
-    for pairs in r.tolist():
-        c = 1.0 + 0j
-        for ra, rb in pairs:
-            c *= ra * rb
-        out.append(c)
-    return out
-
-
 def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
     """The p grid-sum components S_0..S_{p-1}, each series summed to
     DEFAULT_TOL; their sum equals the integral for |t| <= p pi."""
@@ -569,7 +537,7 @@ def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
         raise ConstraintViolation("grid-sum route applies to weight-free integrands")
     out: List[complex] = []
     kps = [k / p for k in range(p)]
-    for kp, ck in zip(kps, _recip_pair_products(spec.a, spec.b, kps)):
+    for kp, ck in zip(kps, _pair_product(spec, np.array(kps)).tolist()):
         if ck == 0:
             out.append(0j)
             continue
@@ -584,17 +552,6 @@ def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
 
 def poisson_sum_rhs(spec: IntegrandSpec, p: int) -> complex:
     return sum(poisson_terms(spec, p))
-
-
-def grid_sum_direct(spec: IntegrandSpec, k: int, p: int) -> complex:
-    """(1/p) sum over l of f(l + k/p) e^{-i(l + k/p)t}, 80 terms on each
-    end, Levin-accelerated; internal cross-check for the series form of the
-    grid sums."""
-    kp = k / p
-    core = IntegrandSpec(spec.a, spec.b, spec.t)
-    vp, _ = levin_u(_f_core(core, np.arange(0, 80) + kp))
-    vn, _ = levin_u(_f_core(core, np.arange(-1, -81, -1) + kp))
-    return (vp + vn) / p
 
 
 def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
@@ -624,7 +581,7 @@ def integral_repr_H(a: Sequence[complex], b: Sequence[complex], t: float,
         raise ConstraintViolation("weight order must be m or m-1")
     spec = IntegrandSpec(a, b, t, weight_gm(weight_order) if weight_order >= 1 else ())
     lhs = integrate(spec).value
-    c0, = _recip_pair_products(a, b, [0.0])
+    c0 = complex(_pair_product(spec, np.zeros(1))[0])
     hs = BilateralSeriesSpec([-bj for bj in b], [aj + 1.0 for aj in a], z)
     return lhs, c0 * eval_H(hs).value
 
@@ -784,8 +741,9 @@ def barnes_quadrature(a: complex, b: complex, c: complex, d: complex) -> complex
         return (gamma(a + 1j * x) * gamma(b + 1j * x)
                 * gamma(c - 1j * x) * gamma(d - 1j * x))
 
-    xs20, half = panel_nodes(np.linspace(-X, X, math.ceil(8.0 * X) + 1))
-    return complex(gauss20(f(xs20).reshape(-1, 20), half).sum()) / (2.0 * math.pi)
+    xs, half = panel_nodes(np.linspace(-X, X, math.ceil(8.0 * X) + 1), _GAUSS_N)
+    return (complex(panel_sums(f(xs).reshape(-1, _GAUSS_N), half).sum())
+            / (2.0 * math.pi))
 
 
 def double_integral_open_question(b1: float, b2: float, b3: float

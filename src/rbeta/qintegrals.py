@@ -31,7 +31,7 @@ from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
-from .quadrature import QuadratureResult, gauss20, panel_nodes
+from .quadrature import QuadratureResult, panel_nodes, panel_sums
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_lattice,
                       log_qpoch_ratio, qpoch_inf, q_gamma)
 
@@ -385,13 +385,13 @@ def _kernel_integral(spec: QIntegrandSpec, r: float, lo: float,
                      hi: float) -> complex:
     """20-point Gauss sum of the integrand times the Poisson kernel on the
     panels of `_kernel_graded_edges(lo, hi, r)`."""
-    xs, half = panel_nodes(_kernel_graded_edges(lo, hi, r))
+    xs, half = panel_nodes(_kernel_graded_edges(lo, hi, r), 20)
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp(spec.log_f(xs) - 1j * spec.t * xs)
     if r != 0.0:
         f = f * ((1.0 - r * r)
                  / (1.0 - 2.0 * r * np.cos(2.0 * math.pi * xs) + r * r))
-    return complex(gauss20(f.reshape(len(half), 20), half).sum())
+    return complex(panel_sums(f.reshape(len(half), 20), half).sum())
 
 
 def _kernel_graded_edges(lo: float, hi: float, r: float) -> np.ndarray:

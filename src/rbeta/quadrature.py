@@ -1,8 +1,10 @@
-"""Panel quadrature engines: composite 20-point Gauss-Legendre, and
-tanh-sinh for endpoint-singular finite-interval integrands.  Callers of the
-Gauss panels evaluate the integrand themselves on the nodes of `panel_nodes`
-(uniform or graded edges) and hand the values to `gauss20`; they size the
-panels for their integrand and estimate its rounding themselves.
+"""Panel quadrature engines: composite Gauss-Legendre, and tanh-sinh for
+endpoint-singular finite-interval integrands.  Callers of the Gauss panels
+evaluate the integrand themselves on the nodes of `panel_nodes` (uniform or
+graded edges) and hand the values to `panel_sums`; they size the panels for
+their integrand and estimate its rounding themselves.  The rule is picked by
+its node count: 16 for the classical integrals of `integrals`, 20 for the
+Abel route of `qintegrals`.
 tanh_sinh's integrand callables are vectorized (ndarray -> ndarray; its
 batch form also passes each node's interval index).
 """
@@ -16,9 +18,10 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureResult", "gauss20", "panel_nodes", "tanh_sinh"]
+__all__ = ["QuadratureResult", "panel_nodes", "panel_sums", "tanh_sinh"]
 
-_X20, _W20 = leggauss(20)
+# numpy's Gauss-Legendre nodes and weights on [-1, 1], by node count
+_RULES = {n: leggauss(n) for n in (16, 20)}
 # tanh-sinh sums its step variable k over [-3.8, 3.8]
 _TS_CUTOFF = 3.8
 
@@ -35,18 +38,18 @@ class QuadratureResult:
     truncation_X: float
 
 
-def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 20-point Gauss nodes of the panels between edges, panel by
-    panel, and the panel half-widths."""
+def panel_nodes(edges: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss nodes of the panels between edges, panel by panel,
+    and the panel half-widths."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * _X20[None, :]).ravel(), half
+    return (mid[:, None] + half[:, None] * _RULES[n][0][None, :]).ravel(), half
 
 
-def gauss20(f20: np.ndarray, half) -> np.ndarray:
-    """The 20-point Gauss sum of each panel, from integrand values at the
-    20-point nodes of panel_nodes, one panel a row."""
-    return (f20 * _W20[None, :]).sum(axis=1) * half
+def panel_sums(f: np.ndarray, half) -> np.ndarray:
+    """The Gauss sum of each panel, from integrand values at the nodes of
+    panel_nodes, one panel a row: the rule of the row's length."""
+    return (f * _RULES[f.shape[1]][1][None, :]).sum(axis=1) * half
 
 
 def tanh_sinh(f: Callable[..., np.ndarray], lo, hi: float,

@@ -27,6 +27,10 @@ def test_parse_complex_forms():
     assert parse_complex("i") == 1j
     with pytest.raises(ValueError):
         parse_complex("abc")
+    # forms that Python's complex() takes and the literals here do not use
+    for text in ("1_000", "(1+2i)", "(3)", "2J"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_complex(text)
 
 
 def test_format_parse_roundtrip(rng):

@@ -26,7 +26,7 @@ from rbeta.qintegrals import (QBetaKind, QIntegrandSpec, _geometric_truncation,
                               q_integrate, qbeta_family, qbeta_gamma_form,
                               qbeta_psi_consistency)
 from rbeta.qseries import QKind, closed_form_q
-from rbeta.quadrature import gauss20, panel_nodes
+from rbeta.quadrature import panel_nodes, panel_sums
 
 QBETA_TOL = Tolerance(rel=1e-6, abs=1e-12)
 
@@ -291,7 +291,7 @@ def test_abel_kernel_m1_limit_is_1psi1():
 def _abel_reference(spec, r_sequence):
     """abel_poisson_psi from its parts: unmemoised one-point truncation
     probes, mapped over each candidate's abscissae, and the 20-point Gauss
-    sums of `gauss20`."""
+    sums of `panel_sums`."""
     rr, rl = spec.decay_ratios()
 
     def one(x):
@@ -303,15 +303,15 @@ def _abel_reference(spec, r_sequence):
         tol_abs = DEFAULT_TOL.abs / ((1.0 + r) / (1.0 - r))
         Xr = _geometric_truncation(lambda xs: [one(x) for x in xs], rr, tol_abs)
         Xl = _geometric_truncation(lambda xs: [one(-x) for x in xs], rl, tol_abs)
-        xs20, half = panel_nodes(_kernel_graded_edges(-Xl, Xr, r))
+        xs20, half = panel_nodes(_kernel_graded_edges(-Xl, Xr, r), 20)
 
         def f(x):
             with np.errstate(over="ignore", under="ignore"):
                 base = np.exp(spec.log_f(x) - 1j * spec.t * x)
             return base * ((1.0 - r * r)
                            / (1.0 - 2.0 * r * np.cos(2.0 * math.pi * x) + r * r))
-        out.append((r, complex(gauss20(f(xs20).reshape(len(half), 20),
-                                       half).sum())))
+        out.append((r, complex(panel_sums(f(xs20).reshape(len(half), 20),
+                                          half).sum())))
     return out
 
 

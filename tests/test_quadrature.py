@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 
-from rbeta.quadrature import gauss20, panel_nodes, tanh_sinh
+from rbeta.quadrature import panel_nodes, panel_sums, tanh_sinh
 
 
 def uniform_panels(f, lo, hi, n):
     """The 20-point Gauss sum of f on n equal panels of [lo, hi]."""
-    xs20, half = panel_nodes(np.linspace(lo, hi, n + 1))
-    return complex(gauss20(f(xs20).reshape(n, 20), half).sum())
+    xs20, half = panel_nodes(np.linspace(lo, hi, n + 1), 20)
+    return complex(panel_sums(f(xs20).reshape(n, 20), half).sum())
 
 
 def test_gauss_panels_gaussian_cosine():
@@ -31,10 +31,21 @@ def test_gauss_panels_complex():
 def test_gauss20_graded_matches_uniform():
     f = lambda x: 1.0 / (1.0 + x * x)
     v1 = uniform_panels(f, -1.0, 1.0, 8)
-    xs20, half = panel_nodes(np.array([-1.0, -0.5, -0.1, 0.3, 1.0]))
-    v2 = complex(gauss20(f(xs20).reshape(len(half), 20), half).sum())
+    xs20, half = panel_nodes(np.array([-1.0, -0.5, -0.1, 0.3, 1.0]), 20)
+    v2 = complex(panel_sums(f(xs20).reshape(len(half), 20), half).sum())
     assert abs(v1 - math.pi / 2) < 1e-14
     assert abs(v2 - math.pi / 2) < 1e-12
+
+
+def test_panel_sums_take_the_rule_of_the_row_length():
+    # the same panels on the 16- and the 20-point rule
+    edges = np.linspace(-9.0, 9.0, 46)
+    want = math.sqrt(math.pi) * math.exp(-2.25)
+    for n in (16, 20):
+        xs, half = panel_nodes(edges, n)
+        assert xs.shape == (45 * n,)
+        f = np.exp(-xs * xs) * np.cos(3.0 * xs)
+        assert abs(panel_sums(f.reshape(45, n), half).sum() - want) < 1e-13
 
 
 def test_tanh_sinh_endpoint_singularity():
