@@ -3,10 +3,12 @@
     python3 scripts/records_diff.py REF
 
 Extracts REF's ``src`` with ``git archive`` into a temporary directory and
-runs every suite at seeds 0-3, draws 2, ``RB_THREADS=1`` on both trees
-(``rbeta verify --quiet``), with ``runtime_ms`` zeroed.  For each suite it
-prints the summaries and the records that differ in any field but
-``runtime_ms``, with the fields that differ, the largest relative lhs change
+runs every suite at seeds 0-3, draws 2 on both trees (``rbeta verify
+--quiet``), with ``runtime_ms`` zeroed.  The library runs a suite's records
+on one thread; ``RB_THREADS=1`` is still passed only so that an older REF
+tree, which read it, does the same.  For each suite it prints the
+summaries and the records that differ in any field but ``runtime_ms``,
+with the fields that differ, the largest relative lhs change
 over the records with a nonzero ``rhs`` and the largest relative rhs change.
 The lhs of a record whose ``rhs`` is 0 is roundoff, so its largest absolute
 lhs change is printed on a line of its own.  Over the records with a nonzero

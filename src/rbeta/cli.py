@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--tol", type=float, default=1e-10)
 
     ig = sub.add_parser("integrate", help="evaluate a Ramanujan-type integral")
-    ig.add_argument("--m", type=int, help="number of gamma-factor pairs")
     ig.add_argument("--a", required=True, help="a parameters, comma separated")
     ig.add_argument("--b", required=True, help="b parameters, comma separated")
     ig.add_argument("--t", default="0", help="frequency (complex allowed for q integrands)")
@@ -139,17 +138,11 @@ def _parse_weight(text: str):
 def _cmd_integrate(args) -> int:
     a = parse_complex_list(args.a)
     b = parse_complex_list(args.b)
-    m = args.m if args.m is not None else len(a)
-    if len(a) != m or len(b) != m:
-        raise ValueError(f"expected {m} entries in --a and --b "
-                         f"(got {len(a)} and {len(b)})")
     t = parse_complex(args.t)
     if args.q is not None:
         if _parse_weight(args.weight):
             raise ValueError("--weight applies to classical integrands only (drop --q)")
-        w = parse_complex_list(args.w) if args.w else tuple([1.0] * m)
-        if len(w) != m:
-            raise ValueError(f"expected {m} entries in --w (got {len(w)})")
+        w = parse_complex_list(args.w) if args.w else (1.0,) * len(a)
         spec = QIntegrandSpec(parse_complex(args.q), a, b, w, t)
         tol = 1e-10 if args.tol is None else args.tol
         res = q_integrate(spec, Tolerance(abs=tol, rel=tol))

@@ -424,16 +424,6 @@ def _psi_factors(x: np.ndarray, na: int, qm: np.ndarray):
     return xq, f, f[:, :na].prod(axis=1), f[:, na:].prod(axis=1)
 
 
-def _psi_row(x: np.ndarray, na: int, qm: complex):
-    """_psi_factors for one q^m, with x times the scalar q^m: the same values,
-    and the floating-point flags of a term at a time.  Near the edge of the
-    float range numpy's complex array times a scalar can flag an overflow
-    that the row product does not (at q^m = -8.3e307 + 1.14e308i)."""
-    xq = x * qm
-    f = 1.0 - xq
-    return xq, f, complex(np.prod(f[:na])), complex(np.prod(f[na:]))
-
-
 def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     """Bilateral basic series sum over n in Z, both sides geometric.
 
@@ -453,10 +443,10 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     would round the terms differently, and the abel-poisson-kernel records
     hold these sums' bits; each numpy operation of the block rounds every
     element as it did on one row, so value, est_error and terms_used are
-    those of the term-at-a-time loop bit for bit.  Indices a block computes
-    past its side's stop raise and warn nothing; a row the loop reaches
-    whose floats overflow is computed again with numpy's error handling on,
-    so it warns as before.
+    those of the term-at-a-time loop bit for bit.  The block raises and
+    warns nothing, as it also computes indices past its side's stop; a row
+    the loop reaches whose factors, products or amplification are not
+    finite raises OverflowError, as a first q^m past the float range does.
     """
     right_cut, left_cut = spec.validate()
     q, z = spec.q, spec.z
@@ -474,8 +464,6 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     # roundings per ratio that no factor amplifies: one per factor, the
     # products, z, the divisions, q^m, its power d, the step t * r and the sum
     ops = len(x) + abs(d) + 4
-    # past this |q^m| an operation of a row can overflow inside
-    big = 1e300 / float(np.abs(x).max(initial=1.0))
 
     def block(ms: Sequence[int]):
         # the ratio at index m is of the term at m + 1 to the one at m for
@@ -494,10 +482,8 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
             xq, f, upper, lower = _psi_factors(x, na, qa)
             # by how much the factors amplify their rounding
             amp = np.abs(xq / f).sum(axis=1)
-            # the rows that may have raised a floating-point flag: a
-            # non-finite value makes the sum non-finite
-            risky = ~np.isfinite(upper + lower + amp) | (np.abs(qa) > big)
-        return qm, upper.tolist(), lower.tolist(), amp.tolist(), risky.tolist()
+            finite = np.isfinite(upper) & np.isfinite(lower) & np.isfinite(amp)
+        return qm, upper.tolist(), lower.tolist(), amp.tolist(), finite.tolist()
 
     total = 1.0 + 0j
     used = 1
@@ -519,20 +505,17 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
         while n != cut:
             if n == end:
                 top = n + _BLOCK if cut is None else min(n + _BLOCK, cut)
-                qms, uppers, lowers, amps, risky = block(
+                qms, uppers, lowers, amps, finite = block(
                     range(n, top) if right else range(-n - 1, -top - 1, -1))
                 lo, end = n, n + len(qms)
             i = n - lo
+            if not finite[i]:
+                raise OverflowError(f"{label} side of psi series overflows "
+                                    f"at term {n + 1 if right else -n - 1}")
             qm, upper, lower, amp = qms[i], uppers[i], lowers[i], amps[i]
-            if risky[i]:
-                # once more with numpy's error handling on, in the order of a
-                # term at a time, so a row the loop reaches warns as it did
-                xq, f, upper, lower = _psi_row(x, na, qm)
             r = z * upper / lower if right else lower / upper / z
             if d:
                 r *= (-qm) ** (d if right else -d)
-            if risky[i]:
-                amp = float(np.abs(xq / f).sum())
             t = t * r
             part += t
             rel += _EPS * (amp + ops)

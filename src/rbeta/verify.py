@@ -17,7 +17,6 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -686,41 +685,37 @@ class SuiteConfig:
 
 @dataclass
 class SuiteReport:
+    """The records of one suite run.  ``max_rel_gap`` is taken over records
+    with a nonzero target and ``max_abs_gap`` over the rest, whose
+    ``rel_gap`` is 1 by construction."""
     records: List[VerificationRecord]
-    total: int
-    passed: int
-    failed: int
-    max_rel_gap: float
-    max_abs_gap: float
-    tool_version: str
     config: SuiteConfig
 
-    @classmethod
-    def build(cls, records: Sequence[VerificationRecord],
-              config: SuiteConfig) -> "SuiteReport":
-        """``max_rel_gap`` is taken over records with a nonzero target and
-        ``max_abs_gap`` over the rest, whose ``rel_gap`` is 1 by construction."""
-        failed = sum(1 for r in records if not r.passed)
-        max_rel = max((r.rel_gap for r in records if r.rhs != 0), default=0.0)
-        max_abs = max((r.abs_gap for r in records if r.rhs == 0), default=0.0)
-        return cls(list(records), len(records), len(records) - failed, failed,
-                   max_rel, max_abs, _tool_version, config)
+    @property
+    def total(self) -> int:
+        return len(self.records)
+
+    @property
+    def failed(self) -> int:
+        return sum(1 for r in self.records if not r.passed)
+
+    @property
+    def passed(self) -> int:
+        return self.total - self.failed
+
+    @property
+    def max_rel_gap(self) -> float:
+        return max((r.rel_gap for r in self.records if r.rhs != 0), default=0.0)
+
+    @property
+    def max_abs_gap(self) -> float:
+        return max((r.abs_gap for r in self.records if r.rhs == 0), default=0.0)
 
 
 def suite_jobs(suite: str, draws: int) -> List[Tuple[int, Identity]]:
     """The (draw, identity) pairs of a suite in record order, unevaluated."""
     return [(draw, entry) for draw in range(draws)
             for entry in IDENTITIES if entry.suite == suite]
-
-
-def _worker_count() -> int:
-    env = os.environ.get("RB_THREADS")
-    if not env:
-        return min(4, os.cpu_count() or 1)
-    n = int(env) if env.strip().isdecimal() else 0
-    if n < 1:
-        raise ValueError(f"RB_THREADS must be a positive integer, got {env!r}")
-    return n
 
 
 def _run_job(seed: int, job: Tuple[int, Identity]) -> VerificationRecord:
@@ -743,17 +738,12 @@ def _run_job(seed: int, job: Tuple[int, Identity]) -> VerificationRecord:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run one named suite; deterministic in (suite, seed, draws) apart from
-    the runtime_ms fields."""
-    jobs = suite_jobs(config.suite, config.draws_per_identity)
-    run_one = partial(_run_job, config.seed)
-    workers = _worker_count()
-    if workers == 1:
-        records = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, jobs))
-    return SuiteReport.build(records, config)
+    """Run one named suite in record order on the calling thread;
+    deterministic in (suite, seed, draws) apart from the runtime_ms fields,
+    each of which is its own record's cost."""
+    return SuiteReport([_run_job(config.seed, job) for job in
+                        suite_jobs(config.suite, config.draws_per_identity)],
+                       config)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -787,7 +777,7 @@ def record_to_dict(rec: VerificationRecord) -> Dict:
 def report_to_dict(report: SuiteReport) -> Dict:
     return {
         "schema": 1,
-        "tool_version": report.tool_version,
+        "tool_version": _tool_version,
         "config": {
             "suite": report.config.suite,
             "seed": report.config.seed,

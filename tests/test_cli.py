@@ -129,16 +129,14 @@ def test_integrate_complex_t_with_zero_b():
 
 
 def test_integrate_ramanujan_unit():
-    code, out, _ = run(["integrate", "--m", "2", "--a", "0,0", "--b", "0,0",
-                        "--t", "0"])
+    code, out, _ = run(["integrate", "--a", "0,0", "--b", "0,0", "--t", "0"])
     assert code == 0
     val = parse_complex(out.splitlines()[0].split(": ")[1])
     assert abs(val - 1.0) < 1e-8
 
 
 def test_integrate_beyond_support():
-    code, out, _ = run(["integrate", "--m", "1", "--a", "0.6", "--b", "0.6",
-                        "--t", "4.0"])
+    code, out, _ = run(["integrate", "--a", "0.6", "--b", "0.6", "--t", "4.0"])
     assert code == 0
     val = parse_complex(out.splitlines()[0].split(": ")[1])
     assert abs(val) < 1e-8
@@ -178,14 +176,12 @@ def test_integrate_option_of_the_other_integrand_exit2(args):
 
 
 def test_integrate_mismatched_lengths_exit2():
-    code, _, _ = run(["integrate", "--m", "2", "--a", "0,0,0", "--b", "0,0",
-                      "--t", "0"])
+    code, _, _ = run(["integrate", "--a", "0,0,0", "--b", "0,0", "--t", "0"])
     assert code == 2
 
 
 def test_integrate_margin_exit3():
-    code, _, _ = run(["integrate", "--m", "1", "--a", "-0.6", "--b", "-0.6",
-                      "--t", "0"])
+    code, _, _ = run(["integrate", "--a", "-0.6", "--b", "-0.6", "--t", "0"])
     assert code == 3
 
 
@@ -253,13 +249,6 @@ def test_verify_determinism():
     for rec in d3["records"]:
         rec["runtime_ms"] = 0.0
     assert json.dumps(d1, sort_keys=True) != json.dumps(d3, sort_keys=True)
-
-
-def test_rb_threads_env(monkeypatch):
-    monkeypatch.setenv("RB_THREADS", "1")
-    cfg = SuiteConfig(suite="limits", seed=2, draws_per_identity=1)
-    report = run_suite(cfg)
-    assert report.failed == 0
 
 
 def test_verify_io_failure_exit4(tmp_path):

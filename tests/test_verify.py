@@ -1,13 +1,15 @@
 """Identity registry: suite composition, per-record failure isolation, the
-summary gaps and the worker count."""
+summary gaps and the one-thread record loop."""
+
+import dataclasses
+import threading
+import time
 
 import pytest
 
 from rbeta import verify
 from rbeta.core import Tolerance, VerificationRecord
-from rbeta.cli import main
-from rbeta.verify import (Identity, SuiteConfig, record_to_dict, run_suite,
-                          suite_jobs)
+from rbeta.verify import Identity, SuiteConfig, run_suite, suite_jobs
 
 
 def _ids(*names):
@@ -105,7 +107,6 @@ def test_record_clock_starts_after_its_rng(monkeypatch):
 
 
 def test_bad_draw_fails_only_its_record(monkeypatch):
-    monkeypatch.setenv("RB_THREADS", "1")
     cfg = SuiteConfig(suite="classical-core", seed=3, draws_per_identity=1)
     normal = {r.identity_id: r for r in run_suite(cfg).records}
 
@@ -130,10 +131,9 @@ def test_bad_draw_fails_only_its_record(monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["classical-core", "limits"])
-def test_summary_gaps_split_on_zero_targets(monkeypatch, suite):
+def test_summary_gaps_split_on_zero_targets(suite):
     # zero-target records have rel_gap 1 by construction; they are
     # summarized by max_abs_gap instead
-    monkeypatch.setenv("RB_THREADS", "1")
     report = run_suite(SuiteConfig(suite=suite, seed=0, draws_per_identity=1))
     assert report.failed == 0
     assert report.max_rel_gap < 1
@@ -141,25 +141,31 @@ def test_summary_gaps_split_on_zero_targets(monkeypatch, suite):
     assert zero and report.max_abs_gap == max(zero)
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
-def test_malformed_thread_count_rejected(monkeypatch, capsys, value):
-    monkeypatch.setenv("RB_THREADS", value)
-    with pytest.raises(ValueError, match="RB_THREADS"):
-        run_suite(SuiteConfig(suite="limits", seed=0, draws_per_identity=1))
-    assert main(["verify", "--suite", "limits", "--draws", "1", "--quiet"]) == 2
-    assert "RB_THREADS" in capsys.readouterr().err
+def test_every_check_runs_on_the_calling_thread(monkeypatch):
+    threads = []
+
+    def spy(check):
+        def run(*args):
+            threads.append(threading.get_ident())
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(verify, "IDENTITIES", tuple(
+        dataclasses.replace(e, check=spy(e.check)) for e in verify.IDENTITIES))
+    report = run_suite(SuiteConfig(suite="limits", seed=0,
+                                   draws_per_identity=2))
+    assert len(threads) == report.total == 2 * len(suite_jobs("limits", 1))
+    assert set(threads) == {threading.get_ident()}
 
 
-def test_records_independent_of_thread_count(monkeypatch):
-    cfg = SuiteConfig(suite="limits", seed=0, draws_per_identity=1)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RB_THREADS", threads)
-        records = [record_to_dict(r) for r in run_suite(cfg).records]
-        for rec in records:
-            rec.pop("runtime_ms")
-        runs.append(records)
-    assert runs[0] == runs[1]
+def test_record_runtimes_add_up_to_at_most_the_wall_time():
+    # each runtime_ms is its own record's cost, with no time spent waiting
+    # on another record
+    t0 = time.perf_counter()
+    report = run_suite(SuiteConfig(suite="classical-beta", seed=0,
+                                   draws_per_identity=1))
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    assert 0 < sum(r.runtime_ms for r in report.records) <= wall_ms
 
 
 def test_negative_seed_rejected():
