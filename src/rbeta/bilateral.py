@@ -26,7 +26,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .acceleration import _ROUNDING, SeriesValue, sum_one_sided
-from .core import Tolerance, DEFAULT_TOL
 from .errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                      NotReducible, PoleError)
 from .gammafns import gamma, recip_gamma
@@ -39,9 +38,12 @@ __all__ = [
 ]
 
 _INT_EPS = 1e-12
-# term budgets of one infinite side in eval_H and eval_F
+# term budgets of one infinite side in eval_H and eval_F, and the absolute
+# Levin gap that ends the search over its windows
 _H_MAX_TERMS = 400
+_H_TOL = 1e-10
 _F_MAX_TERMS = 2000
+_F_TOL = 1e-12
 # cancel_matching_parameters treats parameters this close as equal
 _MATCH_TOL = 1e-13
 
@@ -221,7 +223,7 @@ def _sum_side(side: _Side, start: int, tol_abs: float,
                          max_terms=max_terms)
 
 
-def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
+def eval_H(spec: BilateralSeriesSpec) -> SeriesValue:
     """Evaluate the bilateral series as the sum of its two sides (_sides).
 
     Terminating sides are summed exactly; convergent infinite sides are
@@ -241,8 +243,7 @@ def eval_H(spec: BilateralSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesVal
         raise DivergentError(f"series classified {cls.kind.value} at z={spec.z}")
     if spec.z == 0 and cls.left_cut != 0:
         raise DivergentError("negative-index terms undefined at z = 0")
-    tol_abs = max(tol.abs, tol.rel, 1e-15)
-    right, left = (_sum_side(side, start, tol_abs, _H_MAX_TERMS)
+    right, left = (_sum_side(side, start, _H_TOL, _H_MAX_TERMS)
                    for side, start in zip(_sides(spec), (0, 1)))
     return SeriesValue(right.value + left.value, right.est_error + left.est_error,
                        right.terms_used + left.terms_used,
@@ -274,13 +275,13 @@ def reduce_to_unilateral(spec: BilateralSeriesSpec) -> UnilateralSeriesSpec:
 
 def eval_F(spec: UnilateralSeriesSpec) -> SeriesValue:
     """One-sided series sum_{n>=0} prod(a)_n/prod(b)_n * z^n/n!, summed to
-    DEFAULT_TOL.abs: the side (a; b, 1; z) of the side rule."""
+    _F_TOL: the side (a; b, 1; z) of the side rule."""
     den = spec.b + (1.0 + 0j,)
     side = _side(spec.a, den, spec.z, sum(spec.a) - sum(den))
     if side.kind in (ConvergenceKind.DIVERGENT, ConvergenceKind.NOT_ON_DOMAIN):
         raise DivergentError(f"one-sided series classified {side.kind.value} "
                              f"at z={spec.z}")
-    return _sum_side(side, 0, DEFAULT_TOL.abs, _F_MAX_TERMS)
+    return _sum_side(side, 0, _F_TOL, _F_MAX_TERMS)
 
 
 def cancel_matching_parameters(spec: BilateralSeriesSpec) -> BilateralSeriesSpec:

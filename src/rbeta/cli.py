@@ -13,7 +13,7 @@ import re
 import sys
 from typing import List, Optional
 
-from .core import Tolerance, format_complex, parse_complex, parse_complex_list
+from .core import format_complex, parse_complex, parse_complex_list
 from .errors import ConstraintViolation, DomainError, IllFormedSpec, RBetaError
 from .bilateral import (BilateralSeriesSpec, HKind, classify, closed_form_H,
                         eval_H)
@@ -49,14 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--z", required=True, help="argument (complex, a+bi)")
     ev.add_argument("--closed-form", action="store_true",
                     help="use a matching summation theorem instead of summing")
-    ev.add_argument("--tol", type=float, default=1e-10)
 
     ep = sub.add_parser("eval-psi", help="evaluate a bilateral basic series")
     ep.add_argument("--a", required=True, help="upper parameters, comma separated")
     ep.add_argument("--b", required=True, help="lower parameters, comma separated")
     ep.add_argument("--q", required=True, help="base, 0 < |q| < 1")
     ep.add_argument("--z", required=True, help="argument (complex)")
-    ep.add_argument("--tol", type=float, default=1e-10)
 
     ig = sub.add_parser("integrate", help="evaluate a Ramanujan-type integral")
     ig.add_argument("--a", required=True, help="a parameters, comma separated")
@@ -66,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="trigonometric weight: none or gm:<order>")
     ig.add_argument("--q", help="base: switches to the q-deformed integrand")
     ig.add_argument("--w", help="q-integrand w parameters, comma separated")
-    ig.add_argument("--tol", type=float,
-                    help="q-integrand tolerance (default 1e-10)")
 
     vf = sub.add_parser("verify", help="run a named verification suite")
     vf.add_argument("--suite", required=True)
@@ -92,7 +88,7 @@ def _cmd_eval_h(args) -> int:
         print("est_error: 0 (closed form)")
         print(f"class: {cls.kind.value}")
         return 0
-    sv = eval_H(spec, Tolerance(abs=args.tol, rel=args.tol))
+    sv = eval_H(spec)
     print(f"value: {format_complex(sv.value)}")
     print(f"est_error: {sv.est_error:.3e}")
     print(f"class: {cls.kind.value}")
@@ -119,7 +115,7 @@ def _matching_closed_form(spec: BilateralSeriesSpec) -> complex:
 def _cmd_eval_psi(args) -> int:
     spec = QSeriesSpec(parse_complex(args.q), parse_complex_list(args.a),
                        parse_complex_list(args.b), parse_complex(args.z))
-    sv = eval_psi(spec, Tolerance(abs=args.tol, rel=args.tol))
+    sv = eval_psi(spec)
     print(f"value: {format_complex(sv.value)}")
     print(f"est_error: {sv.est_error:.3e}")
     print(f"terms: {sv.terms_used}")
@@ -144,13 +140,10 @@ def _cmd_integrate(args) -> int:
             raise ValueError("--weight applies to classical integrands only (drop --q)")
         w = parse_complex_list(args.w) if args.w else (1.0,) * len(a)
         spec = QIntegrandSpec(parse_complex(args.q), a, b, w, t)
-        tol = 1e-10 if args.tol is None else args.tol
-        res = q_integrate(spec, Tolerance(abs=tol, rel=tol))
+        res = q_integrate(spec)
     else:
         if args.w is not None:
             raise ValueError("--w applies to q integrands only (give --q)")
-        if args.tol is not None:
-            raise ValueError("--tol applies to q integrands only (give --q)")
         if t.imag != 0:
             raise ValueError("classical integrands need real t")
         spec = IntegrandSpec(a, b, t.real, _parse_weight(args.weight))

@@ -21,9 +21,6 @@ class Tolerance:
             raise ValueError("at least one of abs, rel must be positive")
 
 
-DEFAULT_TOL = Tolerance(abs=1e-12, rel=1e-10)
-
-
 @dataclass
 class VerificationRecord:
     """One identity check: both sides, gaps, tolerance and verdict."""

@@ -63,7 +63,6 @@ import numpy as np
 from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
                         cancel_matching_parameters)
-from .core import DEFAULT_TOL
 from .errors import ConstraintViolation, MarginViolation
 from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
 from .quadrature import (_RULES, QuadratureResult, panel_nodes, panel_sums,
@@ -526,8 +525,8 @@ def cauchy_cosine_integral(gamma_: complex, delta: complex
 # -- Poisson/grid-sum route ----------------------------------------------------
 
 def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
-    """The p grid-sum components S_0..S_{p-1}, each series summed to
-    DEFAULT_TOL; their sum equals the integral for |t| <= p pi."""
+    """The p grid-sum components S_0..S_{p-1}, each a bilateral series;
+    their sum equals the integral for |t| <= p pi."""
     _require_margin(spec)
     if p < spec.m:
         raise ConstraintViolation(f"p = {p} must be >= m = {spec.m}")
@@ -545,7 +544,7 @@ def poisson_terms(spec: IntegrandSpec, p: int) -> List[complex]:
             [-bj + kp for bj in spec.b],
             [aj + 1.0 + kp for aj in spec.a],
             (-1.0) ** spec.m * cmath.exp(-1j * spec.t))
-        hv = eval_H(hspec, DEFAULT_TOL)
+        hv = eval_H(hspec)
         out.append(ck * cmath.exp(-1j * kp * spec.t) * hv.value / p)
     return out
 
@@ -645,8 +644,7 @@ def _beta_form(kind: BetaKind, params: Dict[str, complex]
                          / _gamma_ratio([cj + 0.75 for cj in cs], [])
                          * eval_H(BilateralSeriesSpec([0.25 - cj for cj in cs],
                                                       [1.25 + cj for cj in cs],
-                                                      (-1.0) ** n),
-                                  DEFAULT_TOL).value))
+                                                      (-1.0) ** n)).value))
     if kind in (BetaKind.M4_VWP, BetaKind.M5_VWP):
         a = p["a"]
         n = 3 if kind is BetaKind.M4_VWP else 4
@@ -689,8 +687,7 @@ def _beta_form(kind: BetaKind, params: Dict[str, complex]
 
 def beta_integral_closed(kind: BetaKind, params: Dict[str, complex]) -> complex:
     """The printed closed-form value of each beta integral (gamma ratios, or
-    a bilateral-series value, summed to DEFAULT_TOL, where no gamma form
-    exists).  No quadrature.
+    a bilateral-series value where no gamma form exists).  No quadrature.
 
     Each value holds where its integral converges, so a nonpositive
     integrability margin of the matching integrand raises

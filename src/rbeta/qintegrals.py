@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Tolerance, DEFAULT_TOL
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
@@ -57,7 +56,7 @@ class QIntegrandSpec:
                  w: Sequence[complex], t: complex = 0.0):
         if not (0 < abs(complex(q)) < 1):
             raise DomainError("base must satisfy 0 < |q| < 1")
-        if not (len(a) == len(b) == len(w)) or not a:
+        if not (len(a) == len(b) == len(w)) or len(a) == 0:
             raise ValueError("a, b, w must be equal-length nonempty lists")
         object.__setattr__(self, "q", complex(q))
         object.__setattr__(self, "a", tuple(complex(x) for x in a))
@@ -155,6 +154,8 @@ _LATTICE_SHIFT = 1.0 / 3.0
 _MAX_ROWS = 4096
 # alias exponent wanted of the half lattice: e^-18 = 1.5e-8 relative
 _ALIAS_LOG = 18.0
+# log of the share of the peak magnitude below which the lattice cuts its tails
+_LOG_CUT = math.log(1e-17)
 
 
 def _first_passing_row(lm: np.ndarray, ratio: float,
@@ -179,12 +180,11 @@ def _first_passing_row(lm: np.ndarray, ratio: float,
 
 
 def _lattice_rows(g: Callable[[np.ndarray], np.ndarray], rho_right: float,
-                  rho_left: float, tol_abs: float
-                  ) -> Tuple[int, np.ndarray, float]:
+                  rho_left: float) -> Tuple[int, np.ndarray, float]:
     """(k0, g on the rows k0..k1 at s + k, log cut) for the log-integrand g:
     the rows between the first passing row on each side of the peak row.
 
-    The cut is min(tol_abs, 1e-17 x peak magnitude).  Raises
+    The cut is 1e-17 x the peak magnitude.  Raises
     ToleranceNotReached when a side has no passing row within _MAX_ROWS.
     """
     lo, hi = -8, 8
@@ -192,7 +192,7 @@ def _lattice_rows(g: Callable[[np.ndarray], np.ndarray], rho_right: float,
     while True:
         lm = vals.real
         i0 = int(np.argmax(lm))
-        log_cut = min(math.log(tol_abs), lm[i0] + math.log(1e-17))
+        log_cut = lm[i0] + _LOG_CUT
         right = _first_passing_row(lm[i0:], rho_right, log_cut)
         left = _first_passing_row(lm[i0::-1], rho_left, log_cut)
         if right is not None and left is not None:
@@ -233,18 +233,19 @@ QFactor = Tuple[complex, complex, int]
 
 def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                  factors: Sequence[QFactor], q: complex, t: complex,
-                 rho_right: float, rho_left: float, tol: Tolerance,
-                 kappa: float, freq_hint: float) -> QuadratureResult:
+                 rho_right: float, rho_left: float, kappa: float,
+                 freq_hint: float) -> QuadratureResult:
     """Trapezoid-lattice integral of f(x) e^(-i t x) over the line, where
     log f = rest + the log q-products `factors` at base q.
 
     The nodes are s + k/p between the first unit rows on each side of the
     integrand's peak whose geometric tail bound, with the worse of the side
-    ratio rho and the local one, falls below min(tol.abs, 1e-17 x peak).
-    On these entire integrands the lattice errs only by the alias sum of the
-    Fourier transform at multiples of 2 pi p (Poisson summation), so p is
-    chosen from the Gaussian coefficient kappa of log|f| and the frequency
-    |Re t| + freq_hint (`_lattice_order`).  The q-products are summed by one
+    ratio rho and the local one, falls below 1e-17 x the peak magnitude, so
+    the rule scales with the integrand.  On these entire integrands the
+    lattice errs only by the alias sum of the Fourier transform at multiples
+    of 2 pi p (Poisson summation), so p is chosen from the Gaussian
+    coefficient kappa of log|f| and the frequency |Re t| + freq_hint
+    (`_lattice_order`).  The q-products are summed by one
     cumulative sweep down each lattice column (`log_qpoch_lattice`).
     est_error is the distance to the sum over every other node, plus the two
     tail bounds and the rounding of the sum.
@@ -254,8 +255,7 @@ def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
     def g(x: np.ndarray) -> np.ndarray:
         return rest(x) + log_qpoch_lattice(factors, q, x) - 1j * t * x
 
-    k0, rows, log_cut = _lattice_rows(g, rho_right, rho_left,
-                                      max(tol.abs, 1e-15))
+    k0, rows, log_cut = _lattice_rows(g, rho_right, rho_left)
     p = _lattice_order(kappa, abs(t.real) + freq_hint)
     n = len(rows) - 1
     # one unit row, then the p - 1 nodes after it, row by row
@@ -280,8 +280,7 @@ def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                                 abs(_LATTICE_SHIFT + k0 + n)))
 
 
-def q_integrate(spec: QIntegrandSpec,
-                tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
+def q_integrate(spec: QIntegrandSpec) -> QuadratureResult:
     """Integral of the m-factor q-integrand times exp(-i x t); t may be
     complex inside the analyticity strip."""
     spec.check_annulus()
@@ -303,8 +302,7 @@ def q_integrate(spec: QIntegrandSpec,
     def rest(x: np.ndarray) -> np.ndarray:
         return lw * x + spec.m * 0.5 * x * (x - 1.0) * lq
 
-    return q_quadrature(rest, factors, spec.q, spec.t, rr, rl, tol, kappa,
-                        freq)
+    return q_quadrature(rest, factors, spec.q, spec.t, rr, rl, kappa, freq)
 
 
 def q_fourier_closed(spec: QIntegrandSpec) -> complex:
@@ -333,7 +331,7 @@ def _log_q_fourier(q: complex, a: complex, b: complex, w: complex,
 
 def abel_psi_target(spec: QIntegrandSpec) -> complex:
     """prod_j (b_j;q)_inf (q/a_j;q)_inf times the bilateral basic series at
-    z = (-1)^m e^{-it} prod(w_j/a_j), summed to DEFAULT_TOL."""
+    z = (-1)^m e^{-it} prod(w_j/a_j)."""
     spec.check_annulus()
     z = (-1.0) ** spec.m * cmath.exp(-1j * spec.t)
     for aj, wj in zip(spec.a, spec.w):
@@ -341,8 +339,12 @@ def abel_psi_target(spec: QIntegrandSpec) -> complex:
     pref = 1.0 + 0j
     for aj, bj in zip(spec.a, spec.b):
         pref *= qpoch_inf(bj, spec.q) * qpoch_inf(spec.q / aj, spec.q)
-    psi = eval_psi(QSeriesSpec(spec.q, spec.a, spec.b, z), DEFAULT_TOL)
+    psi = eval_psi(QSeriesSpec(spec.q, spec.a, spec.b, z))
     return pref * psi.value
+
+
+# the Abel route's absolute truncation target for a kernel of peak 1
+_ABEL_TOL = 1e-12
 
 
 def abel_poisson_psi(spec: QIntegrandSpec,
@@ -350,7 +352,7 @@ def abel_poisson_psi(spec: QIntegrandSpec,
     """Kernel-regularized integrals for each r < 1; they approach
     abel_psi_target as r -> 1.  Each is a 20-point Gauss sum on panels graded
     toward the kernel's peaks, between the `_geometric_truncation` points for
-    DEFAULT_TOL.abs over the kernel's peak; the truncation searches of all r
+    _ABEL_TOL over the kernel's peak; the truncation searches of all r
     share one memo of the log-magnitude probes, and each candidate's missing
     abscissae reach `log_f` in one call."""
     spec.check_annulus()
@@ -373,7 +375,7 @@ def abel_poisson_psi(spec: QIntegrandSpec,
         # the upper ends of the brackets, untrimmed: perfbench matches
         # abel-poisson-kernel records on inputs that hold the gaps computed
         # here (ROADMAP item 1), so this X must keep its bits until they move
-        tol_abs = DEFAULT_TOL.abs / peak
+        tol_abs = _ABEL_TOL / peak
         Xr = _geometric_truncation(log_mag, rr, tol_abs)
         Xl = _geometric_truncation(
             lambda xs: log_mag([-x for x in xs]), rl, tol_abs)
@@ -437,9 +439,6 @@ _QBETA_YS = {
     QBetaKind.I_2PSI6: "",
 }
 
-# accuracy of the q-beta quadratures
-QBETA_TOL = Tolerance(rel=1e-6, abs=1e-12)
-
 
 def _qbeta_params(kind: QBetaKind, params: Dict[str, complex]
                   ) -> Tuple[QBetaKind, complex, List[complex]]:
@@ -452,9 +451,9 @@ def _qbeta_params(kind: QBetaKind, params: Dict[str, complex]
 def _qbeta_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                       factors: Sequence[QFactor], q: float,
                       freq_hint: float) -> complex:
-    """Integral over the line, to QBETA_TOL, of the integrand with log rest
-    plus the q-products `factors`, whose Gaussian factor is q^(2x^2), so
-    kappa = -2 log q.  The one-step decay ratios are measured from x = 6 to 7
+    """Integral over the line of the integrand with log rest plus the
+    q-products `factors`, whose Gaussian factor is q^(2x^2), so kappa =
+    -2 log q.  The one-step decay ratios are measured from x = 6 to 7
     and from -6 to -7 and clamped to [1e-6, 0.97], not taken from the
     analytic envelopes: the Gaussian factor dominates whenever fewer than
     four product pairs remain.  A ratio between two zeros of the integrand
@@ -466,8 +465,8 @@ def _qbeta_quadrature(rest: Callable[[np.ndarray], np.ndarray],
         steps = (lf[1, 0] - lf[0, 0]).real, (lf[0, 1] - lf[1, 1]).real
     rr, rl = (min(max(math.exp(min(50.0, d)), 1e-6), 0.97)
               if not math.isnan(d) else 0.97 for d in steps)
-    return q_quadrature(rest, factors, q, 0.0, rr, rl, QBETA_TOL,
-                        -2.0 * math.log(q), freq_hint).value
+    return q_quadrature(rest, factors, q, 0.0, rr, rl, -2.0 * math.log(q),
+                        freq_hint).value
 
 
 def _qbeta_integrand(alpha: complex, ys: Sequence[complex], q: complex
@@ -505,8 +504,7 @@ def _qbeta_product(alpha: complex, ys: Sequence[complex], q: float) -> complex:
 
 def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex) -> complex:
     """Very-well-poised bilateral basic series representation shared by the
-    whole family, summed to DEFAULT_TOL; confluent entries appear as zero
-    lower parameters."""
+    whole family; confluent entries appear as zero lower parameters."""
     q14 = complex(q) ** 0.25
     q54 = complex(q) ** 1.25
     uppers = [q54, -q54] + [-1j * q14 / y for y in ys]
@@ -517,15 +515,15 @@ def _qbeta_psi_rep(alpha: complex, ys: Sequence[complex], q: complex) -> complex
     z *= (-1j * q14) ** (4 - len(ys))
     num = [1j * p * y for p in (q54, complex(q) ** 0.75) for y in ys]
     den = [q, complex(q) ** 0.5, complex(q) ** 1.5]
-    psi = eval_psi(QSeriesSpec(q, uppers, lowers, z), DEFAULT_TOL)
+    psi = eval_psi(QSeriesSpec(q, uppers, lowers, z))
     return cmath.exp(log_gaussian_q_integral(q, 2.0 * cmath.log(alpha))
                      + log_qpoch_ratio(num, den, q)) * psi.value
 
 
 def qbeta_family(kind: QBetaKind, params: Dict[str, complex],
                  q: float) -> Tuple[complex, complex]:
-    """Quadrature of a q-beta integral, to QBETA_TOL, and its printed
-    product form, as (quadrature, product).
+    """Quadrature of a q-beta integral and its printed product form, as
+    (quadrature, product).
 
     The q -> 1 behaviour of the prefactor is checked separately, against the
     exact finite-q form stated in `limit_constant`.
@@ -576,9 +574,9 @@ def limit_constant_target(alpha: complex) -> complex:
 
 def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex],
                      q: float) -> Tuple[complex, complex]:
-    """Quadrature of the q-gamma rewritten integrand, to QBETA_TOL, and its
-    q-gamma right side (the exponent-parameter form of the q-beta
-    integrals), as (quadrature, q-gamma form)."""
+    """Quadrature of the q-gamma rewritten integrand and its q-gamma right
+    side (the exponent-parameter form of the q-beta integrals), as
+    (quadrature, q-gamma form)."""
     kind, alpha, ys = _qbeta_params(kind, params)
     if kind not in (QBetaKind.I_FULL, QBetaKind.I_D0):
         raise ValueError(f"no q-gamma form for {kind.value}")

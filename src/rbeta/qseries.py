@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Tolerance, DEFAULT_TOL
 from .errors import (BranchCutError, ConstraintViolation, DomainError,
                      IllFormedSpec, OutsideAnnulus, PoleError,
                      ToleranceNotReached)
@@ -410,8 +409,10 @@ def q_gamma(x: complex, q: float) -> complex:
     return cmath.exp(lg)
 
 
-# terms summed per non-terminating side before giving up
+# terms summed per non-terminating side before giving up, and the absolute
+# tail bound that ends a side
 _PSI_MAX_TERMS = 400_000
+_PSI_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -424,7 +425,7 @@ def _psi_factors(x: np.ndarray, na: int, qm: np.ndarray):
     return xq, f, f[:, :na].prod(axis=1), f[:, na:].prod(axis=1)
 
 
-def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
+def eval_psi(spec: QSeriesSpec) -> SeriesValue:
     """Bilateral basic series sum over n in Z, both sides geometric.
 
     Non-terminating sides require the argument inside the absolute-
@@ -460,7 +461,6 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
     if problem:
         raise OutsideAnnulus(problem)
 
-    tol_abs = max(tol.abs, 1e-16)
     # roundings per ratio that no factor amplifies: one per factor, the
     # products, z, the divisions, q^m, its power d, the step t * r and the sum
     ops = len(x) + abs(d) + 4
@@ -526,7 +526,7 @@ def eval_psi(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
             rr = abs(r)
             # two consecutive sub-threshold terms guard against accidental
             # near-zeros of single factors
-            if rr < 1.0 and abs(t) * rr / (1.0 - rr) < tol_abs:
+            if rr < 1.0 and abs(t) * rr / (1.0 - rr) < _PSI_TOL:
                 small += 1
                 if small >= 2 and n >= 6:
                     break
@@ -710,15 +710,14 @@ class QtoOnePath:
 
 def theorem21_limit_probe(path: QtoOnePath) -> List[Tuple[float, float]]:
     """For each q on the path, the gap between the deformed basic series at
-    argument q^tau z and the classical bilateral series at z, both summed to
-    DEFAULT_TOL."""
-    target = eval_H(BilateralSeriesSpec(path.alpha, path.beta, path.z), DEFAULT_TOL)
+    argument q^tau z and the classical bilateral series at z."""
+    target = eval_H(BilateralSeriesSpec(path.alpha, path.beta, path.z))
     out = []
     for q in path.q_sequence:
         spec = QSeriesSpec(q,
                            [q ** al for al in path.alpha],
                            [q ** be for be in path.beta],
                            (q ** path.tau) * path.z)
-        val = eval_psi(spec, DEFAULT_TOL)
+        val = eval_psi(spec)
         out.append((q, abs(val.value - target.value)))
     return out

@@ -369,8 +369,7 @@ def _q_gaussian_integral(rng, *_):
     w = complex(_udraw(rng, 0.5, 2.0), _udraw(rng, -0.5, 0.5))
     lq = math.log(q)
     got = q_quadrature(lambda x: 0.5 * x * (x - 1.0) * lq
-                       + x * cmath.log(w), (), q, 0.0, 0.05, 0.05,
-                       Tolerance(abs=1e-13, rel=1e-12), -0.5 * lq,
+                       + x * cmath.log(w), (), q, 0.0, 0.05, 0.05, -0.5 * lq,
                        abs(cmath.log(w).imag) + 1.0).value
     return {"q": q, "w": w}, got, gaussian_q_integral(q, w)
 

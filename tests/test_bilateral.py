@@ -15,7 +15,7 @@ from rbeta.bilateral import (BilateralSeriesSpec, ConvergenceKind, HKind,
                              symmetry_transform)
 from rbeta.acceleration import _ROUNDING, SeriesValue, levin_u
 from rbeta.bilateral import _gamma_ratio, _side_kind
-from rbeta.core import DEFAULT_TOL, Tolerance, VerificationRecord
+from rbeta.core import Tolerance, VerificationRecord
 from rbeta.errors import (ConstraintViolation, DivergentError, IllFormedSpec,
                           NotReducible, PoleError)
 from rbeta.gammafns import gamma, recip_gamma
@@ -493,7 +493,7 @@ def sum_one_sided_oracle(ratio, first, tol_abs, max_terms):
                        len(terms), True), terms
 
 
-def eval_h_oracle(spec, tol=DEFAULT_TOL):
+def eval_h_oracle(spec, tol=Tolerance(abs=1e-12, rel=1e-10)):
     """The former eval_H: right terms by ratios up from n = 0, left terms
     by ratios down from n = -1, each side its own scalar loop.  Also returns
     the sum of the moduli of the terms it built, the scale of its rounding."""

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from rbeta.bilateral import BilateralSeriesSpec, eval_H
 from rbeta.cli import main
 from rbeta.core import parse_complex, format_complex
+from rbeta.qintegrals import QIntegrandSpec, q_integrate
+from rbeta.qseries import QSeriesSpec, eval_psi
 from rbeta.verify import IDENTITIES, SuiteConfig, run_suite, report_to_dict
 
 
@@ -109,6 +112,38 @@ def test_eval_psi_command():
     assert out.startswith("value:")
 
 
+# README's eval-h, eval-psi and q-integral examples, each with the library
+# call on the same spec
+README_EXAMPLES = {
+    "eval-h": (["eval-h", "--c", "0.3,0.4", "--d", "1.5,1.6", "--z", "1"],
+               lambda: eval_H(BilateralSeriesSpec([0.3, 0.4], [1.5, 1.6], 1.0))),
+    "eval-psi": (["eval-psi", "--a", "0.2", "--b", "0.05", "--q", "0.5",
+                  "--z", "0.4"],
+                 lambda: eval_psi(QSeriesSpec(0.5, [0.2], [0.05], 0.4))),
+    "integrate": (["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
+                   "--w", "1.0", "--t", "0.3"],
+                  lambda: q_integrate(QIntegrandSpec(0.5, [2.2], [0.27], [1.0],
+                                                     0.3))),
+}
+
+
+@pytest.mark.parametrize("name", README_EXAMPLES)
+def test_readme_example_prints_the_library_value(name):
+    args, route = README_EXAMPLES[name]
+    code, out, _ = run(args)
+    assert code == 0
+    assert out.splitlines()[0] == f"value: {format_complex(route().value)}"
+
+
+@pytest.mark.parametrize("name", README_EXAMPLES)
+def test_tol_is_not_an_option_exit2(name):
+    # each route fixes its own accuracy target
+    code, out, err = run(README_EXAMPLES[name][0] + ["--tol", "1e-8"])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 @pytest.mark.parametrize("a,b,z", [("0,0.6", "0.3,0.2", "0.5"),
                                    ("0,0.6", "0,0.2", "0.2"),
                                    ("0.6", "0.3,0.7", "0.1")])
@@ -153,10 +188,6 @@ def test_integrate_weight_and_q():
     code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
                         "--w", "1.0", "--t", "0.3", "--weight", "none"])
     assert code == 0
-    # --tol belongs to the q integrand
-    code, out, _ = run(["integrate", "--a", "2.2", "--b", "0.27", "--q", "0.5",
-                        "--w", "1.0", "--t", "0.3", "--tol", "1e-8"])
-    assert code == 0
 
 
 @pytest.mark.parametrize("args", [
@@ -165,8 +196,6 @@ def test_integrate_weight_and_q():
     ["--a", "0.5", "--b", "0.5", "--w", "7"],
     # the q integrand takes no trigonometric weight
     ["--a", "2.5", "--b", "0.3", "--q", "0.5", "--weight", "gm:2"],
-    # the classical integrand takes no tolerance
-    ["--a", "0.5", "--b", "0.5", "--tol", "1e-8"],
 ])
 def test_integrate_option_of_the_other_integrand_exit2(args):
     code, out, err = run(["integrate"] + args)

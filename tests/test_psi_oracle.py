@@ -23,7 +23,7 @@ import pytest
 import rbeta.qintegrals as qi
 import rbeta.qseries as qs
 from rbeta.acceleration import SeriesValue
-from rbeta.core import DEFAULT_TOL, Tolerance
+from rbeta.core import Tolerance
 from rbeta.errors import IllFormedSpec, OutsideAnnulus, ToleranceNotReached
 from rbeta.qintegrals import QIntegrandSpec, abel_psi_target
 from rbeta.qseries import QSeriesSpec, QtoOnePath, eval_psi, theorem21_limit_probe
@@ -108,7 +108,9 @@ def annulus_violation_oracle(spec) -> Optional[str]:
     return None
 
 
-def eval_psi_oracle(spec: QSeriesSpec, tol: Tolerance = DEFAULT_TOL) -> SeriesValue:
+def eval_psi_oracle(spec: QSeriesSpec,
+                    tol: Tolerance = Tolerance(abs=1e-12, rel=1e-10)
+                    ) -> SeriesValue:
     validate_oracle(spec)
     right_cut, left_cut = termination_cuts_oracle(spec)
     q, z = spec.q, spec.z

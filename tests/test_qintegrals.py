@@ -10,7 +10,7 @@ import pytest
 
 from conftest import compare
 from rbeta import qseries, verify
-from rbeta.core import DEFAULT_TOL, Tolerance
+from rbeta.core import Tolerance
 from rbeta.errors import (AnnulusViolation, DomainError, StripViolation,
                           ToleranceNotReached)
 from rbeta.gammafns import gamma, gaussian_q_integral
@@ -125,14 +125,18 @@ def _passes(g, k, side, ratio, log_cut):
     (lambda x: -np.abs(x + 30.0) * math.log(2.0) + 0j, 0.5),
     (lambda x: -np.abs(x) * 0.05 + 3.0 + 0j, 0.97),
 ])
-@pytest.mark.parametrize("tol_abs", [1e-12, 1e-6])
+@pytest.mark.parametrize("scale", [1e-12, 1e-6])
 def test_lattice_rows_end_at_the_first_passing_row_from_the_peak(g, ratio,
-                                                                 tol_abs):
-    k0, rows, log_cut = _lattice_rows(g, ratio, ratio, tol_abs)
+                                                                 scale):
+    k0, rows, log_cut = _lattice_rows(g, ratio, ratio)
     k1 = k0 + len(rows) - 1
     lm = rows.real
     peak = k0 + int(np.argmax(lm))
-    assert log_cut == min(math.log(tol_abs), lm.max() + math.log(1e-17))
+    assert log_cut == lm.max() + math.log(1e-17)
+    # the cut is relative to the peak, so the integrand's scale moves no row
+    k0s, rows_s, _ = _lattice_rows(lambda x: g(x) + math.log(scale), ratio,
+                                   ratio)
+    assert (k0s, len(rows_s)) == (k0, len(rows))
     assert np.array_equal(rows, g(_LATTICE_SHIFT + np.arange(k0, k1 + 1.0)))
     assert _passes(g, k1, 1, ratio, log_cut)
     assert _passes(g, k0, -1, ratio, log_cut)
@@ -147,7 +151,7 @@ def test_a_growing_side_is_never_accepted():
     # the integrand still grows at x = -4 and peaks at x = -70; the scan
     # widens past the peak before it ends the left side
     k0, rows, _ = _lattice_rows(lambda x: -0.01 * (x + 70.0) ** 2 + 32.0 + 0j,
-                                0.97, 0.97, 1e-12)
+                                0.97, 0.97)
     assert k0 < -70 < k0 + len(rows) - 1
     assert np.argmax(rows.real) == -70 - k0
 
@@ -161,16 +165,15 @@ def test_a_zero_on_a_lattice_row_does_not_end_the_scan():
         return np.where(np.abs(x - (_LATTICE_SHIFT + 3.0)) < 1e-9, -np.inf,
                         smooth(x))
 
-    k0, rows, _ = _lattice_rows(smooth, 0.5, 0.5, 1e-12)
-    z0, zrows, _ = _lattice_rows(with_zero, 0.5, 0.5, 1e-12)
+    k0, rows, _ = _lattice_rows(smooth, 0.5, 0.5)
+    z0, zrows, _ = _lattice_rows(with_zero, 0.5, 0.5)
     assert (z0, len(zrows)) == (k0, len(rows))
     assert z0 + len(zrows) - 1 > 3
 
 
 def test_lattice_rows_raise_on_a_flat_integrand():
     with pytest.raises(ToleranceNotReached):
-        _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex), 0.5, 0.5,
-                      1e-12)
+        _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex), 0.5, 0.5)
 
 
 def test_q_quadrature_error_estimate_is_honest(monkeypatch):
@@ -233,6 +236,37 @@ def test_q_quadrature_values_survive_a_wrapped_first_argument(monkeypatch):
         return quad(traced_cb, *args[1:])
     monkeypatch.setattr(qintegrals, "q_quadrature", wrapped)
     assert values() == plain
+
+
+def test_q_quadrature_does_not_depend_on_the_integrand_scale(monkeypatch):
+    # README's q-Fourier integrand times s: the lattice is cut at 1e-17 of
+    # its peak, so the nodes and the truncation do not move with s
+    calls = []
+    quad = qintegrals.q_quadrature
+
+    def probe(*args):
+        calls.append(args)
+        return quad(*args)
+    monkeypatch.setattr(qintegrals, "q_quadrature", probe)
+    base = q_integrate(QIntegrandSpec(0.5, [2.2], [0.27], [1.0], 0.3))
+    rest, *others = calls[0]
+    for s in (1.0, 1e8, 1e-8):
+        res = quad(lambda x: rest(x) + math.log(s), *others)
+        assert (res.panels, res.truncation_X) == (base.panels,
+                                                  base.truncation_X), s
+        assert abs(res.value / s - base.value) <= 1e-14 * abs(base.value), s
+
+
+def test_q_integrand_spec_takes_numpy_parameters():
+    lists = QIntegrandSpec(0.5, [2.2, 2.5], [0.2, 0.3], [1.0, 0.9], 0.7)
+    arrays = QIntegrandSpec(0.5, np.array([2.2, 2.5]), np.array([0.2, 0.3]),
+                            np.array([1.0, 0.9]), 0.7)
+    assert arrays == lists
+    assert q_integrate(arrays).value == q_integrate(lists).value
+    # a one-element array is one parameter, whatever its value
+    assert QIntegrandSpec(0.5, np.array([0.0]), [0.2], [1.0]).m == 1
+    with pytest.raises(ValueError, match="nonempty"):
+        QIntegrandSpec(0.5, np.array([]), [], [])
 
 
 def test_q_integrate_annulus_violation():
@@ -300,7 +334,7 @@ def _abel_reference(spec, r_sequence):
 
     out = []
     for r in r_sequence:
-        tol_abs = DEFAULT_TOL.abs / ((1.0 + r) / (1.0 - r))
+        tol_abs = 1e-12 / ((1.0 + r) / (1.0 - r))
         Xr = _geometric_truncation(lambda xs: [one(x) for x in xs], rr, tol_abs)
         Xl = _geometric_truncation(lambda xs: [one(-x) for x in xs], rl, tol_abs)
         xs20, half = panel_nodes(_kernel_graded_edges(-Xl, Xr, r), 20)
