@@ -22,9 +22,7 @@ class SeriesValue:
 
 
 # terms in the last Levin window of a full budget
-_LEVIN_BLOCK = 60
-# terms sum_one_sided builds at a time before it checks its stopping rules
-_BLOCK = 32
+_LEVIN_WINDOW = 60
 # rounding of a sum of running-product terms per unit of sum |terms|, which
 # cancelling terms keep (up to 2.6 eps over 1,200 drawn bilateral sides)
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
@@ -147,59 +145,49 @@ def sum_one_sided(term_ratios: Callable[[np.ndarray], np.ndarray],
     """Sum t_0 + t_1 + ... where t_{n+1} = t_n * term_ratios(n), and
     ``term_ratios`` maps an integer array of n to the array of ratios.
 
-    Terms are built _BLOCK at a time, each block one running product and
-    one running sum from where the last stopped, so every term and partial
-    sum is rounded as in a term-by-term loop.  At the first term t_n, n >= 6,
-    below 1e-17 of the partial sum (and 1e-30) the sum stops by raw decay;
-    failing that, at the first n >= 8 whose ratio exceeds 0.75 in modulus
-    the full budget of ``max_terms`` terms is built and windows starting at
-    terms 0, 24, 96 and max_terms - 60 are handed to the Levin
-    u-transform.  Each window's Levin estimates read its first 49 terms;
-    its other terms enter only through the plain partial sum.
+    The whole budget of ``max_terms`` terms is built in one pass: one call
+    for the ratios, one running product for the terms and one running sum,
+    so every term and partial sum is rounded as in a term-by-term loop.
+    At the first term t_n, n >= 6, below 1e-17 of the partial sum (and
+    1e-30) the sum stops by raw decay; failing that, at the first n >= 8
+    whose ratio t_n / t_(n-1) exceeds 0.75 in modulus, windows of the
+    budget starting at terms 0, 24, 96 and max_terms - 60 are handed to the
+    Levin u-transform.  Each window's Levin estimates read its first 49
+    terms; its other terms enter only through the plain partial sum.
+    Terms past the stop are built too, so their overflow warns nothing.
     ``est_error`` adds _ROUNDING * sum |terms| to the tail bound or Levin gap.
     """
     first = complex(first_term)
     if first == 0:
         return SeriesValue(0j, 0.0, 1, False)
-    terms = [np.array([first])]
-    total = first
-    size = abs(first)
-    for lo in range(0, max_terms - 1, _BLOCK):
-        n = np.arange(lo, min(lo + _BLOCK, max_terms - 1))
-        r = np.asarray(term_ratios(n), dtype=complex)
-        t = np.multiply.accumulate(np.concatenate((terms[-1][-1:], r)))[1:]
-        s = np.cumsum(np.concatenate(([total], t)))[1:]
-        terms.append(t)
-        # t[i] is term n[i] + 1
-        mag = np.abs(t)
-        floor = np.maximum(1e-30, 1e-17 * np.maximum(1.0, np.abs(s)))
-        decayed = (mag < floor) & (n >= 5)
-        slow = (n >= 7) & (np.abs(r) > 0.75)
-        hit = np.flatnonzero(decayed | slow)
-        if hit.size and decayed[hit[0]]:
-            i = hit[0]
-            rr = abs(r[i])
-            tail = mag[i] * rr / (1.0 - rr) if rr < 1 else mag[i]
-            size += float(mag[:i + 1].sum())
-            return SeriesValue(complex(s[i]), tail + _ROUNDING * size, int(n[i]) + 2, False)
-        if hit.size:
-            break
-        total = complex(s[-1])
-        size += float(mag.sum())
-    else:
-        r = abs(complex(term_ratios(np.array([max_terms - 1]))[0]))
-        tail = abs(terms[-1][-1]) * (r / (1.0 - r) if r < 1 else 1.0)
-        return SeriesValue(total, tail + _ROUNDING * size, max_terms, False)
+    n = np.arange(max_terms - 1)
+    r = np.asarray(term_ratios(n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply.accumulate(np.concatenate(([first], r)))
+        sums = np.cumsum(terms)
+        # r[i] is the ratio of term i + 1 to term i
+        mag = np.abs(terms)
+        floor = np.maximum(1e-30, 1e-17 * np.maximum(1.0, np.abs(sums[1:])))
+        decayed = (mag[1:] < floor) & (n >= 5)
+        hit = np.flatnonzero(decayed | ((n >= 7) & (np.abs(r) > 0.75)))
+    if hit.size and decayed[hit[0]]:
+        i = hit[0]
+        rr = abs(r[i])
+        tail = mag[i + 1] * rr / (1.0 - rr) if rr < 1 else mag[i + 1]
+        size = float(mag[:i + 2].sum())
+        return SeriesValue(complex(sums[i + 1]), tail + _ROUNDING * size, int(i) + 2, False)
+    size = float(mag.sum())
+    if not hit.size:
+        rr = abs(complex(term_ratios(np.array([max_terms - 1]))[0]))
+        tail = mag[-1] * (rr / (1.0 - rr) if rr < 1 else 1.0)
+        return SeriesValue(complex(sums[-1]), tail + _ROUNDING * size, max_terms, False)
 
-    # non-geometric regime: generate the full budget (cheap) and transform
-    # windows of partial sums, preferring whichever window stabilizes best
-    rest = term_ratios(np.arange(n[-1] + 1, max_terms - 1))
-    terms.append(np.multiply.accumulate(np.concatenate((t[-1:], rest)))[1:])
-    terms = np.concatenate(terms)
+    # non-geometric regime: transform windows of the budget, preferring
+    # whichever window stabilizes best
     best_val = complex(np.sum(terms))
     best_err = float("inf")
-    for off in (0, 24, 96, max_terms - _LEVIN_BLOCK):
-        if off < 0 or len(terms) - off < 16:
+    for off in (0, 24, 96, max_terms - _LEVIN_WINDOW):
+        if off < 0 or max_terms - off < 16:
             continue
         val, err = levin_u(terms[off:])
         val += complex(np.sum(terms[:off])) if off else 0.0
@@ -207,5 +195,4 @@ def sum_one_sided(term_ratios: Callable[[np.ndarray], np.ndarray],
             best_val, best_err = val, err
         if best_err <= tol_abs:
             break
-    return SeriesValue(best_val, best_err + _ROUNDING * float(np.abs(terms).sum()),
-                       len(terms), True)
+    return SeriesValue(best_val, best_err + _ROUNDING * size, max_terms, True)

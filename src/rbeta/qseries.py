@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BranchCutError, ConstraintViolation, DomainError,
                      IllFormedSpec, OutsideAnnulus, PoleError,
                      ToleranceNotReached)
-from .acceleration import _BLOCK, SeriesValue
+from .acceleration import SeriesValue
 from .bilateral import BilateralSeriesSpec, eval_H
 from .gammafns import dilog
 
@@ -414,6 +414,11 @@ def q_gamma(x: complex, q: float) -> complex:
 _PSI_MAX_TERMS = 400_000
 _PSI_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+# indices whose ratio inputs eval_psi builds per numpy pass.  Its terms stay
+# a scalar loop in the order of a term at a time, whose bits the
+# abel-poisson-kernel records hold, so unlike sum_one_sided it does not
+# build a whole side in one running product
+_BLOCK = 32
 
 
 def _psi_factors(x: np.ndarray, na: int, qm: np.ndarray):
@@ -435,8 +440,8 @@ def eval_psi(spec: QSeriesSpec) -> SeriesValue:
     side and are summed exactly.  est_error is each non-terminating side's
     geometric tail bound plus the rounding the terms carry (see the loop).
 
-    Each side's term ratios are built acceleration._BLOCK indices at a time:
-    q^m as Python powers, and in one numpy pass over the block the factors
+    Each side's term ratios are built _BLOCK indices at a time: q^m as
+    Python powers, and in one numpy pass over the block the factors
     1 - x_j q^m, their upper and lower products and their rounding
     amplification.  The rest stays scalar, in the order of a term at a time:
     the ratio from the products, z and (-q^m)^d, the running term and sum,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rbeta import acceleration
-from rbeta.acceleration import _BLOCK, levin_u, sum_one_sided
+from rbeta.acceleration import levin_u, sum_one_sided
 
 ZETA_15 = 2.612375348685488343348568  # sum n^-1.5, minted at high precision
 ZETA_12 = 5.591582441177751883613671  # sum n^-1.2
@@ -57,10 +57,9 @@ def test_sum_one_sided_accelerated():
     assert abs(res.value - 16.0 / 13.0) < 1e-11
 
 
-@pytest.mark.parametrize("stop", [_BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("stop", [32, 33])
 def test_sum_one_sided_stops_by_decay_at_a_block_edge(stop):
-    # halving terms with term `stop` exactly 0: the sum stops there, at the
-    # last index of the first block or the first index of the second
+    # halving terms with term `stop` exactly 0: the sum stops there
     def ratio(n):
         return np.where(n < stop - 1, 0.5, 0.0)
     res = sum_one_sided(ratio, 1.0, 1e-14)
@@ -70,7 +69,7 @@ def test_sum_one_sided_stops_by_decay_at_a_block_edge(stop):
         acceleration._ROUNDING * res.value, rel=1e-15)
 
 
-@pytest.mark.parametrize("slow", [_BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("slow", [32, 33])
 def test_sum_one_sided_turns_slow_at_a_block_edge(slow):
     # halving terms up to term slow - 1, then a ratio of 0.9: the first
     # ratio past 0.75 builds the full budget for the Levin transform
@@ -82,31 +81,55 @@ def test_sum_one_sided_turns_slow_at_a_block_edge(slow):
     assert abs(res.value - want) < 1e-14 * want
 
 
-@pytest.mark.parametrize("ratio", [
-    lambda n: 0.6 * (0.3 + n) / (2.6 + n),
-    lambda n: (0.3 + n) / (2.6 + n),
-    lambda n: np.exp(1j * math.pi / 3) * (0.2 + n) / (1.9 + n),
-])
-def test_sum_one_sided_does_not_depend_on_the_block(monkeypatch, ratio):
-    # each block continues the running product and sum from where the
-    # last one stopped, so every block size rounds alike
-    want = sum_one_sided(ratio, 1.0, 1e-12)
-    for block in (1, 5, 400):
-        monkeypatch.setattr(acceleration, "_BLOCK", block)
-        assert sum_one_sided(ratio, 1.0, 1e-12) == want, block
+def test_sum_one_sided_builds_past_its_stop_without_warning():
+    # the sum stops by decay at term 17, and the terms built past it
+    # overflow from term 62 on; the test run makes numpy warnings errors
+    res = sum_one_sided(lambda n: np.where(n < 60, 0.1, 1e300), 1.0, 1e-14)
+    assert (res.terms_used, res.accelerated) == (18, False)
+    assert res.value == pytest.approx(1.0 / 0.9, rel=1e-15)
+
+
+def _loop_terms(ratio, count):
+    """The first ``count`` terms, from 1, of a term-by-term Python loop."""
+    t = 1.0 + 0j
+    terms = [t]
+    for r in ratio(np.arange(count - 1)).tolist():
+        t *= r
+        terms.append(t)
+    return terms
 
 
 def test_sum_one_sided_rounds_as_a_term_by_term_loop():
-    # real ratios, whose products round alike in numpy and in Python
-    def ratio(n):
-        return -0.7 * (0.3 + n) / (2.6 + n)
+    # numpy's running product rounds real and complex steps as Python's *
+    # does (its binary complex multiply may not), so a decayed sum is the
+    # loop's partial sum bit for bit
+    for ratio in (lambda n: -0.7 * (0.3 + n) / (2.6 + n),
+                  lambda n: 0.6 * (0.3 + n) / (2.6 + n),
+                  lambda n: 0.6 * np.exp(1j * math.pi / 3) * (0.2 + n) / (1.9 + n)):
+        res = sum_one_sided(ratio, 1.0, 1e-12)
+        assert not res.accelerated
+        total = 0j
+        for t in _loop_terms(ratio, res.terms_used):
+            total += t
+        assert res.value == total
+
+
+@pytest.mark.parametrize("ratio", [
+    lambda n: (0.3 + n) / (2.6 + n),
+    lambda n: np.exp(1j * math.pi / 3) * (0.2 + n) / (1.9 + n),
+], ids=["real", "complex"])
+def test_sum_one_sided_hands_levin_the_loop_terms(monkeypatch, ratio):
+    # an accelerated side's first Levin window is the whole budget, term
+    # for term as the loop builds it
+    windows = []
+
+    def record(terms):
+        windows.append(np.array(terms))
+        return levin_u(terms)
+    monkeypatch.setattr(acceleration, "levin_u", record)
     res = sum_one_sided(ratio, 1.0, 1e-12)
-    assert not res.accelerated
-    t = total = 1.0
-    for r in ratio(np.arange(res.terms_used - 1)).tolist():
-        t *= r
-        total += t
-    assert res.value == total
+    assert (res.terms_used, res.accelerated) == (400, True)
+    assert windows[0].tolist() == _loop_terms(ratio, 400)
 
 
 def test_sum_one_sided_first_rule_indices():

@@ -299,6 +299,17 @@ def test_parameter_checks_match_the_separate_ones():
         assert got == want
 
 
+@pytest.mark.parametrize("cut", [31, 32, 33])
+def test_a_right_side_that_ends_at_a_block_edge(cut):
+    # a = q^-cut ends the right side at n = cut: its ratios fill less than,
+    # exactly or one more than the first block of qs._BLOCK = 32 indices
+    assert qs._BLOCK == 32
+    spec = QSeriesSpec(0.5, [0.5 ** -cut], [0.3], 0.2)
+    assert termination_cuts_oracle(spec) == (cut, None)
+    want = _outcome(eval_psi_oracle, spec)
+    assert _outcome(eval_psi, spec) == want
+
+
 # q = 0.05, and a = 1 ends the right side at n = 0.  The left side's ratio
 # tends to prod|b| / prod|a| / |z|, so |z| just above that bound makes it long.
 # With b = 0.25, q^m leaves the float range at m = -237, the index of the
