@@ -4,9 +4,7 @@
 
 Extracts REF's ``src`` with ``git archive`` into a temporary directory and
 runs every suite at seeds 0-3, draws 2 on both trees (``rbeta verify
---quiet``), with ``runtime_ms`` zeroed.  The library runs a suite's records
-on one thread; ``RB_THREADS=1`` is still passed only so that an older REF
-tree, which read it, does the same.  For each suite it prints the
+--quiet``), with ``runtime_ms`` zeroed.  For each suite it prints the
 summaries and the records that differ in any field but ``runtime_ms``,
 with the fields that differ, the largest relative lhs change
 over the records with a nonzero ``rhs`` and the largest relative rhs change.
@@ -44,7 +42,7 @@ def _suites():
 
 
 def _report(src: Path, suite: str, seed: int):
-    env = {**os.environ, "PYTHONPATH": str(src), "RB_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-m", "rbeta.cli", "verify", "--suite", suite,
          "--seed", str(seed), "--draws", str(DRAWS), "--quiet"],

@@ -97,10 +97,11 @@ def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w = (1.0 + np.arange(depth + 1)) * t[:, :depth + 1]
     w[w == 0] = 1e-300
     table = np.empty((depth + 1, 2 * S), dtype=complex)
-    table[:, :S] = (s[:, :depth + 1] / w).T
-    table[:, S:] = (1.0 / w).T
     scaled = np.empty((depth, 2 * S), dtype=complex)
+    # subnormal terms overflow 1 / w; a non-finite estimate ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table[:, :S] = (s[:, :depth + 1] / w).T
+        table[:, S:] = (1.0 / w).T
         for k in range(1, depth + 1):
             b = _LEVIN_COEF[k][:depth + 1 - k]
             prod = np.multiply(b, table[k - 1:depth], out=scaled[k - 1:])

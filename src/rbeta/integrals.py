@@ -322,12 +322,11 @@ def _core_lattice(spec: IntegrandSpec, X: int, sub: int) -> Tuple[
     return x, np.concatenate((lower[::-1], upper)), (order, hops, anchor_rel)
 
 
-def _core(spec: IntegrandSpec, X: int,
-          sub: int) -> Tuple[complex, float, int, float]:
+def _core(spec: IntegrandSpec, X: int, sub: int) -> Tuple[complex, float, int]:
     """Gauss panels on [-X, X], sub a unit interval, as (value, an estimate
-    of its rounding error, panels, largest |integrand| on the nodes).  The
-    weight and phase are row factors times cell factors, and the rounding
-    is the pair product's _lattice_rounding."""
+    of its rounding error, panels).  The weight and phase are row factors
+    times cell factors, and the rounding is the pair product's
+    _lattice_rounding."""
     x, G, (order, hops, anchor_rel) = _core_lattice(spec, X, sub)
     cell, weights = _unit_cell(sub)
     terms = spec.weight_terms()
@@ -337,8 +336,7 @@ def _core(spec: IntegrandSpec, X: int,
              @ _phases(freqs, cell).T)
     n = len(x) * sub
     return (complex(panel_sums(f.reshape(n, _GAUSS_N), 0.5 / sub).sum()),
-            _lattice_rounding(f[order] * weights, hops, anchor_rel, spec.m),
-            n, float(np.abs(f).max()))
+            _lattice_rounding(f[order] * weights, hops, anchor_rel, spec.m), n)
 
 
 def _sin_product_harmonics(params: Sequence[complex]) -> Dict[int, complex]:
@@ -403,48 +401,31 @@ def _interval_integrals(R: np.ndarray, cell: np.ndarray, weights: np.ndarray,
 
 
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
-                   tau_terms: Sequence[WeightTerm], X: int, sub: int,
-                   cutoff: float
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+                   tau_terms: Sequence[WeightTerm], X: int, sub: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unit-interval series of the integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), one
-    per (weight term, harmonic) signal, as (series, coefficients, their
-    moduli, rounding): one series a row, to be Levin-summed and combined by
-    _tail_sum.  Each interval is split into sub Gauss panels.  Signals
-    whose summed interval integrals stay below `cutoff` are dropped.  A
-    signal's summed intervals round by about its modulus times `rounding`,
-    the _lattice_rounding of |R| w, which covers every signal's.
+    per (weight term, harmonic) signal, as (series, coefficients, rounding):
+    one series a row, to be Levin-summed, and integrate's tails are
+    sum_signals coefficient * Levin sum / pi^m.  Each interval is split into
+    sub Gauss panels.  A signal's summed intervals round by about its
+    coefficient's modulus times its entry of `rounding`, the
+    _lattice_rounding of |R| w, which covers every signal's.
     """
     harmonics = _sin_product_harmonics(num_params)
     signals = [(math.pi * h - tau, cc * gh) for cc, tau in tau_terms
                if cc != 0 for h, gh in harmonics.items()]
     if not signals:
         return (np.empty((0, _TAIL_INTERVALS), dtype=complex),
-                np.empty(0, dtype=complex), np.empty(0), 0.0)
+                np.empty(0, dtype=complex), np.empty(0))
     freqs, coefs = (np.array(v) for v in zip(*signals))
     cell, weights = _unit_cell(sub)
     _, R, (hops, anchor_rel) = _tail_R(num_params, den_params, X, cell)
-    seqs = _interval_integrals(R, cell, weights, X, freqs)
-    amps = np.abs(coefs)
-    keep = ~(amps * np.abs(seqs).sum(axis=0) < cutoff)
     rounding = _lattice_rounding(np.abs(R) * weights, hops, anchor_rel,
                                  len(num_params))
-    return seqs.T[keep], coefs[keep], amps[keep], rounding
-
-
-def _tail_sum(m: int, coefs: np.ndarray, amps: np.ndarray, rounding: float,
-              values: np.ndarray, errs: np.ndarray) -> Tuple[complex, float]:
-    """A tail's value and error estimate from its signals' Levin sums: 8
-    times their Levin estimates plus the rounding of their interval
-    integrals."""
-    value = 0j
-    err = 0.0
-    for c, amp, v, e in zip(coefs.tolist(), amps.tolist(), values.tolist(),
-                            errs.tolist()):
-        value += c * v
-        err += amp * (8.0 * e + rounding)
-    return value / math.pi ** m, err / math.pi ** m
+    return (_interval_integrals(R, cell, weights, X, freqs).T, coefs,
+            np.full(len(coefs), rounding))
 
 
 def _choose_X(spec: IntegrandSpec) -> int:
@@ -472,23 +453,21 @@ def integrate(spec: IntegrandSpec) -> QuadratureResult:
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
     omega = spec.m * math.pi + abs(spec.t) + wmax
     X = _choose_X(spec)
-    core, core_err, n_panels, peak = _core(
+    core, core_err, n_panels = _core(
         spec, X, _panels_per_unit(omega, _CORE_ANGLE))
-    # tail signals below 1e-18 are dropped, scaled down with an integrand
-    # that peaks below 1
-    cutoff = 1e-18 * min(1.0, peak)
     # right tail: reflect the b-gammas; left tail via x -> -y: reflect the
     # a-gammas.  Both tails' signals go to one Levin call.
     tail_sub = _panels_per_unit(omega, _TAIL_ANGLE)
     tails = [_tail_one_side(num, den, [(cc, sign * (spec.t - nu))
                                        for cc, nu in spec.weight_terms()],
-                            X, tail_sub, cutoff)
+                            X, tail_sub)
              for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0))]
-    values, errs = levin_u(np.concatenate([seqs for seqs, _, _, _ in tails]))
-    split = len(tails[0][0])
-    right, err_r = _tail_sum(spec.m, *tails[0][1:], values[:split], errs[:split])
-    left, err_l = _tail_sum(spec.m, *tails[1][1:], values[split:], errs[split:])
-    return QuadratureResult(core + right + left, core_err + err_r + err_l,
+    seqs, coefs, rounding = (np.concatenate(parts) for parts in zip(*tails))
+    values, errs = levin_u(seqs)
+    scale = math.pi ** spec.m
+    tail = complex(coefs @ values) / scale
+    tail_err = float(np.abs(coefs) @ (8.0 * errs + rounding)) / scale
+    return QuadratureResult(core + tail, core_err + tail_err,
                             n_panels, float(X))
 
 

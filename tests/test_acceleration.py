@@ -42,6 +42,19 @@ def test_levin_unit_circle_signal():
     assert abs(v - want) < 1e-11
 
 
+def test_levin_row_of_subnormal_terms():
+    # 1 / w overflows on subnormal terms; the test run makes numpy warnings
+    # errors, and a row with no finite estimate keeps its plain partial sum
+    terms = 1e-310 * 0.9 ** np.arange(48) + 0j
+    partial = complex(np.cumsum(terms)[-1])
+    v, e = levin_u(terms)
+    assert v == partial
+    other = np.array([(-1.0) ** n / (n + 1.0) for n in range(48)], dtype=complex)
+    values, errs = levin_u(np.stack((other, terms)))
+    assert values[1] == partial and errs[1] == e
+    assert (values[0], errs[0]) == levin_u(other)
+
+
 def test_sum_one_sided_geometric():
     res = sum_one_sided(lambda n: np.full(n.shape, 0.5), 1.0, 1e-14)
     assert abs(res.value - 2.0) < 1e-13
