@@ -12,8 +12,8 @@ summed by one cumulative sweep down each lattice column
 (`qseries.log_qpoch_lattice`).  Its `panels` counts lattice nodes.  The
 Abel/Poisson-kernel route keeps Gauss panels graded toward the kernel's
 peaks, summed with the 20-point rule alone, and its own geometric
-truncation, whose probes it evaluates once per abscissa, one `log_f` call
-per truncation candidate.
+truncation, one `log_f` call on six probe abscissae per truncation
+candidate.
 """
 
 from __future__ import annotations
@@ -149,8 +149,11 @@ def _geometric_truncation(log_mag: Callable[[List[float]], List[float]],
 # the lattice is s + k/p: a shift that no dyadic refinement brings onto the
 # integers, where a q-Fourier lattice sum would be the psi series itself
 _LATTICE_SHIFT = 1.0 / 3.0
-# the unit-row scan starts at rows -8..8 and doubles a side's reach until a
-# row on it passes, up to this reach
+# the unit-row scan starts at rows -32..32 and doubles a side's reach until
+# a row on it passes, up to this reach.  A `g` call costs its fixed numpy
+# overhead plus about 39/u lead-in rows a column (u = -log q) whatever its
+# number of rows, so 65 rows cost about what 17 would, and the wide start
+# spares most integrals every doubling call
 _MAX_ROWS = 4096
 # alias exponent wanted of the half lattice: e^-18 = 1.5e-8 relative
 _ALIAS_LOG = 18.0
@@ -179,16 +182,33 @@ def _first_passing_row(lm: np.ndarray, ratio: float,
     return int(hits[0]) + 1 if hits.size else None
 
 
-def _lattice_rows(g: Callable[[np.ndarray], np.ndarray], rho_right: float,
-                  rho_left: float) -> Tuple[int, np.ndarray, float]:
+def _measured_decay(step: complex) -> float:
+    """One-step decay ratio exp(Re step) of a log-integrand, clamped to
+    [1e-6, 0.97]; 0.97 when the step is nan (between two zeros)."""
+    d = step.real
+    return 0.97 if math.isnan(d) else min(max(math.exp(min(50.0, d)), 1e-6),
+                                          0.97)
+
+
+def _lattice_rows(g: Callable[[np.ndarray], np.ndarray],
+                  rho_right: Optional[float], rho_left: Optional[float]
+                  ) -> Tuple[int, np.ndarray, float]:
     """(k0, g on the rows k0..k1 at s + k, log cut) for the log-integrand g:
     the rows between the first passing row on each side of the peak row.
 
-    The cut is 1e-17 x the peak magnitude.  Raises
+    The first scan covers the rows -32..32.  A side ratio of None is
+    measured on it: the one-step decay from row 6 to 7 on the right and from
+    row -6 to -7 on the left, by `_measured_decay`, so a side that still
+    grows there gets 0.97.  The cut is 1e-17 x the peak magnitude.  Raises
     ToleranceNotReached when a side has no passing row within _MAX_ROWS.
     """
-    lo, hi = -8, 8
+    lo, hi = -32, 32
     vals = g(_LATTICE_SHIFT + np.arange(lo, hi + 1.0))
+    with np.errstate(invalid="ignore"):
+        if rho_right is None:
+            rho_right = _measured_decay(vals[7 - lo] - vals[6 - lo])
+        if rho_left is None:
+            rho_left = _measured_decay(vals[-7 - lo] - vals[-6 - lo])
     while True:
         lm = vals.real
         i0 = int(np.argmax(lm))
@@ -233,15 +253,17 @@ QFactor = Tuple[complex, complex, int]
 
 def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                  factors: Sequence[QFactor], q: complex, t: complex,
-                 rho_right: float, rho_left: float, kappa: float,
-                 freq_hint: float) -> QuadratureResult:
+                 rho_right: Optional[float], rho_left: Optional[float],
+                 kappa: float, freq_hint: float) -> QuadratureResult:
     """Trapezoid-lattice integral of f(x) e^(-i t x) over the line, where
     log f = rest + the log q-products `factors` at base q.
 
     The nodes are s + k/p between the first unit rows on each side of the
     integrand's peak whose geometric tail bound, with the worse of the side
     ratio rho and the local one, falls below 1e-17 x the peak magnitude, so
-    the rule scales with the integrand.  On these entire integrands the
+    the rule scales with the integrand.  A side ratio of None is measured
+    on the first unit-row scan (`_lattice_rows`): the clamped one-step decay
+    from row 6 to 7, or from row -6 to -7.  On these entire integrands the
     lattice errs only by the alias sum of the Fourier transform at multiples
     of 2 pi p (Poisson summation), so p is chosen from the Gaussian
     coefficient kappa of log|f| and the frequency |Re t| + freq_hint
@@ -352,19 +374,14 @@ def abel_poisson_psi(spec: QIntegrandSpec,
     """Kernel-regularized integrals for each r < 1; they approach
     abel_psi_target as r -> 1.  Each is a 20-point Gauss sum on panels graded
     toward the kernel's peaks, between the `_geometric_truncation` points for
-    _ABEL_TOL over the kernel's peak; the truncation searches of all r
-    share one memo of the log-magnitude probes, and each candidate's missing
-    abscissae reach `log_f` in one call."""
+    _ABEL_TOL over the kernel's peak; each truncation candidate hands its
+    six probe abscissae to `log_f` in one call."""
     spec.check_annulus()
     rr, rl = spec.decay_ratios()
-    probes: Dict[float, float] = {}
 
     def log_mag(xs: List[float]) -> List[float]:
-        new = np.array([x for x in xs if x not in probes])
-        if new.size:
-            lm = (spec.log_f(new) - 1j * spec.t * new).real
-            probes.update(zip(new.tolist(), lm.tolist()))
-        return [probes[x] for x in xs]
+        x = np.array(xs)
+        return (spec.log_f(x) - 1j * spec.t * x).real.tolist()
 
     out: List[Tuple[float, complex]] = []
     for r in r_sequence:
@@ -453,19 +470,12 @@ def _qbeta_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                       freq_hint: float) -> complex:
     """Integral over the line of the integrand with log rest plus the
     q-products `factors`, whose Gaussian factor is q^(2x^2), so kappa =
-    -2 log q.  The one-step decay ratios are measured from x = 6 to 7
-    and from -6 to -7 and clamped to [1e-6, 0.97], not taken from the
-    analytic envelopes: the Gaussian factor dominates whenever fewer than
-    four product pairs remain.  A ratio between two zeros of the integrand
-    is taken as 0.97."""
-    # two columns, x = 6, 7 and x = -7, -6
-    x = np.array([[6.0, -7.0], [7.0, -6.0]])
-    lf = rest(x) + log_qpoch_lattice(factors, q, x)
-    with np.errstate(invalid="ignore"):
-        steps = (lf[1, 0] - lf[0, 0]).real, (lf[0, 1] - lf[1, 1]).real
-    rr, rl = (min(max(math.exp(min(50.0, d)), 1e-6), 0.97)
-              if not math.isnan(d) else 0.97 for d in steps)
-    return q_quadrature(rest, factors, q, 0.0, rr, rl, -2.0 * math.log(q),
+    -2 log q.  The one-step decay ratios are not taken from the analytic
+    envelopes, since the Gaussian factor dominates whenever fewer than four
+    product pairs remain: `q_quadrature` measures them on its first scan,
+    from s + 6 to s + 7 and from s - 6 to s - 7, clamped to [1e-6, 0.97]
+    (0.97 between two zeros of the integrand)."""
+    return q_quadrature(rest, factors, q, 0.0, None, None, -2.0 * math.log(q),
                         freq_hint).value
 
 

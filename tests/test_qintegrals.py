@@ -171,6 +171,61 @@ def test_a_zero_on_a_lattice_row_does_not_end_the_scan():
     assert z0 + len(zrows) - 1 > 3
 
 
+def _clamped_decay(g, k_from, k_to):
+    """exp of the log-magnitude step of g from row k_from to row k_to,
+    clamped to [1e-6, 0.97]."""
+    lm = g(_LATTICE_SHIFT + np.array([k_from, k_to], dtype=float)).real
+    return min(max(math.exp(min(50.0, lm[1] - lm[0])), 1e-6), 0.97)
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: -0.3 * (x - 2.5) ** 2 + 0j,
+    lambda x: -np.abs(x + 3.0) * 0.7 + 0.2j * x,
+    lambda x: -0.05 * (x - 1.0) ** 2 + np.where(x > 0, -0.4 * x, 0.0),
+])
+def test_lattice_rows_measure_a_missing_ratio_on_the_first_scan(g):
+    rr, rl = _clamped_decay(g, 6, 7), _clamped_decay(g, -6, -7)
+    k0, rows, cut = _lattice_rows(g, rr, rl)
+    for rho in ((None, None), (None, rl), (rr, None)):
+        m0, mrows, mcut = _lattice_rows(g, *rho)
+        assert (m0, mcut) == (k0, cut), rho
+        assert np.array_equal(mrows, rows), rho
+
+
+def test_a_side_that_grows_at_row_six_gets_the_top_ratio():
+    # where the integrand still grows outward no decay can be read, so that
+    # side is cut as if it fell by only 0.97 a row
+    right = lambda x: -0.01 * (x - 20.0) ** 2 + 0j
+    left = lambda x: -0.02 * (x + 40.0) ** 2 + 0j
+    for g, ratios in (
+            (right, lambda rho: (rho, _clamped_decay(right, -6, -7))),
+            (left, lambda rho: (_clamped_decay(left, 6, 7), rho))):
+        got = _lattice_rows(g, None, None)[1]
+        assert np.array_equal(got, _lattice_rows(g, *ratios(0.97))[1])
+        assert not np.array_equal(got, _lattice_rows(g, *ratios(0.5))[1])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: q_integrate(QIntegrandSpec(0.73, [2.9], [0.3], [1.0])),
+    lambda: qbeta_family(QBetaKind.I_FULL, dict(alpha=0.9, a=0.25, b=0.4,
+                                                c=0.35, d=0.3), 0.7),
+    lambda: qbeta_gamma_form(QBetaKind.I_FULL, dict(alpha=0.2, a=0.15, b=0.25,
+                                                    c=0.35, d=0.3), 0.5),
+], ids=["q-fourier", "qbeta", "qbeta-gamma"])
+def test_q_quadrature_calls_its_kernel_twice(monkeypatch, run):
+    # one unit-row scan wide enough for both sides and their decay ratios,
+    # then one call for the lattice nodes between the rows
+    calls = []
+    kernel = qintegrals.log_qpoch_lattice
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(qintegrals, "log_qpoch_lattice", counting)
+    run()
+    assert len(calls) == 2
+
+
 def test_lattice_rows_raise_on_a_flat_integrand():
     with pytest.raises(ToleranceNotReached):
         _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex), 0.5, 0.5)
@@ -323,9 +378,9 @@ def test_abel_kernel_m1_limit_is_1psi1():
 
 
 def _abel_reference(spec, r_sequence):
-    """abel_poisson_psi from its parts: unmemoised one-point truncation
-    probes, mapped over each candidate's abscissae, and the 20-point Gauss
-    sums of `panel_sums`."""
+    """abel_poisson_psi from its parts: one-point truncation probes, mapped
+    over each candidate's abscissae, and the 20-point Gauss sums of
+    `panel_sums`."""
     rr, rl = spec.decay_ratios()
 
     def one(x):
@@ -359,7 +414,7 @@ _ABEL_DRAWS = [
 @pytest.mark.parametrize("spec", _ABEL_DRAWS, ids=["m1", "m2"])
 def test_abel_kernel_bits_match_its_reference(spec):
     # the suite's golden records hold these values' gaps, so skipping the
-    # 10-point nodes and sharing the probes must keep every bit
+    # 10-point nodes and probing a candidate in one call must keep every bit
     rs = [0.9, 0.99, 0.999]
     assert abel_poisson_psi(spec, rs) == _abel_reference(spec, rs)
 
@@ -379,20 +434,6 @@ def test_abel_route_keeps_its_golden_bits(seed):
     entry = next(e for e in verify.IDENTITIES if e.id == "abel-poisson-kernel")
     rec = verify._run_job(seed, (0, entry))
     assert [g.hex() for g in rec.inputs["gaps"]] == _ABEL_GOLDEN_GAPS[seed]
-
-
-def test_abel_kernel_probes_each_abscissa_once(monkeypatch):
-    spec = _ABEL_DRAWS[1]
-    probes = []
-    log_f = QIntegrandSpec.log_f
-
-    def counting(self, x):
-        if x.size <= 6:
-            probes.extend(x.tolist())
-        return log_f(self, x)
-    monkeypatch.setattr(QIntegrandSpec, "log_f", counting)
-    abel_poisson_psi(spec, [0.9, 0.99, 0.999])
-    assert probes and len(probes) == len(set(probes))
 
 
 def test_abel_kernel_arrays_are_real_chains(monkeypatch):
