@@ -3,7 +3,8 @@ suites, emit JSON/CSV reports.
 
 Exit codes: 0 success / all records pass; 1 failed records; 2 argument,
 parse or domain errors and ill-formed specs; 3 every other library error
-(divergence, constraint, annulus, pole, ...); 4 report I/O failure.
+(divergence, constraint, annulus, pole, overflow, ...); 4 report I/O
+failure.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RBetaError as exc:
+    except (RBetaError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 2

@@ -98,8 +98,9 @@ class QIntegrandSpec:
         return out
 
     def decay_ratios(self) -> Tuple[float, float]:
-        # |f(x+1)/f(x)| limits: prod|w/a| e^{Im t} rightward,
-        # prod|b/w| e^{-Im t} leftward
+        """|f(x+1)/f(x)| limits: prod|w/a| e^{Im t} rightward, prod|b/w|
+        e^{-Im t} leftward.  Only the Abel route's truncation reads them;
+        the lattice of `q_integrate` is cut at its rows' own decay."""
         pa, pb, pw = self._abs_products()
         ti = self.t.imag
         return pw / pa * math.exp(ti), pb / pw * math.exp(-ti)
@@ -161,60 +162,41 @@ _ALIAS_LOG = 18.0
 _LOG_CUT = math.log(1e-17)
 
 
-def _first_passing_row(lm: np.ndarray, ratio: float,
-                       log_cut: float) -> Optional[int]:
+def _first_passing_row(lm: np.ndarray, log_cut: float) -> Optional[int]:
     """Index of the first row past lm[0] whose tail bound passes, or None.
 
     `lm` holds the log-magnitudes of unit rows outward from the peak row
     lm[0].  A row's magnitude is the larger of its own and its outward
     neighbour's, so a zero of the integrand on one row cannot fake decay.  A
-    row passes when that magnitude falls from the row before (local ratio
-    below 1) and, times 1/(1 - rho) with rho the worse of `ratio` and the
-    local ratio, lies below exp(log_cut): with |f| falling by rho per unit
-    past the row, that bounds the lattice sum beyond it at any spacing.
+    row passes when that magnitude falls from the row before by rho < 1 and,
+    times 1/(1 - rho), lies below exp(log_cut): with |f| falling by rho per
+    unit past the row, that bounds the lattice sum beyond it at any spacing.
     """
     env = np.maximum(lm[:-1], lm[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         step = env[1:] - env[:-1]
-        rho = np.maximum(ratio, np.exp(np.minimum(step, 0.0)))
-        tail = env[1:] - np.log1p(-rho)
+        tail = env[1:] - np.log1p(-np.exp(np.minimum(step, 0.0)))
     hits = np.flatnonzero((step < 0.0) & (tail < log_cut))
     return int(hits[0]) + 1 if hits.size else None
 
 
-def _measured_decay(step: complex) -> float:
-    """One-step decay ratio exp(Re step) of a log-integrand, clamped to
-    [1e-6, 0.97]; 0.97 when the step is nan (between two zeros)."""
-    d = step.real
-    return 0.97 if math.isnan(d) else min(max(math.exp(min(50.0, d)), 1e-6),
-                                          0.97)
-
-
-def _lattice_rows(g: Callable[[np.ndarray], np.ndarray],
-                  rho_right: Optional[float], rho_left: Optional[float]
+def _lattice_rows(g: Callable[[np.ndarray], np.ndarray]
                   ) -> Tuple[int, np.ndarray, float]:
     """(k0, g on the rows k0..k1 at s + k, log cut) for the log-integrand g:
     the rows between the first passing row on each side of the peak row.
 
-    The first scan covers the rows -32..32.  A side ratio of None is
-    measured on it: the one-step decay from row 6 to 7 on the right and from
-    row -6 to -7 on the left, by `_measured_decay`, so a side that still
-    grows there gets 0.97.  The cut is 1e-17 x the peak magnitude.  Raises
+    The first scan covers the rows -32..32, and a side without a passing row
+    doubles its reach.  The cut is 1e-17 x the peak magnitude.  Raises
     ToleranceNotReached when a side has no passing row within _MAX_ROWS.
     """
     lo, hi = -32, 32
     vals = g(_LATTICE_SHIFT + np.arange(lo, hi + 1.0))
-    with np.errstate(invalid="ignore"):
-        if rho_right is None:
-            rho_right = _measured_decay(vals[7 - lo] - vals[6 - lo])
-        if rho_left is None:
-            rho_left = _measured_decay(vals[-7 - lo] - vals[-6 - lo])
     while True:
         lm = vals.real
         i0 = int(np.argmax(lm))
         log_cut = lm[i0] + _LOG_CUT
-        right = _first_passing_row(lm[i0:], rho_right, log_cut)
-        left = _first_passing_row(lm[i0::-1], rho_left, log_cut)
+        right = _first_passing_row(lm[i0:], log_cut)
+        left = _first_passing_row(lm[i0::-1], log_cut)
         if right is not None and left is not None:
             return lo + i0 - left, vals[i0 - left:i0 + right + 1], log_cut
         if max(-lo, hi) >= _MAX_ROWS:
@@ -253,17 +235,14 @@ QFactor = Tuple[complex, complex, int]
 
 def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
                  factors: Sequence[QFactor], q: complex, t: complex,
-                 rho_right: Optional[float], rho_left: Optional[float],
                  kappa: float, freq_hint: float) -> QuadratureResult:
     """Trapezoid-lattice integral of f(x) e^(-i t x) over the line, where
     log f = rest + the log q-products `factors` at base q.
 
     The nodes are s + k/p between the first unit rows on each side of the
-    integrand's peak whose geometric tail bound, with the worse of the side
-    ratio rho and the local one, falls below 1e-17 x the peak magnitude, so
-    the rule scales with the integrand.  A side ratio of None is measured
-    on the first unit-row scan (`_lattice_rows`): the clamped one-step decay
-    from row 6 to 7, or from row -6 to -7.  On these entire integrands the
+    integrand's peak whose geometric tail bound, at the row's own one-step
+    decay, falls below 1e-17 x the peak magnitude (`_lattice_rows`), so the
+    rule scales with the integrand.  On these entire integrands the
     lattice errs only by the alias sum of the Fourier transform at multiples
     of 2 pi p (Poisson summation), so p is chosen from the Gaussian
     coefficient kappa of log|f| and the frequency |Re t| + freq_hint
@@ -277,7 +256,7 @@ def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
     def g(x: np.ndarray) -> np.ndarray:
         return rest(x) + log_qpoch_lattice(factors, q, x) - 1j * t * x
 
-    k0, rows, log_cut = _lattice_rows(g, rho_right, rho_left)
+    k0, rows, log_cut = _lattice_rows(g)
     p = _lattice_order(kappa, abs(t.real) + freq_hint)
     n = len(rows) - 1
     # one unit row, then the p - 1 nodes after it, row by row
@@ -308,7 +287,6 @@ def q_integrate(spec: QIntegrandSpec) -> QuadratureResult:
     spec.check_annulus()
     if spec.t.imag != 0.0:
         spec.check_strip()
-    rr, rl = spec.decay_ratios()
     # log|f| falls like Re(c) x^2 with c = m u / 2, u = -log q; a complex q
     # adds a chirp, and the transform of e^(-c x^2) falls like
     # e^(-xi^2 Re(1/c) / 4), hence kappa = |c|^2 / Re c
@@ -324,7 +302,7 @@ def q_integrate(spec: QIntegrandSpec) -> QuadratureResult:
     def rest(x: np.ndarray) -> np.ndarray:
         return lw * x + spec.m * 0.5 * x * (x - 1.0) * lq
 
-    return q_quadrature(rest, factors, spec.q, spec.t, rr, rl, kappa, freq)
+    return q_quadrature(rest, factors, spec.q, spec.t, kappa, freq)
 
 
 def q_fourier_closed(spec: QIntegrandSpec) -> complex:
@@ -465,20 +443,6 @@ def _qbeta_params(kind: QBetaKind, params: Dict[str, complex]
     return kind, p["alpha"], [p[name] for name in _QBETA_YS[kind]]
 
 
-def _qbeta_quadrature(rest: Callable[[np.ndarray], np.ndarray],
-                      factors: Sequence[QFactor], q: float,
-                      freq_hint: float) -> complex:
-    """Integral over the line of the integrand with log rest plus the
-    q-products `factors`, whose Gaussian factor is q^(2x^2), so kappa =
-    -2 log q.  The one-step decay ratios are not taken from the analytic
-    envelopes, since the Gaussian factor dominates whenever fewer than four
-    product pairs remain: `q_quadrature` measures them on its first scan,
-    from s + 6 to s + 7 and from s - 6 to s - 7, clamped to [1e-6, 0.97]
-    (0.97 between two zeros of the integrand)."""
-    return q_quadrature(rest, factors, q, 0.0, None, None, -2.0 * math.log(q),
-                        freq_hint).value
-
-
 def _qbeta_integrand(alpha: complex, ys: Sequence[complex], q: complex
                      ) -> Tuple[Callable[[np.ndarray], np.ndarray],
                                 List[QFactor]]:
@@ -541,10 +505,11 @@ def qbeta_family(kind: QBetaKind, params: Dict[str, complex],
     kind, alpha, yv = _qbeta_params(kind, params)
     if kind is QBetaKind.I_FULL and not abs(math.prod(yv)) < 1.0 / abs(q):
         raise ConstraintViolation("needs |abcd| < 1/|q|")
-    value = _qbeta_quadrature(
-        *_qbeta_integrand(alpha, yv, q), q,
+    # the Gaussian factor q^(2x^2) gives kappa = -2 log q
+    value = q_quadrature(
+        *_qbeta_integrand(alpha, yv, q), q, 0.0, -2.0 * math.log(q),
         abs(cmath.log(alpha).imag) * 4.0
-        + sum(abs(cmath.log(complex(y)).imag) for y in yv))
+        + sum(abs(cmath.log(complex(y)).imag) for y in yv)).value
     return value, _qbeta_product(alpha, yv, q)
 
 
@@ -604,7 +569,8 @@ def qbeta_gamma_form(kind: QBetaKind, params: Dict[str, complex],
     # (q^(1 + y + w), q^(1 + y - w); q)_inf at w = x + alpha
     factors = [f for y in ys
                for f in ((1.0, 1.0 + y + alpha, 1), (1.0, 1.0 + y - alpha, -1))]
-    value = _qbeta_quadrature(rest, factors, q, 2.0 * math.pi + 2.0)
+    value = q_quadrature(rest, factors, q, 0.0, -2.0 * math.log(q),
+                         2.0 * math.pi + 2.0).value
     pair_gammas = 1.0 + 0j
     for yi, yj in itertools.combinations(ys, 2):
         pair_gammas *= q_gamma(yi + yj + 1.0, q)

@@ -334,7 +334,8 @@ def log_qpoch_lattice(factors: Sequence[Tuple[complex, complex, int]],
     column runs on that way past the lattice to its first row with
     |c_k| < 1e-17, the cut of log_qpoch_inf, and one cumulative sum back
     from there gives every row: one log1p per node and factor, plus about
-    39/u lead-in rows per column, u = -log|q|.
+    39/u lead-in rows per column, u = -log|q|.  A term whose |c_k| passes
+    e^700 is log(-c_k), so no argument past the float range ends the sum.
     """
     q = _check_base(q)
     x = np.asarray(x, dtype=float)
@@ -354,13 +355,20 @@ def log_qpoch_lattice(factors: Sequence[Tuple[complex, complex, int]],
     lq = cmath.log(q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a finite c can have an infinite modulus
-        log_end = (np.log(np.abs(0.5 * c)) + math.log(2.0)
-                   + ((o + end) * lq).real)
+        log_c = np.log(np.abs(0.5 * c)) + math.log(2.0)
+        log_end = log_c + ((o + end) * lq).real
         past = (math.log(_QPROD_EPS) - log_end.max()) / math.log(abs(q))
         lead = int(np.clip(np.floor(past) + 1.0, 0, _QPROD_MAX_FACTORS))
         chain = np.concatenate(
             (xs, end + np.arange(1.0, lead + 1.0)[None, :, None]), axis=1)
-        terms = np.log1p(-(c * np.exp((o + chain) * lq)))
+        power = (o + chain) * lq
+        terms = np.log1p(-(c * np.exp(power)))
+        # the term log(1 - y), y = c q^(o + s x), is log(-y) up to
+        # log1p(-1/y): past e^700, where y or q^(o + s x) may leave the
+        # float range, it takes that form, exact under exp()
+        far = np.maximum(log_c, 0.0) + power.real > 700.0
+        if far.any():
+            terms = np.where(far, np.log(c) + power + 1j * math.pi, terms)
     logs = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, :rows]
     logs = np.where(down, logs, logs[:, ::-1])
     return logs.sum(axis=0).reshape(x.shape)
@@ -421,15 +429,6 @@ _EPS = float(np.finfo(float).eps)
 _BLOCK = 32
 
 
-def _psi_factors(x: np.ndarray, na: int, qm: np.ndarray):
-    """One row per q^m: x_j q^m and 1 - x_j q^m over the upper, then the
-    lower parameters x, and each row's product over the upper and over the
-    lower ones."""
-    xq = x[None, :] * qm[:, None]
-    f = 1.0 - xq
-    return xq, f, f[:, :na].prod(axis=1), f[:, na:].prod(axis=1)
-
-
 def eval_psi(spec: QSeriesSpec) -> SeriesValue:
     """Bilateral basic series sum over n in Z, both sides geometric.
 
@@ -443,16 +442,18 @@ def eval_psi(spec: QSeriesSpec) -> SeriesValue:
     Each side's term ratios are built _BLOCK indices at a time: q^m as
     Python powers, and in one numpy pass over the block the factors
     1 - x_j q^m, their upper and lower products and their rounding
-    amplification.  The rest stays scalar, in the order of a term at a time:
-    the ratio from the products, z and (-q^m)^d, the running term and sum,
-    the rounding estimate and both stopping rules.  A numpy running product
-    would round the terms differently, and the abel-poisson-kernel records
-    hold these sums' bits; each numpy operation of the block rounds every
-    element as it did on one row, so value, est_error and terms_used are
-    those of the term-at-a-time loop bit for bit.  The block raises and
-    warns nothing, as it also computes indices past its side's stop; a row
-    the loop reaches whose factors, products or amplification are not
-    finite raises OverflowError, as a first q^m past the float range does.
+    amplification.  Where q^m leaves the float range, far out on the left
+    side, the factors are taken times -q^-m, as x_j - q^-m, whose products'
+    ratio holds the power (-q^m)^-d.  The rest stays scalar, in the order of
+    a term at a time: the ratio from the products, z and (-q^m)^d, the
+    running term and sum, the rounding estimate and both stopping rules.  A
+    numpy running product would round the terms differently, and the
+    abel-poisson-kernel records hold these sums' bits; each numpy operation
+    of the block rounds every element as it did on one row, so value,
+    est_error and terms_used are those of the term-at-a-time loop bit for
+    bit.  The block raises and warns nothing, as it also computes indices
+    past its side's stop; a row the loop reaches whose factors, products or
+    amplification are not finite raises OverflowError.
     """
     right_cut, left_cut = spec.validate()
     q, z = spec.q, spec.z
@@ -472,23 +473,28 @@ def eval_psi(spec: QSeriesSpec) -> SeriesValue:
 
     def block(ms: Sequence[int]):
         # the ratio at index m is of the term at m + 1 to the one at m for
-        # m >= 0, and of the term at m to the one at m + 1 for m < 0.  A q^m
-        # past the float range ends the block, or raises if it is the first
+        # m >= 0, and of the term at m to the one at m + 1 for m < 0.  A row
+        # past the float range of q^m has the factors x_j - q^-m and a q^m
+        # of None
         qm = []
         for m in ms:
             try:
                 qm.append(q ** m)
             except OverflowError:
-                if not qm:
-                    raise
                 break
-        qa = np.array(qm)
+        far = np.array([q ** -m for m in ms[len(qm):]], dtype=complex)
         with np.errstate(all="ignore"):
-            xq, f, upper, lower = _psi_factors(x, na, qa)
+            xq = x[None, :] * np.array(qm)[:, None]
+            f = 1.0 - xq
+            if far.size:
+                xq = np.vstack((xq, np.broadcast_to(x, (far.size, x.size))))
+                f = np.vstack((f, x[None, :] - far[:, None]))
+            upper, lower = f[:, :na].prod(axis=1), f[:, na:].prod(axis=1)
             # by how much the factors amplify their rounding
             amp = np.abs(xq / f).sum(axis=1)
             finite = np.isfinite(upper) & np.isfinite(lower) & np.isfinite(amp)
-        return qm, upper.tolist(), lower.tolist(), amp.tolist(), finite.tolist()
+        return (qm + [None] * far.size, upper.tolist(), lower.tolist(),
+                amp.tolist(), finite.tolist())
 
     total = 1.0 + 0j
     used = 1
@@ -519,7 +525,7 @@ def eval_psi(spec: QSeriesSpec) -> SeriesValue:
                                     f"at term {n + 1 if right else -n - 1}")
             qm, upper, lower, amp = qms[i], uppers[i], lowers[i], amps[i]
             r = z * upper / lower if right else lower / upper / z
-            if d:
+            if d and qm is not None:
                 r *= (-qm) ** (d if right else -d)
             t = t * r
             part += t

@@ -369,7 +369,7 @@ def _q_gaussian_integral(rng, *_):
     w = complex(_udraw(rng, 0.5, 2.0), _udraw(rng, -0.5, 0.5))
     lq = math.log(q)
     got = q_quadrature(lambda x: 0.5 * x * (x - 1.0) * lq
-                       + x * cmath.log(w), (), q, 0.0, 0.05, 0.05, -0.5 * lq,
+                       + x * cmath.log(w), (), q, 0.0, -0.5 * lq,
                        abs(cmath.log(w).imag) + 1.0).value
     return {"q": q, "w": w}, got, gaussian_q_integral(q, w)
 
@@ -426,7 +426,7 @@ def _draw_qbeta(rng, kind: QBetaKind) -> Dict[str, float]:
     return {"alpha": _udraw(rng, 0.6, 1.3), **{k: _udraw(rng, 0.2, hi) for k in ys}}
 
 
-def _qbeta_quadrature(kind: QBetaKind, q: float, rng, *_):
+def _qbeta_family(kind: QBetaKind, q: float, rng, *_):
     params = _draw_qbeta(rng, kind)
     return {**params, "q": q}, *qbeta_family(kind, params, q)
 
@@ -446,7 +446,7 @@ def _qbeta_entries(kind: QBetaKind) -> Tuple[Identity, ...]:
     """Quadrature at q = 0.4 and 0.7, then the psi representation at 0.5."""
     iid = f"qbeta-{kind.value}"
     return (
-        *(Identity(iid, "q-beta", TOL_Q, partial(_qbeta_quadrature, kind, q),
+        *(Identity(iid, "q-beta", TOL_Q, partial(_qbeta_family, kind, q),
                    tag=f"{iid}-{q}") for q in (0.4, 0.7)),
         Identity(f"{iid}-psi-representation", "q-beta",
                  Tolerance(rel=1e-9, abs=1e-12),

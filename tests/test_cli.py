@@ -153,6 +153,16 @@ def test_eval_psi_left_side_outside_annulus_exit3(a, b, z):
     assert "OutsideAnnulus" in err
 
 
+def test_eval_psi_overflow_exit3():
+    # exit code 1 is for failed records: an overflow is a library error
+    code, out, err = run(["eval-psi", "--a", "1e200,1e200", "--b", "0.5,0.5",
+                          "--q", "0.5", "--z", "0.5"])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: OverflowError: up side of psi series overflows at term 1"]
+
+
 def test_integrate_complex_t_with_zero_b():
     code, out, _ = run(["integrate", "--q", "0.5", "--a", "2", "--b", "0",
                         "--w", "1", "--t", "0.3+0.2i"])

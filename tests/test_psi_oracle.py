@@ -9,7 +9,10 @@ classifies the parameters once and builds the ratio inputs of 32 indices in
 one numpy pass, keeping the recurrence in Python scalars.  It must reproduce
 the loop bit for bit: value, est_error and terms_used, or the class of the
 exception it raised.  Where a row the loop reaches overflows, the loop warns
-and the library raises OverflowError.
+and the library raises OverflowError.  Where q^m leaves the float range,
+far out on a left side, the loop raised OverflowError; the library sums on
+with those factors taken times -q^-m, and its value is checked against the
+series' product form.
 """
 
 import cmath
@@ -17,6 +20,7 @@ import math
 import struct
 from typing import Optional, Tuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -188,6 +192,28 @@ def eval_psi_oracle(spec: QSeriesSpec,
     return SeriesValue(total, est, used, False)
 
 
+def _psi_product(spec: QSeriesSpec) -> complex:
+    """The product form, at 30 digits, of a series with one lower and at
+    most one upper parameter: Ramanujan's 1psi1 sum, and its limit
+    (q, z, q/z; q)_inf / (b, b/z; q)_inf as a -> infinity for the 0psi1."""
+    assert len(spec.b) == 1 and len(spec.a) <= 1, spec
+    with mp.workdps(30):
+        q, z, b = mp.mpc(spec.q), mp.mpc(spec.z), mp.mpc(spec.b[0])
+
+        def prod(*cs):
+            return mp.fprod(mp.qp(c, q) for c in cs)
+        if not spec.a:
+            return complex(prod(q, z, q / z) / prod(b, b / z))
+        a = mp.mpc(spec.a[0])
+        return complex(prod(q, b / a, a * z, q / (a * z))
+                       / prod(b, q / a, z, b / (a * z)))
+
+
+def _assert_sums_to_its_product(spec: QSeriesSpec) -> None:
+    sv = eval_psi(spec)
+    assert abs(sv.value - _psi_product(spec)) <= sv.est_error, (spec, sv)
+
+
 def _bits(v) -> bytes:
     """The exact bits of a float or complex, so -0.0 and nan compare too."""
     v = complex(v)
@@ -255,14 +281,22 @@ def test_drawn_specs_match_the_loop_bit_for_bit():
              "complex_q": 0, "outside": 0, "ill_formed": 0}
     diffs = set()
     n = 3000
+    past_range = 0
     for _ in range(n):
         spec = _draw_spec(rng)
         want = _outcome(eval_psi_oracle, spec)
+        got = _outcome(eval_psi, spec)
+        if (want in (OverflowError, RuntimeWarning)
+                and not isinstance(got, type)):
+            # the loop's q^m left the float range, where eval_psi sums on
+            _assert_sums_to_its_product(spec)
+            past_range += 1
+            continue
         # where a row the loop reaches overflows, the loop warns and
         # eval_psi raises
         if want is RuntimeWarning:
             want = OverflowError
-        if want != (got := _outcome(eval_psi, spec)):
+        if want != got:
             pytest.fail(f"eval_psi differs from the loop on {spec}: {got}")
         if isinstance(got, type):
             kinds["outside" if got is OutsideAnnulus else "ill_formed"] += 1
@@ -277,6 +311,7 @@ def test_drawn_specs_match_the_loop_bit_for_bit():
     # every kind the draw aims at is there, not only in principle
     assert diffs == {0, 1, 2}
     assert kinds["sum"] >= n // 2 and min(kinds.values()) >= 40, kinds
+    assert past_range >= 5
 
 
 def test_parameter_checks_match_the_separate_ones():
@@ -334,24 +369,25 @@ def test_a_side_that_stops_just_short_of_overflow(a, b, z, terms):
 
 
 @pytest.mark.parametrize("q,a,b,z,want", [
-    (0.05, [1.0], [0.25], 0.2825, OverflowError),
+    # the loop raised where q^m leaves the float range
+    (0.05, [1.0], [0.25], 0.2825, None),
     # the loop warns that the lower product overflows
     (0.05, [1.0, 40.0], [0.25, 30.0], 0.24, OverflowError),
     # |b / z| = 0.99997: at term 2589, x q^m is finite but numpy's complex
     # array times the scalar q^m = -8.3e307 + 1.14e308i flags an overflow;
-    # with the flag ignored the side sums on until a later q^m overflows
+    # with the flag ignored the loop sums on until a later q^m overflows
     (-0.1396691098068077 + 0.7474289465409901j, [], [-0.18664232858260874],
      0.15930834965967788 - 0.09743544014618993j, None),
 ], ids=["q-power", "lower-product", "array-times-scalar"])
 def test_a_side_that_reaches_overflow_fails_as_the_loop(q, a, b, z, want):
     # a little closer to the bound the side needs those indices: a row whose
-    # values overflow raises OverflowError, and a row whose values stay
-    # finite sums as the loop does with numpy's flags ignored
+    # values overflow raises OverflowError as in the loop, and a side that
+    # runs past the float range of q^m sums on to its product form
     spec = QSeriesSpec(q, a, b, z)
     if want is None:
-        with np.errstate(all="ignore"):
-            want = _outcome(eval_psi_oracle, spec)
-    assert _outcome(eval_psi, spec) == want
+        _assert_sums_to_its_product(spec)
+    else:
+        assert _outcome(eval_psi, spec) == want
 
 
 def test_abel_psi_targets_match_the_loop(monkeypatch):

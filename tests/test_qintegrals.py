@@ -112,46 +112,46 @@ def test_qbeta_near_q_one_truncates_beyond_the_peak():
     assert abs(value - product) <= 1e-10 * abs(product)
 
 
-def _passes(g, k, side, ratio, log_cut):
-    """The tail bound of unit row k on a decaying side, side = +1 or -1."""
+def _passes(g, k, side, log_cut):
+    """The tail bound of unit row k on a decaying side, side = +1 or -1, at
+    the row's own one-step decay."""
     here = g(np.array([_LATTICE_SHIFT + k]))[0].real
     step = here - g(np.array([_LATTICE_SHIFT + k - side]))[0].real
-    rho = max(ratio, math.exp(min(step, 0.0)))
-    return step < 0.0 and here - math.log1p(-rho) < log_cut
+    return step < 0.0 and here - math.log1p(-math.exp(step)) < log_cut
 
 
-@pytest.mark.parametrize("g,ratio", [
+# each integrand with a bound of its one-step decay at the end rows
+@pytest.mark.parametrize("g,rho", [
     (lambda x: -0.3 * (x - 2.5) ** 2 + 0j, 0.5),
     (lambda x: -np.abs(x + 30.0) * math.log(2.0) + 0j, 0.5),
     (lambda x: -np.abs(x) * 0.05 + 3.0 + 0j, 0.97),
 ])
 @pytest.mark.parametrize("scale", [1e-12, 1e-6])
-def test_lattice_rows_end_at_the_first_passing_row_from_the_peak(g, ratio,
+def test_lattice_rows_end_at_the_first_passing_row_from_the_peak(g, rho,
                                                                  scale):
-    k0, rows, log_cut = _lattice_rows(g, ratio, ratio)
+    k0, rows, log_cut = _lattice_rows(g)
     k1 = k0 + len(rows) - 1
     lm = rows.real
     peak = k0 + int(np.argmax(lm))
     assert log_cut == lm.max() + math.log(1e-17)
     # the cut is relative to the peak, so the integrand's scale moves no row
-    k0s, rows_s, _ = _lattice_rows(lambda x: g(x) + math.log(scale), ratio,
-                                   ratio)
+    k0s, rows_s, _ = _lattice_rows(lambda x: g(x) + math.log(scale))
     assert (k0s, len(rows_s)) == (k0, len(rows))
     assert np.array_equal(rows, g(_LATTICE_SHIFT + np.arange(k0, k1 + 1.0)))
-    assert _passes(g, k1, 1, ratio, log_cut)
-    assert _passes(g, k0, -1, ratio, log_cut)
-    assert not any(_passes(g, k, 1, ratio, log_cut) for k in range(peak + 1, k1))
-    assert not any(_passes(g, k, -1, ratio, log_cut) for k in range(k0 + 1, peak))
+    assert _passes(g, k1, 1, log_cut)
+    assert _passes(g, k0, -1, log_cut)
+    assert not any(_passes(g, k, 1, log_cut) for k in range(peak + 1, k1))
+    assert not any(_passes(g, k, -1, log_cut) for k in range(k0 + 1, peak))
+    assert lm[-1] - lm[-2] <= math.log(rho) and lm[0] - lm[1] <= math.log(rho)
 
 
 def test_a_growing_side_is_never_accepted():
     # far below any cut, but growing outward
-    assert _first_passing_row(np.linspace(-200.0, -100.0, 40), 0.5,
+    assert _first_passing_row(np.linspace(-200.0, -100.0, 40),
                               math.log(1e-12)) is None
     # the integrand still grows at x = -4 and peaks at x = -70; the scan
     # widens past the peak before it ends the left side
-    k0, rows, _ = _lattice_rows(lambda x: -0.01 * (x + 70.0) ** 2 + 32.0 + 0j,
-                                0.97, 0.97)
+    k0, rows, _ = _lattice_rows(lambda x: -0.01 * (x + 70.0) ** 2 + 32.0 + 0j)
     assert k0 < -70 < k0 + len(rows) - 1
     assert np.argmax(rows.real) == -70 - k0
 
@@ -165,44 +165,10 @@ def test_a_zero_on_a_lattice_row_does_not_end_the_scan():
         return np.where(np.abs(x - (_LATTICE_SHIFT + 3.0)) < 1e-9, -np.inf,
                         smooth(x))
 
-    k0, rows, _ = _lattice_rows(smooth, 0.5, 0.5)
-    z0, zrows, _ = _lattice_rows(with_zero, 0.5, 0.5)
+    k0, rows, _ = _lattice_rows(smooth)
+    z0, zrows, _ = _lattice_rows(with_zero)
     assert (z0, len(zrows)) == (k0, len(rows))
     assert z0 + len(zrows) - 1 > 3
-
-
-def _clamped_decay(g, k_from, k_to):
-    """exp of the log-magnitude step of g from row k_from to row k_to,
-    clamped to [1e-6, 0.97]."""
-    lm = g(_LATTICE_SHIFT + np.array([k_from, k_to], dtype=float)).real
-    return min(max(math.exp(min(50.0, lm[1] - lm[0])), 1e-6), 0.97)
-
-
-@pytest.mark.parametrize("g", [
-    lambda x: -0.3 * (x - 2.5) ** 2 + 0j,
-    lambda x: -np.abs(x + 3.0) * 0.7 + 0.2j * x,
-    lambda x: -0.05 * (x - 1.0) ** 2 + np.where(x > 0, -0.4 * x, 0.0),
-])
-def test_lattice_rows_measure_a_missing_ratio_on_the_first_scan(g):
-    rr, rl = _clamped_decay(g, 6, 7), _clamped_decay(g, -6, -7)
-    k0, rows, cut = _lattice_rows(g, rr, rl)
-    for rho in ((None, None), (None, rl), (rr, None)):
-        m0, mrows, mcut = _lattice_rows(g, *rho)
-        assert (m0, mcut) == (k0, cut), rho
-        assert np.array_equal(mrows, rows), rho
-
-
-def test_a_side_that_grows_at_row_six_gets_the_top_ratio():
-    # where the integrand still grows outward no decay can be read, so that
-    # side is cut as if it fell by only 0.97 a row
-    right = lambda x: -0.01 * (x - 20.0) ** 2 + 0j
-    left = lambda x: -0.02 * (x + 40.0) ** 2 + 0j
-    for g, ratios in (
-            (right, lambda rho: (rho, _clamped_decay(right, -6, -7))),
-            (left, lambda rho: (_clamped_decay(left, 6, 7), rho))):
-        got = _lattice_rows(g, None, None)[1]
-        assert np.array_equal(got, _lattice_rows(g, *ratios(0.97))[1])
-        assert not np.array_equal(got, _lattice_rows(g, *ratios(0.5))[1])
 
 
 @pytest.mark.parametrize("run", [
@@ -228,7 +194,28 @@ def test_q_quadrature_calls_its_kernel_twice(monkeypatch, run):
 
 def test_lattice_rows_raise_on_a_flat_integrand():
     with pytest.raises(ToleranceNotReached):
-        _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex), 0.5, 0.5)
+        _lattice_rows(lambda x: np.zeros(x.shape, dtype=complex))
+
+
+# integrands whose q-products reach |c q^(o + s x)| past e^709 on the lattice
+_EDGE_Q_FOURIER = [QIntegrandSpec(0.31, [2.0], [0.3], [1.9]),
+                   QIntegrandSpec(0.5, [2.0], [0.3], [1.96]),
+                   QIntegrandSpec(0.73, [2.0], [0.3], [1.98]),
+                   QIntegrandSpec(0.31, [2.0], [0.3], [0.31])]
+_EDGE_QBETA = [
+    # |abcd| q = 0.968 and 0.957
+    (0.7, dict(alpha=1.2, a=1.09, b=1.0791, c=1.0682, d=1.1009)),
+    (0.4, dict(alpha=0.9, a=1.25, b=1.2375, c=1.225, d=1.2625)),
+]
+
+
+def test_lattice_rows_raise_with_a_finite_cut_far_past_the_float_range():
+    # w / a = 0.99 at q = 0.31: the right side needs more than 4096 rows,
+    # and its q-products run far past e^709 before the scan gives up
+    with pytest.raises(ToleranceNotReached) as err:
+        q_integrate(QIntegrandSpec(0.31, [2.0], [0.3], [1.98]))
+    cut = float(str(err.value).rsplit(" ", 1)[1])
+    assert 0.0 < cut < 1e-16
 
 
 def test_q_quadrature_error_estimate_is_honest(monkeypatch):
@@ -251,12 +238,26 @@ def test_q_quadrature_error_estimate_is_honest(monkeypatch):
                 rng.uniform(-1.5, 1.5), ti if strip else 0.0))
             q_integrate(sp)
             wants.append(q_fourier_closed(sp))
+    # near the edge of convergence, where each side is cut at its own decay
+    # alone: one-step decay ratios w / a of 0.95-0.99 on the right and b / w
+    # of 0.97 on the left, where the q-products leave the float range
+    for sp in _EDGE_Q_FOURIER:
+        q_integrate(sp)
+        wants.append(q_fourier_closed(sp))
     for q in (0.4, 0.7, 0.4, 0.7):
         for kind in QBetaKind:
             ys = qintegrals._QBETA_YS[kind]
             params = {"alpha": rng.uniform(0.6, 1.3),
                       **{y: rng.uniform(0.2, (9 - len(ys)) / 10) for y in ys}}
             wants.append(qbeta_family(kind, params, q)[1])
+    # I_full at |abcd| q of 0.9-0.97
+    for q, params in _EDGE_QBETA:
+        wants.append(qbeta_family(QBetaKind.I_FULL, params, q)[1])
+    for q in (0.4, 0.7):
+        y = (rng.uniform(0.9, 0.95) / q) ** 0.25
+        params = {"alpha": rng.uniform(0.6, 1.3),
+                  **{k: y * rng.uniform(0.98, 1.02) for k in "abcd"}}
+        wants.append(qbeta_family(QBetaKind.I_FULL, params, q)[1])
     wants.append(qbeta_family(
         QBetaKind.I_C0, dict(alpha=0.7831, a=0.3492, b=0.6071), 0.99)[1])
     for kind in (QBetaKind.I_FULL, QBetaKind.I_D0) * 2:

@@ -238,6 +238,20 @@ def test_eval_psi_left_side_inside_annulus(a, b, z):
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
+def test_eval_psi_left_side_past_the_float_range_of_q_powers():
+    # inside its annulus, but the left side's ratio tends to
+    # |q^(b - a)| / |z| = 0.992, so it runs past m = -3180, where q^m
+    # leaves the float range
+    params = dict(a=-0.59403530360465 - 0.76217487670826j,
+                  b=-0.05968555582970 - 0.17557781589780j,
+                  z=0.83925144813893 + 0.31017502444924j)
+    got = eval_psi(psi_spec_for(QKind.RAMANUJAN_1PSI1, params, 0.8))
+    want = closed_form_q(QKind.RAMANUJAN_1PSI1, params, 0.8)
+    assert abs(want - (19.219051476496226 + 1.4607540584768948j)) <= 1e-13
+    assert got.terms_used > 3180
+    assert abs(got.value - want) <= got.est_error
+
+
 def test_ramanujan_1psi1(rng):
     for _ in range(30):
         q = float(rng.choice([0.3, 0.5, 0.8]))
