@@ -3,8 +3,8 @@
     python3 scripts/records_diff.py REF
 
 Extracts REF's ``src`` with ``git archive`` into a temporary directory and
-runs every suite at seeds 0-3, draws 2 on both trees (``rbeta verify
---quiet``), with ``runtime_ms`` zeroed.  For each suite it prints the
+runs each tree's suites at seeds 0-3, draws 2 (``rbeta verify --quiet``),
+with ``runtime_ms`` zeroed.  For each suite it prints the
 summaries and the records that differ in any field but ``runtime_ms``,
 with the fields that differ, the largest relative lhs change
 over the records with a nonzero ``rhs`` and the largest relative rhs change.
@@ -12,9 +12,11 @@ The lhs of a record whose ``rhs`` is 0 is roundoff, so its largest absolute
 lhs change is printed on a line of its own.  Over the records with a nonzero
 ``rhs`` it prints how many lost more than half a digit of agreement,
 min(14, -log10 ``rel_gap``), and the worst change of those digits per
-identity that lost any.  The exit code is 1 on any change of a verdict, of a
-record's tolerance or ``inputs``, or of the record ids or their order, else 0;
-each such record is printed as a ``CHANGED`` line.  A change of ``inputs``
+identity that lost any.  A suite that only this checkout has is run and
+printed as ``new suite S: N records``.  The exit code is 1 on any change of a
+verdict, of a record's tolerance or ``inputs``, or of the record ids or their
+order, or on a suite of REF that this checkout lacks, else 0; each such
+record or suite is printed as a ``CHANGED`` line.  A change of ``inputs``
 counts because perfbench matches records to its golden ones on ``inputs``,
 so such a record goes unmatched and the run is not ``correct``.
 """
@@ -35,10 +37,14 @@ SEEDS = range(4)
 DRAWS = 2
 
 
-def _suites():
-    sys.path.insert(0, str(ROOT / "src"))
-    from rbeta.verify import SUITE_NAMES
-    return SUITE_NAMES
+def _suites(src: Path):
+    """The suite names of the tree whose package is at src."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from rbeta.verify import SUITE_NAMES; print(*SUITE_NAMES)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    return out.stdout.split()
 
 
 def _report(src: Path, suite: str, seed: int):
@@ -63,8 +69,10 @@ def _same(old, new) -> bool:
 
 
 def _change(old, new, relative: bool = True) -> float:
-    a = complex(old["re"], old["im"])
-    b = complex(new["re"], new["im"])
+    # float() reads inf and nan in both forms: the strings that reports
+    # write, and the floats of older reports' Infinity and NaN tokens
+    a = complex(float(old["re"]), float(old["im"]))
+    b = complex(float(new["re"]), float(new["im"]))
     if a == b:
         return 0.0
     d = abs(b - a)
@@ -75,7 +83,7 @@ def _change(old, new, relative: bool = True) -> float:
 
 def _digits(rec) -> float:
     """Agreement digits min(14, -log10 rel_gap) of a record."""
-    gap = rec["rel_gap"]
+    gap = float(rec["rel_gap"])
     if not math.isfinite(gap):
         return 0.0
     return 14.0 if gap <= 0 else min(14.0, -math.log10(gap))
@@ -143,27 +151,42 @@ def _diff_suite(suite: str, old_runs, new_runs) -> bool:
     return bool(broken)
 
 
+def _compare(old_src: Path, new_src: Path) -> bool:
+    """Run and diff the suites of the trees at old_src (REF) and new_src;
+    True when a suite of REF is missing here or _diff_suite finds a change.
+    A suite that only this tree has is run and counted, not compared."""
+    old_suites, new_suites = _suites(old_src), _suites(new_src)
+    common = [s for s in new_suites if s in old_suites]
+    added = [s for s in new_suites if s not in old_suites]
+    jobs = ([(old_src, suite, seed) for suite in common for seed in SEEDS]
+            + [(new_src, suite, seed) for suite in new_suites
+               for seed in SEEDS])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = dict(zip(jobs, pool.map(lambda job: _report(*job), jobs)))
+    bad = False
+    for suite in common:
+        bad |= _diff_suite(suite, [runs[old_src, suite, s] for s in SEEDS],
+                           [runs[new_src, suite, s] for s in SEEDS])
+    for suite in added:
+        n = sum(len(runs[new_src, suite, s]["records"]) for s in SEEDS)
+        print(f"new suite {suite}: {n} records")
+    for suite in old_suites:
+        if suite not in new_suites:
+            print(f"CHANGED suite {suite}: missing from this tree")
+            bad = True
+    return bad
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    ref = argv[0]
-    suites = _suites()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
-                                 capture_output=True, check=True).stdout
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", argv[0], "src"],
+            capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = (Path(tmp) / "src", ROOT / "src")
-        jobs = [(tree, suite, seed) for tree in trees for suite in suites
-                for seed in SEEDS]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            runs = list(pool.map(lambda job: _report(*job), jobs))
-    per_tree = len(suites) * len(SEEDS)
-    bad = False
-    for k, suite in enumerate(suites):
-        span = slice(k * len(SEEDS), (k + 1) * len(SEEDS))
-        bad |= _diff_suite(suite, runs[:per_tree][span], runs[per_tree:][span])
-    return 1 if bad else 0
+        return 1 if _compare(Path(tmp) / "src", ROOT / "src") else 0
 
 
 if __name__ == "__main__":

@@ -39,14 +39,14 @@ Gauss weights, scaled by the row phases.  Exponentials are taken on rows
 and cells only, not on every node.
 
 Where a check needs a kernel at several points it makes one array call:
-both tails' signal series go to one Levin call, and each gamma product (the
-grid-sum prefactors, and the closed forms' bilateral._gamma_ratio with or
-without a denominator) is one gamma or recip_gamma call per list, its
-factors multiplied in order.  An element of these kernels, and a row of
-the Levin transform, comes out the same alone as in any array, so every
-value keeps the bits of the per-point calls.  The double integral hands
-all inner integrals of an outer tanh-sinh level to one batched tanh_sinh
-call.
+both tails' signal series go to one Levin call, whose rows come out as
+they would alone, and the closed forms' gamma products
+(bilateral._gamma_ratio) are one gamma or recip_gamma call per list.  The
+pair product, on the core's anchors and for the grid-sum prefactors, is
+exp(-sum log Gamma) from one log_gamma call, so no factor leaves the
+double range on its own.  The double integral maps every inner interval
+onto (0, 1), so all inner integrals of an outer tanh-sinh level share one
+node set and one tanh_sinh call.
 """
 
 from __future__ import annotations
@@ -64,9 +64,12 @@ from .acceleration import levin_u
 from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
                         cancel_matching_parameters)
 from .errors import ConstraintViolation, MarginViolation
-from .gammafns import gamma, log_gamma_shift_ratio, recip_gamma
-from .quadrature import (_RULES, QuadratureResult, panel_nodes, panel_sums,
-                         tanh_sinh)
+# recip_gamma is not called here: perfbench's tracer tests check that the
+# tracer restores this module's binding of it
+from .gammafns import (gamma, log_gamma, log_gamma_shift_ratio,
+                       recip_gamma)  # noqa: F401
+from .quadrature import (_MAX_NODES, _RULES, QuadratureResult, panel_nodes,
+                         panel_sums, tanh_sinh)
 
 __all__ = [
     "IntegrandSpec", "QuadratureResult", "weight_gm", "integrate",
@@ -144,20 +147,14 @@ def _require_margin(spec: IntegrandSpec) -> None:
 
 
 def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
-    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation, with
-    one recip_gamma call on all 2m factors' arguments (an element of
-    recip_gamma comes out the same alone as in any array), multiplied pair
-    by pair in order."""
-    m = spec.m
-    v = np.ones(x.shape, dtype=complex)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        r = recip_gamma(np.stack([aj + 1.0 + x for aj in spec.a]
-                                 + [bj + 1.0 - x for bj in spec.b]))
-        # multiply factor pairs (one growing, one decaying) to keep partial
-        # products in double range out to |x| ~ 160
-        for j in range(m):
-            v = v * (r[j] * r[m + j])
-    return v
+    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation, as
+    exp(-sum log Gamma) from one log_gamma call on all 2m factors'
+    arguments, so that no factor leaves the double range on its own."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        return np.exp(-log_gamma(np.stack([aj + 1.0 + x for aj in spec.a]
+                                          + [bj + 1.0 - x for bj in spec.b])
+                                 ).sum(axis=0))
 
 
 def _phases(freqs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -239,14 +236,15 @@ def _lattice_rounding(fw: np.ndarray, hops: np.ndarray, anchor_rel: np.ndarray,
 
 
 def _recip_gamma_error(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A bound on the relative error of recip_gamma(z), z = p + node rounded
-    (p broadcast against z): the rounding of p and of z times the
-    logarithmic derivative, which is at most |log |w|| + pi/2 + 1 on w = z
-    or, reflected, 1 - z, plus pi |cot(pi z)| <= pi + pi / (2 d) there, d
-    the distance of Re z from the integers; that also covers the Stirling
-    sum's ulps of |w log w|.  Plus 16 ulps for the Lanczos sum and the
-    exponential, and at most 1 (within 0.7 of this on 5,800 points of
-    |z| <= 160 against 40-digit mpmath)."""
+    """A bound on the relative error of 1/Gamma(z), by recip_gamma or as a
+    factor of _pair_product, z = p + node rounded (p broadcast against z):
+    the rounding of p and of z times the logarithmic derivative, which is
+    at most |log |w|| + pi/2 + 1 on w = z or, reflected, 1 - z, plus
+    pi |cot(pi z)| <= pi + pi / (2 d) there, d the distance of Re z from
+    the integers; that also covers the Stirling sum's ulps of |w log w|.
+    Plus 16 ulps for the Lanczos sum and the exponential, and at most 1
+    (within 0.7 of this on 5,800 points of |z| <= 160 against 40-digit
+    mpmath)."""
     az = np.abs(z)
     left = z.real < 0.5
     d = np.abs(z.real - np.round(z.real))
@@ -446,15 +444,22 @@ def integrate(spec: IntegrandSpec) -> QuadratureResult:
     accelerated oscillatory tails on both sides, with X = _choose_X(spec).
     The integrand is band-limited to the frequencies
     |w| <= omega = m pi + |t| + max |nu|, so the panels a unit interval
-    are _panels_per_unit(omega, angle) for each part's rule.  The error
-    estimate adds the core's and the tails' rounding (_lattice_rounding) to
-    8 times the tails' Levin estimates."""
+    are _panels_per_unit(omega, angle) for each part's rule.  An omega
+    for which the core would take more than _MAX_NODES raises
+    ConstraintViolation; |t| > m pi + max|nu| makes the integral 0 anyway.
+    The error estimate adds the core's and the tails' rounding
+    (_lattice_rounding) to 8 times the tails' Levin estimates."""
     _require_margin(spec)
     wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
     omega = spec.m * math.pi + abs(spec.t) + wmax
     X = _choose_X(spec)
-    core, core_err, n_panels = _core(
-        spec, X, _panels_per_unit(omega, _CORE_ANGLE))
+    sub = _panels_per_unit(omega, _CORE_ANGLE)
+    nodes = 2 * X * _GAUSS_N * sub
+    if nodes > _MAX_NODES:
+        raise ConstraintViolation(
+            f"frequency omega = {omega:.4g} needs {float(nodes):.4g} core "
+            f"nodes, more than {_MAX_NODES}")
+    core, core_err, n_panels = _core(spec, X, sub)
     # right tail: reflect the b-gammas; left tail via x -> -y: reflect the
     # a-gammas.  Both tails' signals go to one Levin call.
     tail_sub = _panels_per_unit(omega, _TAIL_ANGLE)
@@ -729,20 +734,22 @@ def double_integral_open_question(b1: float, b2: float, b3: float
     theorem)."""
     b1, b2, b3 = float(b1), float(b2), float(b3)
 
-    def outer(s1s: np.ndarray) -> np.ndarray:
-        """The inner integrals over s2 in (-s1, pi) for all s1 of an outer
-        level, as one batch."""
-        # each row's s1 factor in numpy scalar arithmetic, whose bits the
-        # records hold: the scalar and the array ** round differently
-        c1 = np.array([(2 * np.cos(0.5 * s1)) ** (2 * b1) for s1 in s1s])
+    def inner(s1: np.ndarray) -> np.ndarray:
+        """The integrals over s2 in (-s1, pi) for all s1 of an outer level:
+        s2 = -s1 + (pi + s1) u maps each onto u in (0, 1), so all of them
+        share the nodes u."""
+        s1 = s1[:, None]
+        span = math.pi + s1
+        c1 = (2 * np.cos(0.5 * s1)) ** (2 * b1)
 
-        def g(s2: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return (c1[rows] * (2 * np.cos(0.5 * s2)) ** (2 * b2)
-                    * np.abs(2 * np.sin(0.5 * (s1s[rows] + s2))) ** (2 * b3))
+        def g(u: np.ndarray) -> np.ndarray:
+            # s1 + s2 as span u: a node next to u = 0 keeps s2 off -s1
+            return (c1 * (2 * np.cos(0.5 * (span * u - s1))) ** (2 * b2)
+                    * np.abs(2 * np.sin(0.5 * span * u)) ** (2 * b3))
 
-        return tanh_sinh(g, -s1s, math.pi, max_level=9)[0]
+        return span[:, 0] * tanh_sinh(g, 0.0, 1.0, max_level=9)[0]
 
-    lhs, _ = tanh_sinh(outer, -math.pi, math.pi, max_level=8)
+    lhs, _ = tanh_sinh(inner, -math.pi, math.pi, max_level=8)
     rhs = (2 * math.pi ** 2
            * _gamma_ratio([2 * b1 + 1, 2 * b2 + 1, 2 * b3 + 1,
                            b1 + b2 + b3 + 1], [])

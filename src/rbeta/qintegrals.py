@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (AnnulusViolation, ConstraintViolation, DomainError,
                      StripViolation, ToleranceNotReached)
 from .gammafns import gamma, log_gaussian_q_integral
-from .quadrature import QuadratureResult, panel_nodes, panel_sums
+from .quadrature import _MAX_NODES, QuadratureResult, panel_nodes, panel_sums
 from .qseries import (QSeriesSpec, eval_psi, log_qpoch_inf, log_qpoch_lattice,
                       log_qpoch_ratio, qpoch_inf, q_gamma)
 
@@ -221,9 +221,11 @@ def _lattice_order(kappa: float, omega: float) -> int:
     like kappa x^2 and whose frequency is omega, at the nearest alias,
     relative to its value at 0; the full lattice's bound is then below
     e^(-4 _ALIAS_LOG), so the distance between the two sums bounds its error.
+    The doubling stops once p passes _MAX_NODES.
     """
     p = 2
-    while math.pi * p / 2 * (math.pi * p / 2 - omega) < _ALIAS_LOG * kappa:
+    while (p <= _MAX_NODES and math.pi * p / 2 * (math.pi * p / 2 - omega)
+           < _ALIAS_LOG * kappa):
         p *= 2
     return p
 
@@ -246,7 +248,8 @@ def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
     lattice errs only by the alias sum of the Fourier transform at multiples
     of 2 pi p (Poisson summation), so p is chosen from the Gaussian
     coefficient kappa of log|f| and the frequency |Re t| + freq_hint
-    (`_lattice_order`).  The q-products are summed by one
+    (`_lattice_order`).  A lattice of more than _MAX_NODES nodes raises
+    ConstraintViolation.  The q-products are summed by one
     cumulative sweep down each lattice column (`log_qpoch_lattice`).
     est_error is the distance to the sum over every other node, plus the two
     tail bounds and the rounding of the sum.
@@ -256,9 +259,18 @@ def q_quadrature(rest: Callable[[np.ndarray], np.ndarray],
     def g(x: np.ndarray) -> np.ndarray:
         return rest(x) + log_qpoch_lattice(factors, q, x) - 1j * t * x
 
+    omega = abs(t.real) + freq_hint
+    p = _lattice_order(kappa, omega)
+    if p > _MAX_NODES:
+        raise ConstraintViolation(
+            f"frequency {omega:.4g} needs more than {_MAX_NODES} lattice "
+            f"nodes a unit")
     k0, rows, log_cut = _lattice_rows(g)
-    p = _lattice_order(kappa, abs(t.real) + freq_hint)
     n = len(rows) - 1
+    if n * p > _MAX_NODES:
+        raise ConstraintViolation(
+            f"frequency {omega:.4g} needs {n * p} lattice nodes, more than "
+            f"{_MAX_NODES}")
     # one unit row, then the p - 1 nodes after it, row by row
     logs = np.empty((n, p), dtype=complex)
     logs[:, 0] = rows[:-1]

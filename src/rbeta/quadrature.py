@@ -5,15 +5,15 @@ graded edges) and hand the values to `panel_sums`; they size the panels for
 their integrand and estimate its rounding themselves.  The rule is picked by
 its node count: 16 for the classical integrals of `integrals`, 20 for the
 Abel route of `qintegrals`.
-tanh_sinh's integrand callables are vectorized (ndarray -> ndarray; its
-batch form also passes each node's interval index).
+tanh_sinh's integrand callables are vectorized (ndarray -> ndarray), and
+may integrate many functions at once on one set of nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -24,6 +24,10 @@ __all__ = ["QuadratureResult", "panel_nodes", "panel_sums", "tanh_sinh"]
 _RULES = {n: leggauss(n) for n in (16, 20)}
 # tanh-sinh sums its step variable k over [-3.8, 3.8]
 _TS_CUTOFF = 3.8
+# the most nodes a lattice of integrals or qintegrals may take: their node
+# counts grow linearly in the frequency, and the suites' draws take at most
+# a few thousand
+_MAX_NODES = 1 << 20
 
 
 @dataclass
@@ -52,68 +56,43 @@ def panel_sums(f: np.ndarray, half) -> np.ndarray:
     return (f * _RULES[f.shape[1]][1][None, :]).sum(axis=1) * half
 
 
-def tanh_sinh(f: Callable[..., np.ndarray], lo, hi: float,
+def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               max_level: int = 10):
     """Tanh-sinh quadrature on (lo, hi); robust to algebraic endpoint
     singularities.  Halves the step per level, reusing prior nodes; the last
     refinement jump is the error estimate.
 
-    With one lower limit ``lo``, f(x) gets a 1-D array of nodes and the
-    result is (value, error).  With an array ``lo`` of B lower limits the
-    B intervals (lo_i, hi) are integrated as a batch: each level makes one
-    call f(x, rows), with rows the index of the interval of each node x, on
-    the nodes of every interval still refining, and the result is arrays of
-    B values and errors.  Each interval stops at its own level and sums
-    only its own nodes inside its limits, a contiguous run of x, so its
-    value and error are those of a call with its lo alone.
+    f(x) gets a 1-D array of nodes and may return any array whose last axis
+    runs over them: each element of the other axes is integrated, on the one
+    set of nodes, and the result is (values, errors) of that shape, or
+    (complex, float) for a 1-D f.  All elements stop at one level, the first
+    at which each one's jump is below 1e-15 of max(1, |value|).
     """
-    scalar = np.ndim(lo) == 0
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
     r = 0.5 * (hi - lo)
 
-    def strip_sums(ks: np.ndarray, rows: np.ndarray) -> List[complex]:
+    def strip_sum(ks: np.ndarray) -> np.ndarray:
         u = 0.5 * math.pi * np.sinh(ks)
         w = 0.5 * math.pi * np.cosh(ks) / np.cosh(u) ** 2
         # express each node by its distance to the nearest endpoint:
         # 1 -+ tanh(u) = 2/(1 + exp(+-2u)), free of cancellation
         with np.errstate(over="ignore"):
             dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
-        lo_r = lo[rows, None]
-        r_r = r[rows, None]
-        pts = np.where(u < 0, lo_r + r_r * dist, hi - r_r * dist)
-        inside = (pts > lo_r) & (pts < hi) & (w > 1e-300)
-        counts = inside.sum(axis=1).tolist()
-        if not any(counts):
-            return [0j] * len(rows)
-        x = pts[inside]
-        vals = np.asarray(f(x) if scalar else f(x, np.repeat(rows, counts)),
-                          dtype=complex)
-        terms = vals * np.broadcast_to(w, pts.shape)[inside]
-        sums = []
-        end = 0
-        for i, n in zip(rows.tolist(), counts):
-            start, end = end, end + n
-            sums.append(complex(terms[start:end].sum() * r[i]) if n else 0j)
-        return sums
+        pts = np.where(u < 0, lo + r * dist, hi - r * dist)
+        inside = (pts > lo) & (pts < hi) & (w > 1e-300)
+        vals = np.asarray(f(pts[inside]), dtype=complex)
+        return (vals * w[inside]).sum(axis=-1) * r
 
     h = 1.0
-    rows = np.arange(len(lo))
-    values = [h * v for v in
-              strip_sums(np.arange(-_TS_CUTOFF, _TS_CUTOFF + 1e-12, h), rows)]
-    errs = [abs(v) for v in values]
+    value = h * strip_sum(np.arange(-_TS_CUTOFF, _TS_CUTOFF + 1e-12, h))
+    err = np.abs(value)
     for _ in range(max_level):
-        if not len(rows):
-            break
         mids = np.arange(-_TS_CUTOFF + h / 2, _TS_CUTOFF, h)
-        refining = []
-        for i, strip in zip(rows.tolist(), strip_sums(mids, rows)):
-            value_new = 0.5 * values[i] + (h / 2) * strip
-            errs[i] = abs(value_new - values[i])
-            values[i] = value_new
-            if not errs[i] < 1e-15 * max(1.0, abs(value_new)):
-                refining.append(i)
-        rows = np.array(refining, dtype=int)
+        value_new = 0.5 * value + (h / 2) * strip_sum(mids)
+        err = np.abs(value_new - value)
+        value = value_new
         h /= 2
-    if scalar:
-        return values[0], errs[0]
-    return np.array(values, dtype=complex), np.array(errs)
+        if (err < 1e-15 * np.maximum(1.0, np.abs(value))).all():
+            break
+    if np.ndim(value) == 0:
+        return complex(value), float(err)
+    return value, err

@@ -794,8 +794,27 @@ def report_to_dict(report: SuiteReport) -> Dict:
     }
 
 
+def _finite_json(v):
+    """v with each non-finite float as the string "inf", "-inf" or "nan",
+    which RFC 8259 JSON can hold."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    if isinstance(v, list):
+        return [_finite_json(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _finite_json(x) for k, x in v.items()}
+    return v
+
+
 def report_to_json(report: SuiteReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    """The report as strict JSON: a non-finite number, such as the gaps of
+    a record whose check raised, is written as a string (_finite_json)."""
+    d = report_to_dict(report)
+    try:
+        return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_json(d), indent=2, sort_keys=True,
+                          allow_nan=False)
 
 
 _CSV_COLUMNS = ["identity_id", "inputs", "lhs_re", "lhs_im", "rhs_re",

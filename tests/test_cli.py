@@ -1,12 +1,15 @@
 """CLI surface: commands, exit codes, report files, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from rbeta.bilateral import BilateralSeriesSpec, eval_H
 from rbeta.cli import main
 from rbeta.core import parse_complex, format_complex
+from rbeta.errors import ConstraintViolation
+from rbeta.integrals import IntegrandSpec, integrate
 from rbeta.qintegrals import QIntegrandSpec, q_integrate
 from rbeta.qseries import QSeriesSpec, eval_psi
 from rbeta.verify import IDENTITIES, SuiteConfig, run_suite, report_to_dict
@@ -185,6 +188,31 @@ def test_integrate_beyond_support():
     assert code == 0
     val = parse_complex(out.splitlines()[0].split(": ")[1])
     assert abs(val) < 1e-8
+
+
+@pytest.mark.parametrize("t", ["1e6", "1e300"])
+@pytest.mark.parametrize("q_args", [[], ["--q", "0.5", "--w", "1"]],
+                         ids=["classical", "q"])
+def test_integrate_high_frequency_exit3_without_a_large_allocation(q_args, t):
+    # both lattices take nodes in proportion to |t| (t = 1e300 once ended
+    # in numpy's "Maximum allowed size exceeded"): past the node budget the
+    # library raises before it allocates, and the CLI exits 3
+    tracemalloc.start()
+    try:
+        code, out, err = run(["integrate", "--a", "2", "--b", "0.3",
+                              "--t", t] + q_args)
+        with pytest.raises(ConstraintViolation, match=r"frequency .* nodes"):
+            if q_args:
+                q_integrate(QIntegrandSpec(0.5, [2], [0.3], [1], float(t)))
+            else:
+                integrate(IntegrandSpec([2], [0.3], float(t)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("error: ConstraintViolation: frequency")
+    assert err.count("\n") == 1
+    assert peak < 20e6
 
 
 def test_integrate_weight_and_q():

@@ -88,7 +88,7 @@ def _branch_points(rng, branch, n):
 
 def test_recip_gamma_vectorized_matches_scalar(rng):
     # an element comes out the same alone as in an array of any length;
-    # integrals._pair_product batches its factors on this
+    # bilateral._gamma_ratio batches its denominator factors on this
     zs = rng.uniform(-30, 30, 16) + 1j * rng.uniform(-30, 30, 16)
     out = recip_gamma(zs)
     for z, v in zip(zs, out):

@@ -1,6 +1,7 @@
 """scripts/records_diff.py: which record changes make it exit 1."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "records_diff.py"
@@ -31,3 +32,42 @@ def test_a_changed_lhs_alone_passes(capsys):
     assert not records_diff._diff_suite(
         "q-core", [_report()], [_report(lhs={"re": 1.0 + 1e-15, "im": 0.0})])
     assert "CHANGED" not in capsys.readouterr().out
+
+
+def _fake_trees(monkeypatch, old_suites, new_suites):
+    """Stand-ins for the suite list and the runner of two trees."""
+    old, new = Path("ref/src"), Path("src")
+    names = {old: old_suites, new: new_suites}
+
+    def report(src, suite, seed):
+        assert suite in names[src], (src, suite)
+        return _report()
+
+    monkeypatch.setattr(records_diff, "_suites", lambda src: names[src])
+    monkeypatch.setattr(records_diff, "_report", report)
+    return old, new
+
+
+def test_a_suite_that_ref_lacks_is_new_and_passes(monkeypatch, capsys):
+    old, new = _fake_trees(monkeypatch, ["q-core"], ["q-core", "q-new"])
+    assert not records_diff._compare(old, new)
+    out = capsys.readouterr().out
+    assert "new suite q-new: 4 records" in out
+    assert "CHANGED" not in out
+
+
+def test_a_suite_missing_from_this_tree_fails(monkeypatch, capsys):
+    old, new = _fake_trees(monkeypatch, ["q-core", "q-old"], ["q-core"])
+    assert records_diff._compare(old, new)
+    assert "CHANGED suite q-old: missing from this tree" in (
+        capsys.readouterr().out)
+
+
+def test_non_finite_numbers_read_in_both_forms():
+    # reports write inf and nan as strings; older ones as Infinity and NaN
+    old = _report(lhs={"re": math.inf, "im": 0.0}, rel_gap=math.inf)
+    new = _report(lhs={"re": "inf", "im": 0.0}, rel_gap="inf")
+    for a, b in ((old, new), (new, old)):
+        ra, rb = a["records"][0], b["records"][0]
+        assert records_diff._change(ra["lhs"], rb["lhs"]) == 0.0
+        assert records_diff._digits(ra) == records_diff._digits(rb) == 0.0

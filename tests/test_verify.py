@@ -2,6 +2,8 @@
 summary gaps and the one-thread record loop."""
 
 import dataclasses
+import json
+import math
 import threading
 import time
 
@@ -128,6 +130,33 @@ def test_bad_draw_fails_only_its_record(monkeypatch):
         ref = normal[rec.identity_id]
         assert rec.passed
         assert (rec.inputs, rec.lhs, rec.rhs) == (ref.inputs, ref.lhs, ref.rhs)
+
+
+def test_json_report_with_non_finite_numbers_is_strict_json(monkeypatch):
+    # an error record's gaps are inf, and so is the lhs of a broken
+    # monotone check: JSON has no token for them, so they are strings
+    def raises(rng, *_):
+        raise ValueError("bad draw")
+
+    def not_monotone(rng, *_):
+        return verify._monotone_record({"x": math.nan}, [0.1, 0.2])
+
+    monkeypatch.setattr(verify, "IDENTITIES", (
+        Identity("raises", "limits", Tolerance(abs=1e-2), raises),
+        Identity("not-monotone", "limits", Tolerance(abs=1e-2), not_monotone)))
+    report = run_suite(SuiteConfig(suite="limits", seed=0,
+                                   draws_per_identity=1))
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    d = json.loads(verify.report_to_json(report), parse_constant=reject)
+    first, second = d["records"]
+    assert (first["abs_gap"], first["rel_gap"]) == ("inf", "inf")
+    assert d["summary"]["max_abs_gap"] == "inf"
+    assert second["lhs"]["re"] == "inf" and second["inputs"]["x"] == "nan"
+    # record_to_dict, which perfbench keys its records on, keeps the floats
+    assert verify.record_to_dict(report.records[0])["abs_gap"] == math.inf
 
 
 @pytest.mark.parametrize("suite", ["classical-core", "limits"])
