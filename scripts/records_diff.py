@@ -63,9 +63,19 @@ def _report(src: Path, suite: str, seed: int):
     return report
 
 
+# the Infinity and NaN tokens of older reports, as the strings reports write
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+
+def _text(v) -> str:
+    """v as JSON text with inf and nan in the string form."""
+    return json.dumps(json.loads(json.dumps(v), parse_constant=_NON_FINITE.get),
+                      sort_keys=True)
+
+
 def _same(old, new) -> bool:
     # compared as JSON text, so that nan equals nan
-    return json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True)
+    return _text(old) == _text(new)
 
 
 def _change(old, new, relative: bool = True) -> float:

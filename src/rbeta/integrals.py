@@ -445,7 +445,7 @@ def integrate(spec: IntegrandSpec) -> QuadratureResult:
     The integrand is band-limited to the frequencies
     |w| <= omega = m pi + |t| + max |nu|, so the panels a unit interval
     are _panels_per_unit(omega, angle) for each part's rule.  An omega
-    for which the core would take more than _MAX_NODES raises
+    and X for which the core would take more than _MAX_NODES raise
     ConstraintViolation; |t| > m pi + max|nu| makes the integral 0 anyway.
     The error estimate adds the core's and the tails' rounding
     (_lattice_rounding) to 8 times the tails' Levin estimates."""
@@ -457,8 +457,8 @@ def integrate(spec: IntegrandSpec) -> QuadratureResult:
     nodes = 2 * X * _GAUSS_N * sub
     if nodes > _MAX_NODES:
         raise ConstraintViolation(
-            f"frequency omega = {omega:.4g} needs {float(nodes):.4g} core "
-            f"nodes, more than {_MAX_NODES}")
+            f"frequency omega = {omega:.4g} on [-X, X], X = {X}, needs "
+            f"{float(nodes):.4g} core nodes, more than {_MAX_NODES}")
     core, core_err, n_panels = _core(spec, X, sub)
     # right tail: reflect the b-gammas; left tail via x -> -y: reflect the
     # a-gammas.  Both tails' signals go to one Levin call.

@@ -809,12 +809,8 @@ def _finite_json(v):
 def report_to_json(report: SuiteReport) -> str:
     """The report as strict JSON: a non-finite number, such as the gaps of
     a record whose check raised, is written as a string (_finite_json)."""
-    d = report_to_dict(report)
-    try:
-        return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        return json.dumps(_finite_json(d), indent=2, sort_keys=True,
-                          allow_nan=False)
+    return json.dumps(_finite_json(report_to_dict(report)), indent=2,
+                      sort_keys=True, allow_nan=False)
 
 
 _CSV_COLUMNS = ["identity_id", "inputs", "lhs_re", "lhs_im", "rhs_re",

@@ -504,6 +504,12 @@ def test_integrate_is_finite_for_large_parameters():
     assert math.isfinite(res.est_error)
 
 
+def test_core_node_budget_names_the_truncation_point():
+    # the core's nodes grow with X = max|Re a_j| + 8 as well as with omega
+    with pytest.raises(ConstraintViolation, match=r"X = 40008, needs"):
+        integrate(IntegrandSpec([40000.0], [0.3], 0.0))
+
+
 def test_tails_of_a_tiny_integral_are_kept():
     # the integral is 2.3e-36 and its left tail 2.1e-40: an absolute cutoff
     # of 1e-18 on the tail signals dropped both tails (9.2e-5 off)

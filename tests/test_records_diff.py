@@ -63,11 +63,18 @@ def test_a_suite_missing_from_this_tree_fails(monkeypatch, capsys):
         capsys.readouterr().out)
 
 
-def test_non_finite_numbers_read_in_both_forms():
+def test_non_finite_numbers_read_in_both_forms(capsys):
     # reports write inf and nan as strings; older ones as Infinity and NaN
-    old = _report(lhs={"re": math.inf, "im": 0.0}, rel_gap=math.inf)
-    new = _report(lhs={"re": "inf", "im": 0.0}, rel_gap="inf")
+    old = _report(lhs={"re": math.inf, "im": 0.0}, rel_gap=math.inf,
+                  inputs={"gaps": [-math.inf, math.nan]},
+                  tol={"abs": math.inf, "rel": 1e-6})
+    new = _report(lhs={"re": "inf", "im": 0.0}, rel_gap="inf",
+                  inputs={"gaps": ["-inf", "nan"]},
+                  tol={"abs": "inf", "rel": 1e-6})
     for a, b in ((old, new), (new, old)):
         ra, rb = a["records"][0], b["records"][0]
         assert records_diff._change(ra["lhs"], rb["lhs"]) == 0.0
         assert records_diff._digits(ra) == records_diff._digits(rb) == 0.0
+        assert not records_diff._diff_suite("q-core", [a], [b])
+        out = capsys.readouterr().out
+        assert "0 differ" in out and "CHANGED" not in out
