@@ -77,6 +77,11 @@ def _levin_coef(k: int) -> np.ndarray:
 _LEVIN_COEF = {k: _levin_coef(k) for k in range(1, _LEVIN_DEPTH + 1)}
 
 
+# table columns built, and walked, per pass: most walks stop within the
+# first pass, and the table is built no deeper than its deepest live walk
+_LEVIN_CHUNK = 8
+
+
 def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Levin estimates of each row of t, n >= 4 terms a row.
 
@@ -90,7 +95,9 @@ def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     X_k[j] in row j + k, so its step
     X_k[j] = X_(k-1)[j + 1] - b_k[j] X_(k-1)[j] is one multiply into a
     preallocated buffer and one subtract into rows k..depth, and leaves
-    X_k[0] in row k for the estimates."""
+    X_k[0] in row k for the estimates.  The columns are built _LEVIN_CHUNK
+    at a time, each pass's estimates handed to the rows' walks, until every
+    walk has stopped or the table is full."""
     S, n = t.shape
     s = np.cumsum(t, axis=1)
     depth = min(n - 1, _LEVIN_DEPTH)
@@ -98,45 +105,66 @@ def _levin_rows(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w[w == 0] = 1e-300
     table = np.empty((depth + 1, 2 * S), dtype=complex)
     scaled = np.empty((depth, 2 * S), dtype=complex)
+    walks = [_Walk(complex(s[i, -1]), abs(t[i, -1])) for i in range(S)]
+    live = range(S)
     # subnormal terms overflow 1 / w; a non-finite estimate ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table[:, :S] = (s[:, :depth + 1] / w).T
         table[:, S:] = (1.0 / w).T
-        for k in range(1, depth + 1):
-            b = _LEVIN_COEF[k][:depth + 1 - k]
-            prod = np.multiply(b, table[k - 1:depth], out=scaled[k - 1:])
-            np.subtract(table[k:], prod, out=table[k:])
-        ests = (table[1:, :S] / table[1:, S:]).T
-    zero_d = (table[1:, S:] == 0).T
-    values = np.empty(S, dtype=complex)
-    errs = np.empty(S)
-    for i in range(S):
-        values[i], errs[i] = _walk(ests[i].tolist(), zero_d[i].tolist(),
-                                   complex(s[i, -1]), abs(t[i, -1]))
+        for lo in range(1, depth + 1, _LEVIN_CHUNK):
+            hi = min(lo + _LEVIN_CHUNK, depth + 1)
+            for k in range(lo, hi):
+                b = _LEVIN_COEF[k][:depth + 1 - k]
+                prod = np.multiply(b, table[k - 1:depth], out=scaled[k - 1:])
+                np.subtract(table[k:], prod, out=table[k:])
+            ests = (table[lo:hi, :S] / table[lo:hi, S:]).T.tolist()
+            zero_d = (table[lo:hi, S:] == 0).T.tolist()
+            live = [i for i in live if walks[i].feed(ests[i], zero_d[i])]
+            if not live:
+                break
+    values = np.array([wk.best for wk in walks], dtype=complex)
+    errs = np.array([4.0 * wk.best_d + 1e-15 * abs(wk.best) for wk in walks])
     return values, errs
 
 
-def _walk(ests, zero_d, best: complex, best_d: float) -> Tuple[complex, float]:
-    """Pick a row's estimate from its k-diagonal, starting from the plain
-    partial sum and its last term as the gap."""
-    prev: Optional[complex] = None
-    grow = 0
-    for est, skip in zip(ests, zero_d):
-        if skip:
-            continue
-        if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
-            break
-        if prev is not None:
-            d = abs(est - prev)
-            if d < best_d:
-                best, best_d = est, d
-                grow = 0
-            elif best_d > 0 and d > 100.0 * best_d:
-                grow += 1
-                if grow >= 3:
-                    break
-        prev = est
-    return best, 4.0 * best_d + 1e-15 * abs(best)
+class _Walk:
+    """A row's walk down its k-diagonal of estimates, fed in pieces: from
+    the plain partial sum and its last term as the gap, the first
+    stabilized estimate is kept, and the walk stops once roundoff makes
+    successive estimates diverge again (or at a non-finite estimate).  The
+    error estimate is 4 times the kept gap plus 1e-15 of the value."""
+
+    __slots__ = ("best", "best_d", "prev", "grow")
+
+    def __init__(self, best: complex, best_d: float):
+        self.best, self.best_d = best, best_d
+        self.prev: Optional[complex] = None
+        self.grow = 0
+
+    def feed(self, ests, zero_d) -> bool:
+        """Walk on through ests (skipping those whose D is 0); False once
+        the walk has stopped."""
+        best, best_d, prev, grow = self.best, self.best_d, self.prev, self.grow
+        live = True
+        for est, skip in zip(ests, zero_d):
+            if skip:
+                continue
+            if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
+                live = False
+                break
+            if prev is not None:
+                d = abs(est - prev)
+                if d < best_d:
+                    best, best_d = est, d
+                    grow = 0
+                elif best_d > 0 and d > 100.0 * best_d:
+                    grow += 1
+                    if grow >= 3:
+                        live = False
+                        break
+            prev = est
+        self.best, self.best_d, self.prev, self.grow = best, best_d, prev, grow
+        return live
 
 
 def sum_one_sided(term_ratios: Callable[[np.ndarray], np.ndarray],

@@ -3,14 +3,16 @@ factorials on all of Z, the dilogarithm, and the Gaussian-type q-integral.
 
 All array-aware functions accept scalars or numpy arrays of complex values and
 vectorize over them; pole checking (raising) happens only on the scalar paths.
+The log-gamma kernels keep the dtype of their argument, so real arguments run
+the same Lanczos, Stirling and reflection code in float64 (_log_abs_gamma,
+and log_gamma_shift_ratio with real shifts).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -51,14 +53,23 @@ _LOG_PI = math.log(math.pi)
 
 
 def _bernoulli_floats(n: int):
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += Fraction(math.comb(m + 1, k)) * b[k]
-        b[m] = -s / (m + 1)
-    return [float(x) for x in b]
+    """B_0..B_n as floats (B_1 = -1/2), from the integer tangent numbers
+    T_k, tan x = sum T_k x^(2k-1)/(2k-1)!, by the recurrence of Brent and
+    Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
+    2013), and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)): integer true
+    division rounds correctly, so each float is the nearest to B_k."""
+    half = n // 2
+    tan = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    b = [1.0, -0.5] + [0.0] * (n - 1)
+    for k in range(1, half + 1):
+        p = 4 ** k
+        b[2 * k] = (-1) ** (k - 1) * (2 * k * tan[k]) / (p * (p - 1))
+    return b
 
 
 _BERNOULLI = _bernoulli_floats(62)
@@ -75,13 +86,14 @@ ArrayLike = Union[complex, float, np.ndarray]
 
 def _lanczos_log(z: np.ndarray) -> np.ndarray:
     """log Gamma(z) for Re z >= 0.5 (principal on that half-plane): the
-    Stirling series for |z| >= 8, the 15-term Lanczos sum below."""
+    Stirling series for |z| >= 8, the 15-term Lanczos sum below.  Complex
+    or real, as z is."""
     big = np.abs(z) >= _STIRLING_R
     if big.all():
         return _stirling_log(z)
     if not big.any():
         return _lanczos_sum_log(z)
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty(z.shape, dtype=z.dtype)
     out[big] = _stirling_log(z[big])
     out[~big] = _lanczos_sum_log(z[~big])
     return out
@@ -93,9 +105,12 @@ def _stirling_log(z: np.ndarray) -> np.ndarray:
     # array.  log z as log|z| + i arg z: cheaper than the complex log and as
     # accurate this far from |z| = 1.
     acc = _stirling_series(z)
-    logz = np.empty(z.shape, dtype=complex)
-    np.log(np.abs(z, out=logz.real), out=logz.real)
-    np.arctan2(z.imag, z.real, out=logz.imag)
+    if np.iscomplexobj(z):
+        logz = np.empty(z.shape, dtype=complex)
+        np.log(np.abs(z, out=logz.real), out=logz.real)
+        np.arctan2(z.imag, z.real, out=logz.imag)
+    else:
+        logz = np.log(z)
     return (z - 0.5) * logz - z + _HALF_LOG_2PI + acc
 
 
@@ -115,7 +130,8 @@ def log_gamma_shift_ratio(x: np.ndarray, a: ArrayLike,
                           b: ArrayLike) -> np.ndarray:
     """log Gamma(x + a) - log Gamma(x + b) for real x > 0 with Re(x + a) and
     Re(x + b) at least 8; x, a and b broadcast together, and an element
-    comes out the same as with its own scalar a and b.
+    comes out the same as with its own scalar a and b.  Real a and b give a
+    real result, without the imaginary parts' arctangent.
 
     The difference of the two Stirling series, with log(x + c) split into
     log x + log(1 + c/x) so that the large parts cancel before rounding:
@@ -123,12 +139,15 @@ def log_gamma_shift_ratio(x: np.ndarray, a: ArrayLike,
     two log_gamma values carries a few ulps of |x log x|.
     """
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    dtype = np.result_type(a, b, float)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
 
-    def log1p_over(c: complex) -> np.ndarray:
+    def log1p_over(c: np.ndarray) -> np.ndarray:
         # log(1 + c/x) from |1 + c/x|^2 - 1 = u (2 + u) + v^2
         u = c.real / x
+        if dtype != complex:
+            return 0.5 * np.log1p(u * (2.0 + u))
         v = c.imag / x
         return (0.5 * np.log1p(u * (2.0 + u) + v * v)
                 + 1j * np.arctan2(c.imag, x + c.real))
@@ -141,7 +160,7 @@ def log_gamma_shift_ratio(x: np.ndarray, a: ArrayLike,
 def _lanczos_sum_log(z: np.ndarray) -> np.ndarray:
     zz = z - 1.0
     t = zz + _LANCZOS_G + 0.5
-    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
+    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=zz.dtype)
     for k in range(1, 15):
         acc += _LANCZOS_C[k] / (zz + k)
     return _HALF_LOG_2PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
@@ -152,14 +171,14 @@ def _near_pole(z: np.ndarray) -> np.ndarray:
     return (k <= 0) & (np.abs(z - k) <= POLE_WINDOW)
 
 
-def _reflect(z: ArrayLike):
-    """(scalar, za, lg, left, s) for one gamma-family call: za is z as a
-    complex array, lg = log Gamma(w) from one kernel pass over w = 1 - z on
+def _reflect(z: ArrayLike, dtype=complex):
+    """(scalar, za, lg, left, s) for one gamma-family call: za is z as an
+    array of dtype, lg = log Gamma(w) from one kernel pass over w = 1 - z on
     the left half-plane Re z < 1/2 (the mask ``left``) and w = z elsewhere,
     and s = sin(pi z) on the left elements, reduced to (-1)^n sin(pi(z - n))
     with n = round(Re z) so it keeps its relative accuracy next to a pole."""
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    za = np.atleast_1d(np.asarray(z, dtype=dtype))
     left = za.real < 0.5
     lg = _lanczos_log(np.where(left, 1.0 - za, za))
     zl = za[left]
@@ -180,6 +199,18 @@ def log_gamma(z: ArrayLike) -> ArrayLike:
     with np.errstate(divide="ignore", invalid="ignore"):
         out[left] = _LOG_PI - np.log(s) - out[left]
     return complex(out[0]) if scalar else out
+
+
+def _log_abs_gamma(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """log |Gamma(x)| and the sign of Gamma(x) for a real array x, from
+    log_gamma's kernels in float64.  At a nonpositive integer the sign is 0
+    and the logarithm +inf, so sign * exp(-log) is 1/Gamma(x) = 0 there."""
+    _, _, out, left, s = _reflect(x, float)
+    sign = np.ones_like(out)
+    sign[left] = np.sign(s)
+    with np.errstate(divide="ignore"):
+        out[left] = _LOG_PI - np.log(np.abs(s)) - out[left]
+    return out, sign
 
 
 def gamma(z: ArrayLike) -> ArrayLike:

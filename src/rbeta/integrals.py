@@ -33,13 +33,15 @@ On the lattice the phases separate too: e^(i w (k + cell)) is a row factor
 e^(i w k) times a cell factor e^(i w cell).  The core's weight and phase
 sum_nu c_nu e^(i (nu - t) x) is then a sum of outer products of a row and a
 cell vector, one per weight term, and each tail's unit-interval integrals of
-R(x) e^(i w x), for all of its harmonic signals w at once, are one matrix
-product of R's rows with the cell-by-signal matrix of the phases times the
-Gauss weights, scaled by the row phases.  Exponentials are taken on rows
-and cells only, not on every node.
+R(x) e^(i w x), for all of its distinct frequencies w at once, are one
+matrix product of R's rows with the cell-by-frequency matrix of the phases
+times the Gauss weights, scaled by the row phases.  Exponentials are taken
+on rows and cells only, not on every node.  When every a_j and b_j is real
+the lattices are real too, and are built in float64; only the phases are
+complex.
 
 Where a check needs a kernel at several points it makes one array call:
-both tails' signal series go to one Levin call, whose rows come out as
+both tails' interval series go to one Levin call, whose rows come out as
 they would alone, and the closed forms' gamma products
 (bilateral._gamma_ratio) are one gamma or recip_gamma call per list.  The
 pair product, on the core's anchors and for the grid-sum prefactors, is
@@ -66,8 +68,8 @@ from .bilateral import (BilateralSeriesSpec, _gamma_ratio, eval_H,
 from .errors import ConstraintViolation, MarginViolation
 # recip_gamma is not called here: perfbench's tracer tests check that the
 # tracer restores this module's binding of it
-from .gammafns import (gamma, log_gamma, log_gamma_shift_ratio,
-                       recip_gamma)  # noqa: F401
+from .gammafns import (_log_abs_gamma, gamma, log_gamma,
+                       log_gamma_shift_ratio, recip_gamma)  # noqa: F401
 from .quadrature import (_MAX_NODES, _RULES, QuadratureResult, panel_nodes,
                          panel_sums, tanh_sinh)
 
@@ -146,15 +148,27 @@ def _require_margin(spec: IntegrandSpec) -> None:
             f"integrability margin {spec.margin():.3g} must be positive")
 
 
+def _lattice_params(spec: IntegrandSpec) -> Tuple[Tuple, Tuple]:
+    """spec.a and spec.b, as floats when all of them are real, so that the
+    lattices built from them run in float64."""
+    if any(v.imag for v in spec.a + spec.b):
+        return spec.a, spec.b
+    return tuple(v.real for v in spec.a), tuple(v.real for v in spec.b)
+
+
 def _pair_product(spec: IntegrandSpec, x: np.ndarray) -> np.ndarray:
-    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation, as
-    exp(-sum log Gamma) from one log_gamma call on all 2m factors'
-    arguments, so that no factor leaves the double range on its own."""
+    """prod_j 1/(Gamma(a_j+1+x) Gamma(b_j+1-x)) by direct evaluation at real
+    x, as exp(-sum log Gamma) from one log-gamma call on all 2m factors'
+    arguments, so that no factor leaves the double range on its own.  Real
+    parameters give a float64 product: the signs times exp(-sum log|Gamma|)."""
+    a, b = _lattice_params(spec)
+    z = np.stack([aj + 1.0 + x for aj in a] + [bj + 1.0 - x for bj in b])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        return np.exp(-log_gamma(np.stack([aj + 1.0 + x for aj in spec.a]
-                                          + [bj + 1.0 - x for bj in spec.b])
-                                 ).sum(axis=0))
+        if np.iscomplexobj(z):
+            return np.exp(-log_gamma(z).sum(axis=0))
+        lg, sign = _log_abs_gamma(z)
+        return sign.prod(axis=0) * np.exp(-lg.sum(axis=0))
 
 
 def _phases(freqs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,6 +178,7 @@ def _phases(freqs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _unit_lattice(x: np.ndarray, direct,
@@ -179,19 +194,21 @@ def _unit_lattice(x: np.ndarray, direct,
     of v, and dividing by the small factor, rounded more finely than the
     anchor's arguments, would magnify their rounding.  An element whose
     anchor or carried value is not a finite, normal, nonzero float is
-    evaluated directly as well.
+    evaluated directly as well.  v takes the dtype of the step's factors:
+    real factors carry a real v.
     """
     rows = len(x)
-    ratio = np.ones(x[:-1].shape, dtype=complex)
+    ratio = None
     anchor = np.zeros(rows, dtype=bool)
     anchor[0] = True
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
         for num, den in step(x[:-1]):
             anchor[1:] |= (np.abs(den) < 1.0).any(axis=1)
-            ratio = ratio * (num / den)
+            q = num / den
+            ratio = (np.ones(q.shape, q.dtype) if ratio is None else ratio) * q
         starts = np.flatnonzero(anchor)
-        v = np.empty(x.shape, dtype=complex)
+        v = np.empty(x.shape, dtype=ratio.dtype)
         v[starts] = direct(x[starts])
         for lo, hi in zip(starts, list(starts[1:]) + [rows]):
             v[lo + 1:hi] = v[lo] * np.multiply.accumulate(ratio[lo:hi - 1])
@@ -209,7 +226,8 @@ def _lattice_rounding(fw: np.ndarray, hops: np.ndarray, anchor_rel: np.ndarray,
     weights for a function v on a lattice of _unit_lattice, one row per
     lattice row in carry order, from each row's distance from its anchor
     (hops) and bounds on the anchor rows' relative errors (anchor_rel, one
-    row per anchor): 8 ulps of sum |fw| for the products and the sum, plus
+    row per anchor): 8 ulps of sum |fw| for the products and the sum, at
+    least a subnormal spacing a summed term where those ulps underflow, plus
     the errors of v.  Those are independent roundings, each of which scales
     alike the rows from the node where it enters to the end of its run, so
     each weighs that column's partial sum, and they add in quadrature: an
@@ -231,7 +249,7 @@ def _lattice_rounding(fw: np.ndarray, hops: np.ndarray, anchor_rel: np.ndarray,
     if scale:
         terms /= scale
     flat = terms.ravel()
-    return (8.0 * _EPS * float(np.abs(fw).sum())
+    return (max(8.0 * _EPS * float(np.abs(fw).sum()), _SUBNORMAL * fw.size)
             + step_rel * scale * math.sqrt(flat @ flat))
 
 
@@ -297,13 +315,14 @@ def _core_lattice(spec: IntegrandSpec, X: int, sub: int) -> Tuple[
     x = np.arange(-X, X, dtype=float)[:, None] + _unit_cell(sub)[0][None, :]
     peak = (sum(spec.b) - sum(spec.a)).real / (2 * spec.m)
     mid = min(max(math.floor(peak) + X, 1), 2 * X - 1)
+    a, b = _lattice_params(spec)
 
     def up(y):
-        for aj, bj in zip(spec.a, spec.b):
+        for aj, bj in zip(a, b):
             yield bj - y, aj + 1.0 + y
 
     def down(y):
-        for aj, bj in zip(spec.a, spec.b):
+        for aj, bj in zip(a, b):
             yield aj - y, bj + 1.0 + y
 
     upper, up_hops = _unit_lattice(x[mid:], lambda y: _pair_product(spec, y), up)
@@ -398,22 +417,55 @@ def _interval_integrals(R: np.ndarray, cell: np.ndarray, weights: np.ndarray,
             * _phases(freqs, rows))
 
 
+# 2^1074 times a finite double is an integer
+_EXACT_SCALE = 1 << 1074
+
+
+def _exact(v: float) -> int:
+    """v times 2^1074, exactly."""
+    n, d = v.as_integer_ratio()
+    return n * (_EXACT_SCALE // d)
+
+
+def _tail_signals(harmonics: Dict[int, complex],
+                  tau_terms: Sequence[WeightTerm]) -> List[List]:
+    """[frequency, coefficient] of each distinct frequency pi h - tau over
+    the (weight term, harmonic) pairs, in order of first appearance, with
+    the coefficients c gamma_h of its pairs added.  Frequencies are compared
+    as exact rationals of the doubles pi and tau (scaled by 2^1074 to
+    integers), so two distinct frequencies never merge; a frequency takes
+    the rounded value of its first pair."""
+    pi = _exact(math.pi)
+    signals: Dict[int, List] = {}
+    for cc, tau in tau_terms:
+        if cc == 0:
+            continue
+        t = _exact(tau)
+        for h, gh in harmonics.items():
+            key = h * pi - t
+            if key in signals:
+                signals[key][1] += cc * gh
+            else:
+                signals[key] = [math.pi * h - tau, cc * gh]
+    return list(signals.values())
+
+
 def _tail_one_side(num_params: Sequence[complex], den_params: Sequence[complex],
                    tau_terms: Sequence[WeightTerm], X: int, sub: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unit-interval series of the integral from X to infinity of
         R(x) * prod_j sin(pi(x - num_j))/pi^m * sum_k c_k exp(-i tau_k x) dx
     with R(x) = exp(sum_j lgamma(x - num_j) - lgamma(den_j + 1 + x)), one
-    per (weight term, harmonic) signal, as (series, coefficients, rounding):
-    one series a row, to be Levin-summed, and integrate's tails are
-    sum_signals coefficient * Levin sum / pi^m.  Each interval is split into
-    sub Gauss panels.  A signal's summed intervals round by about its
-    coefficient's modulus times its entry of `rounding`, the
-    _lattice_rounding of |R| w, which covers every signal's.
+    per distinct frequency pi h - tau of the (weight term, harmonic)
+    signals (_tail_signals), as (series, coefficients, rounding): one
+    series a row, to be Levin-summed, and integrate's tails are
+    sum_rows coefficient * Levin sum / pi^m.  Equal frequencies have equal
+    series, so each is summed once with its signals' coefficients added.
+    Each interval is split into sub Gauss panels.  A row's summed intervals
+    round by about its coefficient's modulus times its entry of
+    `rounding`, the _lattice_rounding of |R| w, which covers every row's.
     """
-    harmonics = _sin_product_harmonics(num_params)
-    signals = [(math.pi * h - tau, cc * gh) for cc, tau in tau_terms
-               if cc != 0 for h, gh in harmonics.items()]
+    signals = _tail_signals(_sin_product_harmonics(num_params), tau_terms)
     if not signals:
         return (np.empty((0, _TAIL_INTERVALS), dtype=complex),
                 np.empty(0, dtype=complex), np.empty(0))
@@ -463,10 +515,11 @@ def integrate(spec: IntegrandSpec) -> QuadratureResult:
     # right tail: reflect the b-gammas; left tail via x -> -y: reflect the
     # a-gammas.  Both tails' signals go to one Levin call.
     tail_sub = _panels_per_unit(omega, _TAIL_ANGLE)
+    a, b = _lattice_params(spec)
     tails = [_tail_one_side(num, den, [(cc, sign * (spec.t - nu))
                                        for cc, nu in spec.weight_terms()],
                             X, tail_sub)
-             for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0))]
+             for num, den, sign in ((b, a, 1.0), (a, b, -1.0))]
     seqs, coefs, rounding = (np.concatenate(parts) for parts in zip(*tails))
     values, errs = levin_u(seqs)
     scale = math.pi ** spec.m

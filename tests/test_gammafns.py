@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbeta.errors import BranchCutError, DomainError, PoleError
-from rbeta.gammafns import (dilog, gamma, gaussian_q_integral, log_gamma,
+from rbeta.gammafns import (_BERNOULLI, _log_abs_gamma, dilog, gamma,
+                            gaussian_q_integral, log_gamma,
                             log_gamma_shift_ratio, pochhammer, recip_gamma)
 
 from conftest import mp_gamma, mp_dilog
@@ -265,3 +266,51 @@ def test_log_gamma_shift_ratio_stacked_bit_identical_to_scalar_calls():
         assert np.array_equal(got[j].view(float), want.view(float))
         flat = log_gamma_shift_ratio(x.ravel(), a[j], b[j])
         assert np.array_equal(flat.view(float), want.ravel().view(float))
+
+
+def _bernoulli_fraction(n):
+    """B_0..B_n by the rational recurrence sum_k C(m+1, k) B_k = 0."""
+    from fractions import Fraction
+    b = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        b[m] = -sum(Fraction(math.comb(m + 1, k)) * b[k]
+                    for k in range(m)) / (m + 1)
+    return [float(x) for x in b]
+
+
+def test_bernoulli_table_matches_the_fraction_recurrence():
+    # the tangent-number table against exact rationals rounded once
+    want = _bernoulli_fraction(62)
+    assert [x.hex() for x in _BERNOULLI] == [x.hex() for x in want]
+
+
+def test_log_abs_gamma_against_mpmath(rng):
+    # the float64 kernels: log|Gamma| and the sign on both sides of 1/2 and
+    # of |x| = 8, next to the poles, and 0 sign at them
+    x = np.concatenate([rng.uniform(-40.0, 60.0, 400),
+                        -np.arange(1.0, 30.0) + 1e-9, -np.arange(1.0, 30.0) - 0.5,
+                        [0.5, 1.0, 2.0, 7.999, 8.0, 170.5]])
+    lg, sign = _log_abs_gamma(x)
+    assert lg.dtype == sign.dtype == np.float64
+    for xi, l, s in zip(x, lg, sign):
+        want = mp.loggamma(mp.mpf(xi))
+        assert s == (1.0 if mp.gamma(mp.mpf(xi)) > 0 else -1.0), xi
+        # ulps of |log Gamma| plus the sensitivity x psi(x) to rounding of x
+        assert abs(l - float(mp.re(want))) <= 4e-16 * (
+            abs(float(mp.re(want))) + abs(xi) * (abs(math.log(abs(xi) + 1)) + 1)
+            + (1.0 / abs(math.sin(math.pi * xi)) if xi < 0.5 else 0.0)), xi
+    lg, sign = _log_abs_gamma(np.array([0.0, -1.0, -7.0]))
+    assert (sign == 0).all() and (lg == np.inf).all()
+
+
+def test_log_gamma_shift_ratio_real_shifts_stay_real():
+    # real shifts run in float64, the imaginary part of the complex call
+    # being exactly 0, and agree with the complex call to a few ulps
+    x = np.linspace(16.0, 143.0, 40)
+    for a, b in [(-0.93, 2.015), (-5.5, 0.0), (3.25, -7.5)]:
+        got = log_gamma_shift_ratio(x, a, b)
+        want = log_gamma_shift_ratio(x, complex(a), complex(b))
+        assert got.dtype == np.float64
+        assert (want.imag == 0).all()
+        assert np.all(np.abs(got - want.real)
+                      <= 4e-16 * (np.abs(want.real) + abs(a) + abs(b)))

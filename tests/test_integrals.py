@@ -14,7 +14,7 @@ from rbeta.acceleration import levin_u
 from rbeta.bilateral import HKind, _gamma_ratio, closed_form_H, eval_H
 from rbeta.core import Tolerance
 from rbeta.errors import ConstraintViolation, MarginViolation, PoleError
-from rbeta.gammafns import gamma, recip_gamma
+from rbeta.gammafns import gamma, log_gamma, recip_gamma
 from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              barnes_quadrature, beta_integral_closed,
                              cauchy_cosine_integral,
@@ -24,11 +24,12 @@ from rbeta.integrals import (BetaKind, IntegrandSpec, barnes_closed,
                              m6_reduced_5h5, poisson_sum_rhs, poisson_terms,
                              weight_gm)
 from rbeta.integrals import (_choose_X, _core, _core_lattice,
-                             _interval_integrals, _pair_product,
+                             _interval_integrals, _lattice_params,
+                             _pair_product,
                              _panels_per_unit, _recip_gamma_error,
                              _sin_product_harmonics,
-                             _tail_one_side, _tail_R, _unit_cell,
-                             _unit_lattice)
+                             _tail_one_side, _tail_R, _tail_signals,
+                             _unit_cell, _unit_lattice)
 from rbeta.quadrature import _RULES, tanh_sinh
 from rbeta.verify import draw_beta_params
 
@@ -437,8 +438,9 @@ def test_tail_R_carried_over_all_intervals():
     # off at X = 96)
     cell, _ = _unit_cell(3)
     for spec in _lattice_specs():
+        a, b = _lattice_params(spec)
         for X, (num, den) in itertools.product(
-                {_choose_X(spec), 96}, ((spec.b, spec.a), (spec.a, spec.b))):
+                {_choose_X(spec), 96}, ((b, a), (a, b))):
             x, R, _ = _tail_R(num, den, X, cell)
             assert x.shape == (48, 48)
             for k in range(48):
@@ -459,7 +461,9 @@ def _mp_pair_product(spec, x) -> complex:
 def test_lattice_error_bounds_cover_the_carried_values():
     # each carried value is within its anchor's error bound plus
     # (4m + 2) ulps a step of 40-digit mpmath: the core's pair product on
-    # the rows within 6 of its anchors, and the tails' R on every fifth row
+    # the rows within 6 of its anchors, and the tails' R on every fifth row.
+    # Real parameters run in float64, R within the same bound of the
+    # complex path on every row
     eps = np.finfo(float).eps
     cell, _ = _unit_cell(2)
     for spec in _lattice_specs():
@@ -471,13 +475,18 @@ def test_lattice_error_bounds_cover_the_carried_values():
                 want = _mp_pair_product(spec, x[order[r], c])
                 bound = anchor_rel[run[r], c] + (4 * spec.m + 2) * eps * hops[r]
                 assert abs(G[order[r], c] - want) <= bound * abs(want), (spec, r)
-        for num, den in ((spec.b, spec.a), (spec.a, spec.b)):
+        a, b = _lattice_params(spec)
+        for num, den in ((b, a), (a, b)):
             x, R, (hops, anchor_rel) = _tail_R(num, den, X, cell)
+            bound = anchor_rel[0] + (4 * spec.m + 2) * eps * hops[:, None]
             for k in range(0, 48, 5):
                 for c in (0, 31):
                     want = _mp_tail_R(num, den, x[k, c])
-                    bound = anchor_rel[0, c] + (4 * spec.m + 2) * eps * hops[k]
-                    assert abs(R[k, c] - want) <= bound * abs(want), (spec, k)
+                    assert abs(R[k, c] - want) <= bound[k, c] * abs(want), (spec, k)
+            _, R_complex, _ = _tail_R(np.array(num, dtype=complex),
+                                      np.array(den, dtype=complex), X, cell)
+            assert R.dtype == np.result_type(*num, *den, float)
+            assert (np.abs(R - R_complex) <= bound * np.abs(R_complex)).all()
 
 
 def test_choose_X_clears_large_parameters():
@@ -502,6 +511,19 @@ def test_integrate_is_finite_for_large_parameters():
     res = integrate(IntegrandSpec([200.0], [0.3], 0.0))
     assert res.value.real > 0 and math.isfinite(res.value.real)
     assert math.isfinite(res.est_error)
+
+
+def test_est_error_covers_values_near_and_below_the_normal_range():
+    # at a = 200 the value is subnormal and 8 ulps of sum |f| underflowed:
+    # est_error was 0, the value 6.4e-323 off; at a = 190 the gap of
+    # 4.9e-309 was covered by 5.0e-309
+    for a in (190.0, 200.0):
+        res = integrate(IntegrandSpec([a], [0.3], 0.0))
+        with mp.workdps(30):
+            s = mp.mpf(a) + mp.mpf(0.3)
+            gap = abs(mp.mpf(res.value.real) - 2 ** s / mp.gamma(s + 1))
+        assert res.value.imag == 0
+        assert gap <= res.est_error, (a, float(gap), res.est_error)
 
 
 def test_core_node_budget_names_the_truncation_point():
@@ -563,7 +585,9 @@ def test_pair_product_within_its_error_bound_of_mpmath():
     # nodes on both sides of |z| = 8 and on Re z < 1/2, each within the
     # summed _recip_gamma_error bound that _core_lattice charges an anchor,
     # and the shifted kinds' a_j = b_j = -1, whose factors vanish at the
-    # integers
+    # integers; for complex parameters and for their real parts, whose
+    # product runs in float64 and lies within the same bound of the complex
+    # path exp(-sum log_gamma)
     rng = np.random.default_rng(17)
     x = np.arange(-30.0, 31.0)[:, None] + np.array([0.0, 0.13, 0.5, 0.91])
     for m in range(1, 7):
@@ -572,16 +596,23 @@ def test_pair_product_within_its_error_bound_of_mpmath():
             b = rng.uniform(-0.4, 1.2, m) + 1j * rng.uniform(-1.5, 1.5, m)
             if shifted:
                 a[0] = b[0] = -1.0
-            spec = IntegrandSpec(a, b, 0.3)
-            got = _pair_product(spec, x)
-            p = np.array(spec.a + spec.b)[:, None, None] + 1.0
-            bound = _recip_gamma_error(
-                p, np.concatenate((p[:m] + x, p[m:] - x))).sum(axis=0)
-            with mp.workdps(40):
-                want = np.array([[_mp_pair_product(spec, v) for v in row]
-                                 for row in x])
-            assert (np.abs(got - want) <= bound * np.abs(want)).all(), spec
-            assert (got[:, 0] == 0).all() == shifted
+            for spec in (IntegrandSpec(a, b, 0.3),
+                         IntegrandSpec(a.real, b.real, 0.3)):
+                got = _pair_product(spec, x)
+                real = not any(v.imag for v in spec.a + spec.b)
+                assert got.dtype == (np.float64 if real else complex), spec
+                p = np.array(spec.a + spec.b)[:, None, None] + 1.0
+                z = np.concatenate((p[:m] + x, p[m:] - x))
+                bound = _recip_gamma_error(p, z).sum(axis=0)
+                with mp.workdps(40):
+                    want = np.array([[_mp_pair_product(spec, v) for v in row]
+                                     for row in x])
+                assert (np.abs(got - want) <= bound * np.abs(want)).all(), spec
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    complex_path = np.exp(-log_gamma(z).sum(axis=0))
+                assert (np.abs(got - complex_path)
+                        <= bound * np.abs(complex_path)).all(), spec
+                assert (got[:, 0] == 0).all() == shifted
     # a_1 = -1 makes the k = 0 grid-sum prefactor exactly 0
     assert poisson_terms(IntegrandSpec([-1.0, 0.4 + 0.3j], [0.7, 0.2 - 0.1j],
                                        0.4), 2)[0] == 0
@@ -611,6 +642,86 @@ def test_sin_product_harmonics_expand_the_product():
                 got = sum(g * cmath.exp(1j * math.pi * h * x)
                           for h, g in harmonics.items())
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (m, x)
+
+
+# -- real parameters in float64 -----------------------------------------------
+
+def test_tail_rows_one_per_distinct_frequency():
+    # M5VWP: 4 weight terms times 6 harmonics, frequencies pi (h - k) with
+    # k = +-1, +-3, so 24 signals on 9 frequencies -8 pi .. 8 pi a side, each
+    # row's coefficient the sum of its signals'
+    spec = integrand_spec_for(BetaKind.M5_VWP,
+                              dict(a=0.4, b1=0.2, b2=0.35, b3=0.5, b4=0.1))
+    a, b = _lattice_params(spec)
+    for num, den, sign in ((b, a, 1.0), (a, b, -1.0)):
+        tau_terms = [(cc, sign * (spec.t - nu)) for cc, nu in spec.weight_terms()]
+        harmonics = _sin_product_harmonics(num)
+        signals = _tail_signals(harmonics, tau_terms)
+        freqs = [w for w, _ in signals]
+        assert len(signals) == 9
+        assert np.allclose(sorted(freqs), np.arange(-8, 9, 2) * math.pi,
+                           rtol=0, atol=1e-14)
+        for w, coef in signals:
+            parts = [cc * gh for cc, tau in tau_terms
+                     for h, gh in harmonics.items()
+                     if abs(math.pi * h - tau - w) < 1e-9]
+            assert abs(coef - sum(parts)) <= 1e-15 * sum(map(abs, parts))
+        seqs, coefs, rounding = _tail_one_side(num, den, tau_terms,
+                                               _choose_X(spec), 2)
+        assert seqs.shape == (9, 48) and coefs.shape == rounding.shape == (9,)
+
+
+def test_tail_signals_merge_only_exactly_equal_frequencies():
+    # -pi - (-2 pi) is pi exactly in doubles, so that pair joins h = 1 of
+    # tau = 0; pi - 1e-300 rounds to pi but is another frequency
+    harmonics = {1: 1.0 + 0j, -1: 2.0 + 0j}
+    signals = _tail_signals(harmonics, [(1.0 + 0j, 0.0),
+                                        (1.0 + 0j, -2.0 * math.pi)])
+    assert [w for w, _ in signals] == [math.pi, -math.pi, 3 * math.pi]
+    assert [c for _, c in signals] == [3.0, 2.0, 1.0]
+    signals = _tail_signals(harmonics, [(1.0 + 0j, 0.0), (1.0 + 0j, 1e-300)])
+    assert [w for w, _ in signals] == [math.pi, -math.pi, math.pi, -math.pi]
+
+
+def integrate_per_signal(spec):
+    """integrate with one Levin-summed tail row per (weight term, harmonic)
+    signal, as before the rows were merged by frequency."""
+    wmax = max((abs(nu) for _, nu in spec.weight_terms()), default=0.0)
+    omega = spec.m * math.pi + abs(spec.t) + wmax
+    X = _choose_X(spec)
+    core, _, _ = _core(spec, X, _panels_per_unit(omega, integrals._CORE_ANGLE))
+    cell, weights = _unit_cell(_panels_per_unit(omega, integrals._TAIL_ANGLE))
+    tail = 0j
+    for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0)):
+        signals = [(math.pi * h - sign * (spec.t - nu), cc * gh)
+                   for cc, nu in spec.weight_terms()
+                   for h, gh in _sin_product_harmonics(num).items()]
+        freqs, coefs = (np.array(v) for v in zip(*signals))
+        _, R, _ = _tail_R(num, den, X, cell)
+        values, _ = levin_u(_interval_integrals(R, cell, weights, X, freqs).T)
+        tail += complex(coefs @ values)
+    return core + tail / math.pi ** spec.m
+
+
+def test_merged_tail_rows_within_est_error_of_per_signal_rows():
+    # the weighted beta kinds, weight_gm integrands at t != 0 and
+    # doubled-argument-beta's integrand
+    rng = np.random.default_rng(29)
+    specs = [integrand_spec_for(kind, draw_beta_params(rng, kind))
+             for kind in (BetaKind.RAMANUJAN_M2_COS, BetaKind.M3_COS,
+                          BetaKind.M4_VWP, BetaKind.M4_VWP_SHIFTED,
+                          BetaKind.M5_VWP, BetaKind.M5_VWP_SHIFTED,
+                          BetaKind.M5_VWP_THIRD)
+             for _ in range(2)]
+    specs += [IntegrandSpec(rng.uniform(0.2, 0.9, m), rng.uniform(0.2, 0.9, m),
+                            rng.uniform(-0.9, 0.9) * math.pi, weight_gm(m))
+              for m in (1, 2, 3)]
+    specs.append(IntegrandSpec([-1.0, 0.3, 0.1, 0.45], [-1.0, 0.3, 0.1, 0.45],
+                               0.0, ((2.0 + 0j, math.pi), (2.0 + 0j, -math.pi))))
+    assert len(specs) == 18
+    for spec in specs:
+        res = integrate(spec)
+        assert abs(res.value - integrate_per_signal(spec)) <= res.est_error, spec
 
 
 def test_tail_intervals_match_per_node_phases():
@@ -707,10 +818,11 @@ def integrate_per_side(spec):
     X = _choose_X(spec)
     core, core_err, _ = _core(
         spec, X, _panels_per_unit(omega, integrals._CORE_ANGLE))
+    a, b = _lattice_params(spec)
     tails = [_tail_one_side(
                  num, den, [(cc, sign * (spec.t - nu)) for cc, nu in spec.weight_terms()],
                  X, _panels_per_unit(omega, integrals._TAIL_ANGLE))
-             for num, den, sign in ((spec.b, spec.a, 1.0), (spec.a, spec.b, -1.0))]
+             for num, den, sign in ((b, a, 1.0), (a, b, -1.0))]
     seqs, coefs, rounding = (np.concatenate(parts) for parts in zip(*tails))
     sums = [levin_u(row) for row in seqs]
     values = np.array([v for v, _ in sums], dtype=complex)

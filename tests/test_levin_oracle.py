@@ -15,8 +15,10 @@ estimate is itself at the roundoff floor (below 1e-12 relative), the
 minimum gap it is taken from is roundoff and only that floor is checked.
 
 ``levin_rows_full_table`` is the array transform before its table was cut
-to the 49 columns that its depth-48 estimates read; the library must match
-it bit for bit.
+to the 49 columns that its depth-48 estimates read, and before it was built
+only as deep as its rows' walks read; with ``walk_full`` it is kept here
+whole, independent of the library's walk, and the library must match it
+bit for bit.
 """
 
 import math
@@ -25,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from rbeta.acceleration import _levin_rows, _walk, levin_u
+from rbeta.acceleration import _levin_rows, levin_u
 
 
 def levin_u_oracle(terms: Sequence[complex]) -> Tuple[complex, float]:
@@ -167,10 +169,33 @@ def test_levin_stacked_rows_bit_identical(n):
 
 # -- the table sized to what its estimates read ---------------------------------
 
-def levin_rows_full_table(t):
-    """The array Levin transform as it was before its table was cut to the
-    columns the estimates read: every column of the table is built for all
-    n terms, with the recursion coefficients computed per column."""
+def walk_full(ests, zero_d, best: complex, best_d: float) -> Tuple[complex, float]:
+    """Pick a row's estimate from its whole k-diagonal, starting from the
+    plain partial sum and its last term as the gap."""
+    prev: Optional[complex] = None
+    grow = 0
+    for est, skip in zip(ests, zero_d):
+        if skip:
+            continue
+        if not (abs(est.real) < 1e300 and abs(est.imag) < 1e300):
+            break
+        if prev is not None:
+            d = abs(est - prev)
+            if d < best_d:
+                best, best_d = est, d
+                grow = 0
+            elif best_d > 0 and d > 100.0 * best_d:
+                grow += 1
+                if grow >= 3:
+                    break
+        prev = est
+    return best, 4.0 * best_d + 1e-15 * abs(best)
+
+
+def full_table_estimates(t):
+    """Every row's k-diagonal estimates, which of them have D = 0, and the
+    partial sums, from the whole table: every column of the table is built
+    for all n terms, with the recursion coefficients computed per column."""
     S, n = t.shape
     s = np.cumsum(t, axis=1)
     w = (1.0 + np.arange(n)) * t
@@ -189,12 +214,37 @@ def levin_rows_full_table(t):
             N0[:, k - 1] = N[:, 0]
             D0[:, k - 1] = D[:, 0]
         ests = N0 / D0
-    values = np.empty(S, dtype=complex)
-    errs = np.empty(S)
-    for i in range(S):
-        values[i], errs[i] = _walk(ests[i].tolist(), (D0[i] == 0).tolist(),
-                                   complex(s[i, -1]), abs(t[i, -1]))
+    return ests, D0 == 0, s
+
+
+def levin_rows_full_table(t):
+    """The array Levin transform as it was before its table was cut to the
+    columns the estimates read, each row walked over its whole table."""
+    ests, zero_d, s = full_table_estimates(t)
+    values = np.empty(len(t), dtype=complex)
+    errs = np.empty(len(t))
+    for i in range(len(t)):
+        values[i], errs[i] = walk_full(ests[i].tolist(), zero_d[i].tolist(),
+                                       complex(s[i, -1]), abs(t[i, -1]))
     return values, errs
+
+
+def walk_stops(t):
+    """The number of estimates each row's walk reads before it stops (all
+    of them if it never does)."""
+    ests, zero_d, s = full_table_estimates(t)
+    out = []
+    for i in range(len(t)):
+        read = []
+
+        def counted(row):
+            for est in row:
+                read.append(est)
+                yield est
+        walk_full(counted(ests[i].tolist()), zero_d[i].tolist(),
+                  complex(s[i, -1]), abs(t[i, -1]))
+        out.append(len(read))
+    return out
 
 
 def _assert_same_bits(rows):
@@ -230,3 +280,19 @@ def test_levin_window_bit_identical_stacked(n):
     _assert_same_bits(rows)
     for row in rows:
         _assert_same_bits(row)
+
+
+def test_levin_table_built_past_the_walks_that_stopped():
+    # rows whose walks stop within the first 8 columns (fast geometric
+    # decay, read to the roundoff floor) stacked with rows that read all 48
+    # estimates (slow algebraic decay on the unit circle): the table goes on
+    # for the live rows, and every row keeps the bits of the full table
+    k = np.arange(60)
+    rows = np.array([0.3 ** k, (-0.2 + 0.1j) ** k,
+                     np.exp(0.9j * k) / (k + 14.0) ** 1.7,
+                     np.exp(2.1j * k) / (k + 3.0) ** 0.6,
+                     0.5 ** k * np.exp(1j * k)], dtype=complex)
+    stops = walk_stops(rows)
+    assert min(stops) <= 8 and max(stops) == 48, stops
+    _assert_same_bits(rows)
+    _assert_same_bits(rows[::-1])
